@@ -1,13 +1,11 @@
-"""Shortest resizing words through exact rational linear algebra.
+"""Shortest resizing words through exact integer linear algebra.
 
 Does any word give S a preimage of a different size?  Each candidate
 preimage subset becomes a 0/1 vector with a constant affine coordinate; a
 subset already in the rational span of earlier ones can never reveal a new
-size, so the BFS inserts at most n+1 vectors before concluding "no".  The
+size, so the BFS inserts at most n vectors before concluding "no".  The
 first size discrepancy, in BFS order, is a shortest resizing word.
 """
-
-from fractions import Fraction
 
 from preimages import (AugVector, RationalBasis, Word, cerny_automaton, perm3,
                        preimage_word, resizable_decision_fast, shortest_resizing_word,
@@ -30,9 +28,9 @@ print("\ninsert chi(S):          pivot", basis.insert(vec))
 pre_a = preimage_word(aut, s, Word([0]))
 print("insert chi(S.a^-1):     pivot", basis.insert(AugVector.from_subset_bits(4, pre_a.bits)))
 print("insert chi(S) again:   ", basis.insert(vec), "(dependent, pruned)")
-print("stored vectors:")
-for v, piv in zip(basis.vectors, basis.pivots):
-    print("  ", [str(Fraction(x, v.den)) for x in v.nums], "pivot", piv)
+print("stored echelon rows (primitive integers, zero at earlier pivots):")
+for row, piv in zip(basis.vectors, basis.pivots):
+    print("  ", row, "pivot", piv)
 
 # Permutation automata never resize anything; the basis closes and the
 # search proves it.

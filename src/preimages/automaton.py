@@ -37,12 +37,16 @@ class Word:
         """Parse ``"ba"`` into letter indices (``a`` = 0, ``b`` = 1, ...).
 
         Also accepts whitespace-separated decimal indices for big alphabets.
+        Letters outside ``a``-``z`` raise ValueError.
         """
         text = text.strip()
         if text == "":
             return cls()
         if any(ch.isspace() or ch.isdigit() for ch in text):
             return cls(int(tok) for tok in text.split())
+        bad = next((ch for ch in text if not "a" <= ch <= "z"), None)
+        if bad is not None:
+            raise ValueError(f"bad letter {bad!r} in word {text!r}: expected a-z")
         return cls(ord(ch) - ord("a") for ch in text)
 
     def text(self, k: Optional[int] = None) -> str:

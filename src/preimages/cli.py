@@ -63,6 +63,20 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _parse_subset(aut: Automaton, text: str) -> StateSet:
     text = text.strip()
     if text == "":
@@ -117,7 +131,12 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
         if method == "auto" and not want_witness and max_len is None and is_synchronizing(aut):
             decision = resize_mod.resizable_decision_fast(aut, s)
             return (ANSWER_YES if decision else ANSWER_NO), None, "fast-path", True, None
-        word = resize_mod.shortest_resizing_word(aut, s, stats=stats)
+        try:
+            word = resize_mod.shortest_resizing_word(aut, s, budget=budget, stats=stats)
+        except BudgetExceededError:
+            if oracle_allowed:
+                return run_oracle()
+            return ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded"
         if word is None:
             return ANSWER_NO, None, "poly", True, None
         return ANSWER_YES, word, "poly", True, None
@@ -385,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--subset", required=True, help="comma-separated state indices")
     check.add_argument("--problem", required=True, choices=("extend", "extend-total", "avoid", "resize"))
     check.add_argument("--method", default="auto", choices=("auto", "poly", "oracle"))
-    check.add_argument("--max-len", type=int, default=None)
+    check.add_argument("--max-len", type=_nonnegative_int, default=None)
     check.add_argument("--witness", action="store_true")
     check.add_argument("--json", action="store_true")
-    check.add_argument("--budget", type=int, default=None)
+    check.add_argument("--budget", type=_positive_int, default=None)
     check.add_argument("--oracle-cap", type=int, default=None)
     check.add_argument("--timing", action="store_true")
     check.set_defaults(func=_cmd_check)
@@ -398,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--subset", required=True)
     orc.add_argument("--goal", required=True,
                      choices=("extending", "totally-extending", "avoiding", "resizing"))
-    orc.add_argument("--max-len", type=int, default=None)
+    orc.add_argument("--max-len", type=_nonnegative_int, default=None)
     orc.add_argument("--witness", action="store_true")
     orc.add_argument("--json", action="store_true")
-    orc.add_argument("--budget", type=int, default=None)
+    orc.add_argument("--budget", type=_positive_int, default=None)
     orc.add_argument("--oracle-cap", type=int, default=None)
     orc.set_defaults(func=_cmd_oracle)
 
@@ -449,7 +468,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (AutomatonFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (AutomatonFormatError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
     except (ValueError, NotSynchronizingError) as exc:

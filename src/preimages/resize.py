@@ -1,4 +1,4 @@
-"""Shortest resizing words via exact rational span checking.
+"""Shortest resizing words via exact span checking.
 
 A word resizes S when the preimage of S under it has a different size.  The
 search walks words by *prepended* letters, so each step is a single-letter
@@ -8,13 +8,13 @@ reference acceptor with exactly |S| accepting runs per word).  A subset
 whose augmented vector already lies in the span of earlier ones can never
 contribute a new size discrepancy, because the discrepancy functional
 h(z) = sum(z[0..n-1]) - |S| * z[n] is linear and vanishes on everything
-inserted so far.  The basis therefore closes after at most n+1 insertions,
-and the first vector with h != 0, taken in BFS order, belongs to a shortest
-resizing word.
+inserted so far.  The basis therefore closes after at most n insertions (the
+kernel of h has dimension n), and the first vector with h != 0, taken in BFS
+order, belongs to a shortest resizing word.
 
-All arithmetic is exact: vectors carry integer numerators over a single
-positive denominator, and normalization divides exactly.  Entries are
-exposed as ``fractions.Fraction`` values.
+All arithmetic is exact and stays in integers: the span check keeps a
+fraction-free echelon basis (Bareiss 1968) of primitive integer rows, so no
+rational number is ever formed on the search path.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .automaton import Automaton, StateSet, Word
+from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET
 from .pairs import known_synchronizing
 
 
@@ -33,8 +34,8 @@ class AugVector:
 
     Stored as integer numerators over one positive denominator; ``entry(i)``
     and ``entries()`` expose the values as Fractions.  Vectors generated by
-    the resizing search are 0/1 with affine coordinate 1; basis residuals are
-    arbitrary rationals.
+    the resizing search are 0/1 with affine coordinate 1.  Span membership
+    does not depend on the denominator, so the basis reads only ``nums``.
     """
 
     __slots__ = ("nums", "den")
@@ -72,141 +73,88 @@ class AugVector:
     def entries(self) -> list[Fraction]:
         return [Fraction(x, self.den) for x in self.nums]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.nums)
-
     def is_zero_one_affine(self) -> bool:
         return (self.den == 1 and self.nums[-1] == 1
                 and all(x in (0, 1) for x in self.nums[:-1]))
-
-    def reduced(self) -> "AugVector":
-        g = self.den
-        for x in self.nums:
-            g = gcd(g, x)
-            if g == 1:
-                return self
-        return AugVector([x // g for x in self.nums], self.den // g)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AugVector):
-            return NotImplemented
-        if len(self.nums) != len(other.nums):
-            return False
-        return all(x * other.den == y * self.den for x, y in zip(self.nums, other.nums))
 
     def __repr__(self) -> str:
         return f"AugVector({[str(f) for f in self.entries()]})"
 
 
 class RationalBasis:
-    """Pseudo-triangular family of independent rational vectors.
+    """Fraction-free echelon basis of a subspace of Q^dim.
 
-    Every stored vector is 1 at its own pivot coordinate and 0 at every other
-    stored pivot, so reducing an incoming vector by subtracting
-    ``g(pivot_r) * g_r`` for each stored vector zeroes all pivot coordinates
-    exactly.  Inserting back-eliminates the new pivot from the older vectors,
-    which is what keeps the invariant true after every insertion.
+    ``vectors[j]`` is a primitive integer list (entries with gcd 1) that is
+    nonzero at its pivot ``pivots[j]`` and zero at the pivot of every earlier
+    row.  An incoming vector r is reduced against the rows in insertion order
+    by ``r = d*r - c*row``, where d is the row's pivot entry and c is r's
+    entry there: this clears r at that pivot and keeps every pivot cleared
+    before it at zero.  r is divided by its content after each step, which
+    stops the entries from growing.  A zero residual means the vector lies in
+    the span; a nonzero one is appended as a new row, and no older row
+    changes.
     """
 
     __slots__ = ("dim", "vectors", "pivots")
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.vectors: list[AugVector] = []
+        self.vectors: list[list[int]] = []
         self.pivots: list[int] = []
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def residual(self, g: AugVector) -> AugVector:
-        """g minus its projection on the stored vectors (exact)."""
+    def insert(self, g: AugVector) -> Optional[int]:
+        """Insert g if independent; returns the new row's pivot, else None."""
         if len(g) != self.dim:
             raise ValueError(f"vector has {len(g)} entries, basis dimension is {self.dim}")
-        r_nums = list(g.nums)
-        r_den = g.den
-        for vec, piv in zip(self.vectors, self.pivots):
-            c = r_nums[piv]
-            if c == 0:
-                continue
-            v_nums, v_den = vec.nums, vec.den
-            if v_den == 1:
-                r_nums = [x - c * y if y else x for x, y in zip(r_nums, v_nums)]
-            else:
-                r_nums = [x * v_den - c * y for x, y in zip(r_nums, v_nums)]
-                r_den *= v_den
-                if r_den.bit_length() > 512:
-                    # Exactness never depends on this; it only stops the
-                    # shared denominator from compounding across steps.
-                    g0 = r_den
-                    for x in r_nums:
-                        g0 = gcd(g0, x)
-                        if g0 == 1:
-                            break
-                    if g0 > 1:
-                        r_nums = [x // g0 for x in r_nums]
-                        r_den //= g0
-        return AugVector(r_nums, r_den).reduced()
-
-    def insert(self, g: AugVector) -> Optional[int]:
-        """Insert g if independent; returns the new pivot index, else None."""
-        r = self.residual(g)
-        pivot = next((i for i, x in enumerate(r.nums) if x != 0), None)
-        if pivot is None:
+        r = g.nums
+        for row, piv in zip(self.vectors, self.pivots):
+            c = r[piv]
+            if c:
+                d = row[piv]
+                r = [d * x - c * y for x, y in zip(r, row)]
+                content = gcd(*r)
+                if content == 0:
+                    return None
+                if content > 1:
+                    r = [x // content for x in r]
+        content = gcd(*r)
+        if content == 0:
             return None
-        # Normalize the residual to 1 at the pivot (exact division).
-        normalized = AugVector(r.nums, r.nums[pivot]).reduced()
-        assert normalized.nums[pivot] == normalized.den
-        # Back-eliminate the new pivot from the stored vectors.
-        n_nums, n_den = normalized.nums, normalized.den
-        for j, vec in enumerate(self.vectors):
-            c = vec.nums[pivot]
-            if c == 0:
-                continue
-            if n_den == 1:
-                updated = AugVector([x - c * y if y else x for x, y in zip(vec.nums, n_nums)],
-                                    vec.den)
-            else:
-                updated = AugVector([x * n_den - c * y for x, y in zip(vec.nums, n_nums)],
-                                    vec.den * n_den)
-            self.vectors[j] = updated.reduced() if updated.den.bit_length() > 512 else updated
-        self.vectors.append(normalized)
+        r = [x // content for x in r]
+        pivot = next(i for i, x in enumerate(r) if x)
+        assert r[pivot] and all(r[p] == 0 for p in self.pivots), "echelon invariant broken"
+        self.vectors.append(r)
         self.pivots.append(pivot)
-        assert self._invariants_hold()
         return pivot
 
-    def _invariants_hold(self) -> bool:
-        for j, (vec, piv) in enumerate(zip(self.vectors, self.pivots)):
-            if vec.nums[piv] != vec.den:
-                return False
-            for j2, piv2 in enumerate(self.pivots):
-                if j2 != j and vec.nums[piv2] != 0:
-                    return False
-        return True
 
-
-def shortest_resizing_word(aut: Automaton, s: StateSet,
+def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET,
                            stats: Optional[dict] = None) -> Optional[Word]:
     """A shortest word w with |S . w^-1| != |S|, or None when impossible.
 
-    Always terminates: at most n+1 vectors can be inserted before the basis
+    Always terminates: at most n vectors can be inserted before the basis
     closes, at which point every reachable preimage provably has size |S|.
     The empty and full subsets are never resizable (their preimages are
-    themselves).
+    themselves).  Raises BudgetExceededError once more than ``budget``
+    nodes have been expanded.
     """
     aut.check_set(s)
     n, k = aut.n, aut.k
     target = s.size
 
     basis = RationalBasis(n + 1)
-    root = AugVector.from_subset_bits(n, s.bits)
-    assert root.is_zero_one_affine()
-    basis.insert(root)
+    basis.insert(AugVector.from_subset_bits(n, s.bits))
     queue: deque[tuple[int, tuple[int, ...]]] = deque([(s.bits, ())])
     expanded = 0
 
     while queue:
         bits, letters = queue.popleft()
         expanded += 1
+        if expanded > budget:
+            raise BudgetExceededError(f"resize search exceeded budget {budget}", expanded)
         for a in range(k):
             child_bits = aut.preimage_bits(bits, a)
             child_letters = (a,) + letters
@@ -215,9 +163,10 @@ def shortest_resizing_word(aut: Automaton, s: StateSet,
                     stats["nodes"] = expanded
                     stats["basis_size"] = len(basis)
                 return Word(child_letters)
-            vec = AugVector.from_subset_bits(n, child_bits)
-            assert vec.is_zero_one_affine()
-            if basis.insert(vec) is not None:
+            # Every vector inserted so far lies in the n-dimensional kernel of
+            # h, so a basis of n rows already spans every size-keeping child.
+            if (len(basis) < n
+                    and basis.insert(AugVector.from_subset_bits(n, child_bits)) is not None):
                 queue.append((child_bits, child_letters))
 
     if stats is not None:

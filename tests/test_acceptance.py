@@ -219,9 +219,11 @@ def test_criterion_3_randomized_oracle_cross_validation(sweep_random):
 
 def test_criterion_4_resizing_bound_and_exact_arithmetic(sweep_exhaustive, sweep_random):
     violations = sweep_exhaustive.resize_bound_violations + sweep_random.resize_bound_violations
-    # Basis pivot invariants and 0/1-vector generation are asserted inside
-    # RationalBasis.insert / shortest_resizing_word on every insertion of
-    # every run above (pytest keeps assertions enabled).
+    # Every run above asserts, inside RationalBasis.insert, that each new
+    # echelon row is zero at every earlier pivot and nonzero at its own
+    # (pytest keeps assertions enabled).  The full-basis invariant over all
+    # rows after every insertion, and the 0/1 + affine form of the vectors a
+    # real search inserts, are checked in tests/test_resize.py.
     detail = (f"max resize length seen: "
               f"{max(sweep_exhaustive.max_resize_length, sweep_random.max_resize_length)}, "
               f"{len(violations)} bound violations")

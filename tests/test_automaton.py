@@ -50,6 +50,9 @@ def test_word_rendering_and_parsing():
     assert Word([27, 3]).text(30) == "27 3"
     assert Word.from_text("") == Word()
     assert (Word.from_text("a") + Word.from_text("b")).text(2) == "ab"
+    for bad in ("A", "aB", "a-b", "é"):
+        with pytest.raises(ValueError):
+            Word.from_text(bad)
 
 
 def test_image_worked_example(c4):

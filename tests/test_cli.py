@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from preimages import cerny_automaton, perm3, chain2, serialize_automaton, validate_report
+from preimages import (Automaton, cerny_automaton, perm3, chain2, serialize_automaton,
+                       validate_report)
 from preimages.cli import main
 
 
@@ -109,6 +110,24 @@ def test_check_budget_exhaustion_reports_unknown(files, capsys):
     assert report["answer"] == "unknown-budget"
 
 
+def test_check_resize_honours_budget(tmp_path, capsys, monkeypatch):
+    # Defect cycle: from {n-1} the shortest resizing word has n-1 letters.
+    n = 20
+    path = tmp_path / "defect20.aut"
+    path.write_text(serialize_automaton(
+        Automaton([[(q + 1) % n, 0 if q == 1 else q] for q in range(n)])))
+    args = ("check", str(path), "--subset", str(n - 1), "--problem", "resize",
+            "--witness", "--json")
+    code, out, _ = run(capsys, *args, "--budget", "5")
+    assert code == 2 and json.loads(out)["answer"] == "unknown-budget"
+    monkeypatch.setenv("PREIMAGES_BUDGET", "5")
+    code, out, _ = run(capsys, *args)
+    assert code == 2 and json.loads(out)["answer"] == "unknown-budget"
+    monkeypatch.delenv("PREIMAGES_BUDGET")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["witness_length"] == n - 1
+
+
 def test_json_is_byte_identical_across_runs(files, capsys):
     args = ("check", files["cerny4"], "--subset", "1,2", "--problem", "avoid",
             "--witness", "--json")
@@ -190,6 +209,31 @@ def test_error_exit_codes(files, capsys, tmp_path):
     code, _, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
                      "--problem", "compress")
     assert code == 3
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.aut"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "check", str(path), "--subset", "0", "--problem", "extend")
+    assert code == 4 and "error" in err
+
+
+def test_nonpositive_budget_is_a_usage_error(files, capsys):
+    for value in ("0", "-5"):
+        for command in (("check", "--problem", "extend"), ("oracle", "--goal", "extending")):
+            code, out, _ = run(capsys, command[0], files["cerny4"], "--subset", "1,2",
+                               *command[1:], "--budget", value)
+            assert code == 3 and out == ""
+
+
+def test_negative_max_len_is_a_usage_error(files, capsys):
+    for command in (("check", "--problem", "extend"), ("oracle", "--goal", "extending")):
+        code, out, _ = run(capsys, command[0], files["cerny4"], "--subset", "1,2",
+                           *command[1:], "--max-len", "-1")
+        assert code == 3 and out == ""
+    code, _, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
+                     "--problem", "extend", "--max-len", "0")
+    assert code == 1
 
 
 def test_env_budget_override(files, capsys, monkeypatch):

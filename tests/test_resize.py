@@ -1,14 +1,48 @@
-"""Exact-rational basis and the shortest-resizing-word search."""
+"""Fraction-free echelon basis and the shortest-resizing-word search."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from preimages import (AugVector, RationalBasis, StateSet, Word, backward_subset_bfs,
-                       is_synchronizing, preimage_word, random_automaton,
+from preimages import (Automaton, AugVector, BudgetExceededError, RationalBasis, StateSet, Word,
+                       backward_subset_bfs, is_synchronizing, preimage_word, random_automaton,
                        resizable_decision_fast, shortest_resizing_word)
 from preimages.oracle import goal_predicate
+
+
+def _rank(vectors):
+    """Rank over Q by Gaussian elimination on Fractions (the reference)."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _assert_echelon(basis, accepted):
+    """The full invariant, every row: a primitive integer list, first nonzero
+    at its own pivot, zero at every earlier row's pivot; and the rows span
+    exactly the accepted input vectors."""
+    assert len(basis.vectors) == len(basis.pivots) == len(accepted)
+    for j, (row, piv) in enumerate(zip(basis.vectors, basis.pivots)):
+        assert len(row) == basis.dim
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1
+        assert row[piv] != 0 and all(x == 0 for x in row[:piv])
+        for earlier in basis.pivots[:j]:
+            assert row[earlier] == 0
+    # Echelon rows are independent, so equal ranks mean equal spans.
+    assert _rank(accepted) == _rank(basis.vectors + accepted) == len(basis)
 
 
 def test_basis_insert_examples():
@@ -16,25 +50,67 @@ def test_basis_insert_examples():
     assert basis.insert(AugVector([1, 0, 1])) == 0
     assert basis.insert(AugVector([1, 0, 1])) is None          # duplicate is dependent
     assert basis.insert(AugVector([1, 1, 1])) == 1             # residual (0,1,0)
-    assert basis.vectors[1].entries() == [0, 1, 0]
+    assert basis.vectors[1] == [0, 1, 0]
 
 
 def test_basis_first_vector_normalization():
     basis = RationalBasis(4)
     assert basis.insert(AugVector([0, 2, 4, 2])) == 1
-    assert basis.vectors[0].entries() == [0, 1, 2, 1]
+    assert basis.vectors[0] == [0, 1, 2, 1]
 
 
 def test_basis_rational_entries_stay_exact():
     basis = RationalBasis(3)
     basis.insert(AugVector([3, 1, 0]))
     basis.insert(AugVector([1, 3, 0]))
-    # pivot entries exactly one, other pivots exactly zero
-    for j, (vec, piv) in enumerate(zip(basis.vectors, basis.pivots)):
-        assert vec.entry(piv) == Fraction(1)
-        for j2, piv2 in enumerate(basis.pivots):
-            if j2 != j:
-                assert vec.entry(piv2) == Fraction(0)
+    # 3*(1,3,0) - (3,1,0) = (0,8,0), stored primitive; the older row is untouched
+    assert basis.vectors == [[3, 1, 0], [0, 1, 0]] and basis.pivots == [0, 1]
+    _assert_echelon(basis, [[3, 1, 0], [1, 3, 0]])
+    # rational input: only the direction matters, so 1/2 * (2, 6, 0) is dependent
+    assert basis.insert(AugVector.from_rationals([Fraction(1, 2), Fraction(3, 2), 0])) is None
+    assert basis.insert(AugVector.from_rationals([0, 0, Fraction(-2, 3)])) == 2
+    assert basis.vectors[2] in ([0, 0, 1], [0, 0, -1])
+
+
+def test_basis_invariant_after_every_insertion_random_sweep():
+    rng = random.Random(34)
+    for _ in range(200):
+        dim = rng.randint(1, 8)
+        basis = RationalBasis(dim)
+        accepted = []
+        for _ in range(rng.randint(1, 14)):
+            spread = rng.choice((1, 3, 50))
+            v = [rng.randint(-spread, spread) for _ in range(dim)]
+            if accepted and rng.random() < 0.3:       # a combination of earlier inputs
+                v = [sum(rng.randint(-2, 2) * a[i] for a in accepted) for i in range(dim)]
+            if basis.insert(AugVector(v)) is not None:
+                accepted.append(v)
+            _assert_echelon(basis, accepted)
+
+
+def test_basis_invariant_on_vectors_a_real_search_inserts(monkeypatch):
+    accepted = []
+    original = RationalBasis.insert
+
+    def checked_insert(self, g):
+        assert g.is_zero_one_affine()
+        if not self.vectors:
+            accepted.clear()
+        pivot = original(self, g)
+        if pivot is not None:
+            accepted.append(list(g.nums))
+        _assert_echelon(self, accepted)
+        return pivot
+
+    monkeypatch.setattr(RationalBasis, "insert", checked_insert)
+    rng = random.Random(35)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        aut = random_automaton(n, rng.randint(1, 3), seed=rng.randrange(10**9))
+        shortest_resizing_word(aut, StateSet(n, rng.randrange(1 << n)))
+    n = 14
+    assert len(shortest_resizing_word(_defect_cycle(n), StateSet.from_states(n, [n - 1]))) == n - 1
+    assert shortest_resizing_word(_symmetric_group(n), StateSet.from_states(n, [0, 3, 5])) is None
 
 
 def test_basis_dependence_detection_is_exact():
@@ -123,6 +199,37 @@ def test_resize_length_bound_is_tight():
         w = shortest_resizing_word(aut, s)
         assert len(w) == n - 1
         assert preimage_word(aut, s, w).size == 0
+
+
+def _symmetric_group(n):
+    """Permutation automaton: a cyclic shift and a transposition generate the
+    symmetric group, which is 2-transitive, so the basis fills all n
+    dimensions for any 0 < |S| < n."""
+    return Automaton([[(q + 1) % n, {0: 1, 1: 0}.get(q, q)] for q in range(n)])
+
+
+def test_full_rank_stop_on_two_transitive_permutation_automaton(monkeypatch):
+    n = 40
+    aut = _symmetric_group(n)
+    original = RationalBasis.insert
+
+    def insert_below_full_rank(self, g):
+        assert len(self) < n, "insert called after the basis reached rank n"
+        return original(self, g)
+
+    monkeypatch.setattr(RationalBasis, "insert", insert_below_full_rank)
+    for members in ([0], [0, 7, 19], list(range(0, n, 2))):
+        stats = {}
+        assert shortest_resizing_word(aut, StateSet.from_states(n, members), stats=stats) is None
+        assert stats["basis_size"] == n
+
+
+def test_resize_budget_is_honoured():
+    n = 20
+    aut, s = _defect_cycle(n), StateSet.from_states(n, [n - 1])
+    with pytest.raises(BudgetExceededError):
+        shortest_resizing_word(aut, s, budget=5)
+    assert len(shortest_resizing_word(aut, s, budget=n - 1)) == n - 1
 
 
 def test_resize_stats_report_basis_size(p3):
