@@ -13,8 +13,11 @@ freely between threads; derived analyses are memoized on the automaton
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+from .errors import BudgetExceededError
 
 
 def letter_name(a: int, k: int) -> str:
@@ -37,13 +40,16 @@ class Word:
         """Parse ``"ba"`` into letter indices (``a`` = 0, ``b`` = 1, ...).
 
         Also accepts whitespace-separated decimal indices for big alphabets.
-        Letters outside ``a``-``z`` raise ValueError.
+        Letters outside ``a``-``z`` and negative indices raise ValueError.
         """
         text = text.strip()
         if text == "":
             return cls()
         if any(ch.isspace() or ch.isdigit() for ch in text):
-            return cls(int(tok) for tok in text.split())
+            word = cls(int(tok) for tok in text.split())
+            if any(a < 0 for a in word):
+                raise ValueError(f"negative letter index in word {text!r}")
+            return word
         bad = next((ch for ch in text if not "a" <= ch <= "z"), None)
         if bad is not None:
             raise ValueError(f"bad letter {bad!r} in word {text!r}: expected a-z")
@@ -256,6 +262,51 @@ class Automaton:
 
     def __repr__(self) -> str:
         return f"Automaton(n={self.n}, k={self.k})"
+
+
+def subset_bfs(sources: Iterable[tuple[int, int]], step: Callable[[int, int], int], k: int,
+               is_goal: Callable[[int], bool], budget: int,
+               stats: Optional[dict] = None) -> Optional[Word]:
+    """Multi-source FIFO BFS over subsets held as bit patterns.
+
+    ``sources`` yields distinct ``(bits, letter)`` pairs; ``letter`` (or -1
+    for none) starts the word of every path from that source.  Children are
+    ``step(bits, a)`` for ``a`` in ``0..k-1``.  Every discovered node,
+    sources included, is tested by ``is_goal``; the first hit returns its
+    word, exhaustion returns None.  More than ``budget`` discovered nodes
+    raise BudgetExceededError; ``stats["nodes"]`` counts them otherwise.
+    """
+    visited: dict[int, tuple[int, int]] = {}  # bits -> (letter, parent bits or -1)
+    queue: deque[int] = deque()
+
+    def discover(bits: int, letter: int, parent: int) -> bool:
+        """Record a new node; True if it is a goal."""
+        visited[bits] = (letter, parent)
+        if len(visited) > budget:
+            raise BudgetExceededError(f"subset search exceeded budget {budget}", len(visited))
+        if is_goal(bits):
+            return True
+        queue.append(bits)
+        return False
+
+    goal = next((bits for bits, letter in sources if discover(bits, letter, -1)), None)
+    while goal is None and queue:
+        bits = queue.popleft()
+        for a in range(k):
+            child = step(bits, a)
+            if child not in visited and discover(child, a, bits):
+                goal = child
+                break
+    if stats is not None:
+        stats["nodes"] = len(visited)
+    if goal is None:
+        return None
+    letters = []
+    while goal >= 0:
+        letter, goal = visited[goal]
+        if letter >= 0:
+            letters.append(letter)
+    return Word(reversed(letters))
 
 
 def apply_word(aut: Automaton, s: StateSet, w: Word) -> StateSet:

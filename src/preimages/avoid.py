@@ -11,13 +11,12 @@ the answer is u followed by the path word.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word
-from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET
+from .automaton import Automaton, StateSet, Word, subset_bfs
+from .errors import DEFAULT_NODE_BUDGET
 from .pairs import minimal_rank_word
 
 
@@ -85,64 +84,17 @@ def avoiding_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET
     part = rank_partition(aut, s)
     z = part.z
     s_bits = s.bits
-    class_meets_s = tuple(bool(c.bits & s_bits) for c in part.classes)
-    class_index = part.class_index
+    # States outside S whose class meets S; a node holds at most one state
+    # per class, so it is a goal once z of its states lie here.
+    good_mask = 0
+    for c in part.classes:
+        if c.bits & s_bits:
+            good_mask |= c.bits & ~s_bits
 
-    def is_goal(states: tuple[int, ...]) -> bool:
-        # Nodes hold at most one state per class, so counting suffices.
-        hits = 0
-        for q in states:
-            if class_meets_s[class_index[q]] and not (s_bits >> q) & 1:
-                hits += 1
-        return hits == z
+    def is_goal(bits: int) -> bool:
+        assert bits.bit_count() == z, "image of a subset of the minimal image changed size"
+        return (bits & good_mask).bit_count() == z
 
-    image_states = sorted(part.image)
-    visited: dict[int, tuple[int, int]] = {}
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()
-    nodes = 0
-
-    for source in combinations(image_states, z):
-        bits = 0
-        for q in source:
-            bits |= 1 << q
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"avoid search exceeded budget {budget}", nodes)
-        visited[bits] = (-1, -1)
-        if is_goal(source):
-            if stats is not None:
-                stats["nodes"] = nodes
-            return part.word
-        queue.append((bits, source))
-
-    while queue:
-        bits, states = queue.popleft()
-        for a in range(aut.k):
-            succ = aut.by_letter[a]
-            child_states = tuple(sorted({succ[q] for q in states}))
-            child_bits = 0
-            for q in child_states:
-                child_bits |= 1 << q
-            if child_bits in visited:
-                continue
-            assert len(child_states) == z, "image of a subset of the minimal image changed size"
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"avoid search exceeded budget {budget}", nodes)
-            visited[child_bits] = (a, bits)
-            if is_goal(child_states):
-                if stats is not None:
-                    stats["nodes"] = nodes
-                letters: list[int] = []
-                cur = child_bits
-                while visited[cur][0] >= 0:
-                    letter, parent = visited[cur]
-                    letters.append(letter)
-                    cur = parent
-                letters.reverse()
-                return part.word + Word(letters)
-            queue.append((child_bits, child_states))
-
-    if stats is not None:
-        stats["nodes"] = nodes
-    return None
+    sources = ((sum(1 << q for q in states), -1) for states in combinations(sorted(part.image), z))
+    path = subset_bfs(sources, aut.image_bits, aut.k, is_goal, budget, stats)
+    return None if path is None else part.word + path

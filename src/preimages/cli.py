@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
 from typing import Optional
 
 from . import avoid as avoid_mod
@@ -44,6 +45,7 @@ _GOAL_OF = {
     "avoid": "avoiding",
     "resize": "resizing",
 }
+_PROBLEM_OF = {goal: problem for problem, goal in _GOAL_OF.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,28 +55,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
+_LIMITS = {  # args attribute -> (environment variable, default, flag/variable parser)
+    "budget": ("PREIMAGES_BUDGET", DEFAULT_NODE_BUDGET, _int_at_least(1)),
+    "oracle_cap": ("PREIMAGES_ORACLE_CAP", DEFAULT_ORACLE_STATE_CAP, _int_at_least(0)),
+}
+
+
+def _limit(args, name: str) -> int:
+    """``--budget`` / ``--oracle-cap`` if given, else its environment variable,
+    else the default; an invalid environment value is a usage error."""
+    flag = getattr(args, name)
+    if flag is not None:
+        return flag
+    env, default, parse = _LIMITS[name]
+    raw = os.environ.get(env)
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+        return parse(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"environment variable {env} {exc}")
 
 
 def _parse_subset(aut: Automaton, text: str) -> StateSet:
@@ -102,105 +114,78 @@ def _classification(aut: Automaton, want_sync: bool) -> dict:
     }
 
 
+@dataclass
+class Route:
+    """The answer one method gave, and whether its witnesses are shortest."""
+
+    answer: str
+    word: Optional[Word]
+    method: str
+    shortest: bool
+    note: Optional[str] = None
+
+
+# problem -> (module, search function, whether its witnesses are shortest).
+# The function is looked up by name at call time, so a wrapper installed on
+# the module after import (bench/spans.py) sees the call.
+_SEARCH = {
+    "extend": (extend_mod, "shortest_extending_word_small", True),
+    "extend-total": (extend_mod, "totally_extending_word_small", False),
+    "avoid": (avoid_mod, "avoiding_word", False),
+    "resize": (resize_mod, "shortest_resizing_word", True),
+}
+
+
+def _yes_no(decision: bool) -> str:
+    return ANSWER_YES if decision else ANSWER_NO
+
+
+def _oracle(aut: Automaton, s: StateSet, problem: str, budget: int, oracle_cap: int) -> Route:
+    hit = oracle_mod.oracle_shortest(aut, s, _GOAL_OF[problem], node_limit=budget,
+                                     state_cap=oracle_cap)
+    return Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
+
+
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
-            oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict):
-    """Returns (answer, word, used_method, shortest_known, note)."""
-    goal = _GOAL_OF[problem]
-
-    def run_oracle():
-        hit = oracle_mod.oracle_shortest(aut, s, goal, node_limit=budget, state_cap=oracle_cap)
-        return (ANSWER_YES, hit[0], "oracle", True, None) if hit else (ANSWER_NO, None, "oracle", True, None)
-
+            oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
     if method == "oracle":
-        return run_oracle()
+        return _oracle(aut, s, problem, budget, oracle_cap)
+    need_word = want_witness or max_len is not None
+    if problem == "resize" and method == "auto" and not need_word and is_synchronizing(aut):
+        return Route(_yes_no(resize_mod.resizable_decision_fast(aut, s)), None, "fast-path", True)
+    if problem == "extend-total" and is_synchronizing(aut):
+        got = totally_extensible_synchronizing(aut, s, witness=need_word)
+        decision, word = got if isinstance(got, tuple) else (got, None)
+        return Route(_yes_no(decision), word, "fast-path", not decision)
+    if problem == "avoid" and s.size == 1 and not need_word:
+        return Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
 
-    oracle_allowed = method == "auto" and aut.n <= oracle_cap
-
-    if problem == "extend":
-        try:
-            word = extend_mod.shortest_extending_word_small(aut, s, budget=budget, stats=stats)
-        except BudgetExceededError:
-            if oracle_allowed:
-                return run_oracle()
-            return ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded"
-        if word is None:
-            return ANSWER_NO, None, "poly", True, None
-        return ANSWER_YES, word, "poly", True, None
-
-    if problem == "resize":
-        if method == "auto" and not want_witness and max_len is None and is_synchronizing(aut):
-            decision = resize_mod.resizable_decision_fast(aut, s)
-            return (ANSWER_YES if decision else ANSWER_NO), None, "fast-path", True, None
-        try:
-            word = resize_mod.shortest_resizing_word(aut, s, budget=budget, stats=stats)
-        except BudgetExceededError:
-            if oracle_allowed:
-                return run_oracle()
-            return ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded"
-        if word is None:
-            return ANSWER_NO, None, "poly", True, None
-        return ANSWER_YES, word, "poly", True, None
-
-    if problem == "extend-total":
-        if is_synchronizing(aut):
-            got = totally_extensible_synchronizing(aut, s, witness=want_witness or max_len is not None)
-            if isinstance(got, tuple):
-                decision, word = got
-            else:
-                decision, word = got, None
-            if not decision:
-                return ANSWER_NO, None, "fast-path", True, None
-            return ANSWER_YES, word, "fast-path", False, None
-        try:
-            word = extend_mod.totally_extending_word_small(aut, s, budget=budget, stats=stats)
-        except BudgetExceededError:
-            if oracle_allowed:
-                return run_oracle()
-            return ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded"
-        if word is None:
-            return ANSWER_NO, None, "poly", True, None
-        return ANSWER_YES, word, "poly", False, None
-
-    if problem == "avoid":
-        if s.size == 1 and not want_witness and max_len is None:
-            decision = avoidable_state(aut, next(iter(s)))
-            return (ANSWER_YES if decision else ANSWER_NO), None, "poly", False, None
-        try:
-            word = avoid_mod.avoiding_word(aut, s, budget=budget, stats=stats)
-        except BudgetExceededError:
-            if oracle_allowed:
-                return run_oracle()
-            return ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded"
-        if word is None:
-            return ANSWER_NO, None, "poly", True, None
-        return ANSWER_YES, word, "poly", False, None
-
-    raise ValueError(f"unknown problem {problem!r}")
+    module, name, shortest = _SEARCH[problem]
+    try:
+        word = getattr(module, name)(aut, s, budget=budget, stats=stats)
+    except BudgetExceededError:
+        if method == "auto" and aut.n <= oracle_cap:
+            return _oracle(aut, s, problem, budget, oracle_cap)
+        return Route(ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded")
+    return Route(_yes_no(word is not None), word, "poly", shortest or word is None)
 
 
-def _apply_max_len(aut: Automaton, s: StateSet, problem: str, max_len: int, answer: str,
-                   word: Optional[Word], used: str, shortest_known: bool, budget: int,
-                   oracle_cap: int, method: str):
+def _apply_max_len(aut: Automaton, s: StateSet, problem: str, max_len: int, route: Route,
+                   budget: int, oracle_cap: int, method: str) -> Route:
     """Resolve the bounded-length variant honestly."""
-    if answer != ANSWER_YES:
-        return answer, word, used, None
-    if shortest_known:
-        if len(word) <= max_len:
-            return ANSWER_YES, word, used, None
-        return ANSWER_NO, None, used, "shortest witness exceeds the length bound"
-    if word is not None and len(word) <= max_len:
-        return ANSWER_YES, word, used, None
-    if method == "auto" and aut.n <= oracle_cap:
-        hit = oracle_mod.oracle_shortest(aut, s, _GOAL_OF[problem],
-                                         node_limit=budget, state_cap=oracle_cap)
-        if hit is not None and hit[1] <= max_len:
-            return ANSWER_YES, hit[0], "oracle", None
-        return ANSWER_NO, None, "oracle", "shortest witness exceeds the length bound"
-    return (ANSWER_UNKNOWN, None, used,
-            "method does not produce shortest witnesses; length bound undecided")
+    if route.answer != ANSWER_YES or (route.word is not None and len(route.word) <= max_len):
+        return route
+    if not route.shortest:
+        if method != "auto" or aut.n > oracle_cap:
+            return Route(ANSWER_UNKNOWN, None, route.method, False,
+                         "method does not produce shortest witnesses; length bound undecided")
+        route = _oracle(aut, s, problem, budget, oracle_cap)
+        if route.word is not None and len(route.word) <= max_len:
+            return route
+    return Route(ANSWER_NO, None, route.method, True, "shortest witness exceeds the length bound")
 
 
-def _emit(report: WitnessReport, as_json: bool, k: int) -> None:
+def _emit(report: WitnessReport, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(report.to_json())
         return
@@ -223,87 +208,51 @@ def _exit_code(answer: str) -> int:
 def _cmd_check(args) -> int:
     aut = parse_automaton_file(args.file)
     s = _parse_subset(aut, args.subset)
-    budget = args.budget if args.budget is not None else _env_int("PREIMAGES_BUDGET", DEFAULT_NODE_BUDGET)
-    cap = args.oracle_cap if args.oracle_cap is not None else _env_int(
-        "PREIMAGES_ORACLE_CAP", DEFAULT_ORACLE_STATE_CAP)
+    budget, cap = _limit(args, "budget"), _limit(args, "oracle_cap")
     stats: dict = {}
     t0 = time.perf_counter()
     try:
-        answer, word, used, shortest_known, note = _decide(
-            aut, s, args.problem, args.method, budget, cap, args.witness, args.max_len, stats)
-    except BudgetExceededError as exc:
-        answer, word, used, shortest_known, note = ANSWER_UNKNOWN, None, args.method, False, str(exc)
+        route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness,
+                        args.max_len, stats)
+    except BudgetExceededError as exc:  # the oracle itself ran out
+        route = Route(ANSWER_UNKNOWN, None, args.method, False, str(exc))
+    if args.max_len is not None and route.answer != ANSWER_UNKNOWN:
+        route = _apply_max_len(aut, s, args.problem, args.max_len, route, budget, cap, args.method)
+    return _finish(args, aut, s, route, stats, t0)
 
-    if args.max_len is not None and answer != ANSWER_UNKNOWN:
-        answer, word, used, len_note = _apply_max_len(
-            aut, s, args.problem, args.max_len, answer, word, used, shortest_known,
-            budget, cap, args.method)
-        note = note or len_note
 
+def _cmd_oracle(args) -> int:
+    """``oracle --goal G`` is ``check --problem P --method oracle``."""
+    args.problem = _PROBLEM_OF[args.goal]
+    return _cmd_check(args)
+
+
+def _finish(args, aut: Automaton, s: StateSet, route: Route, stats: dict, t0: float) -> int:
+    """Re-verify the witness, then build and emit the report."""
+    word = route.word if route.answer == ANSWER_YES else None
+    shown = word if args.witness else None
     preimage_size = None
-    witness_text = None
-    witness_length = None
-    if word is not None and answer == ANSWER_YES:
+    if word is not None:
         if not witness_holds(aut, s, args.problem, word):
             raise RuntimeError(f"internal error: witness {word.text(aut.k)!r} failed re-verification")
         preimage_size = preimage_word(aut, s, word).size
-        if args.witness:
-            witness_text = word.text(aut.k)
-            witness_length = len(word)
-
     if args.timing:
         stats["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     report = WitnessReport(
         problem=args.problem,
-        answer=answer,
+        answer=route.answer,
         subset_size=s.size,
-        method=used,
-        witness=witness_text,
-        witness_length=witness_length,
+        method=route.method,
+        witness=None if shown is None else shown.text(aut.k),
+        witness_length=None if shown is None else len(shown),
         preimage_size=preimage_size,
         stats=stats,
         classification=_classification(aut, want_sync=False),
         max_len=args.max_len,
-        note=note,
+        note=route.note,
     )
-    _emit(report, args.json, aut.k)
-    return _exit_code(answer)
-
-
-def _cmd_oracle(args) -> int:
-    aut = parse_automaton_file(args.file)
-    s = _parse_subset(aut, args.subset)
-    budget = args.budget if args.budget is not None else _env_int("PREIMAGES_BUDGET", DEFAULT_NODE_BUDGET)
-    cap = args.oracle_cap if args.oracle_cap is not None else _env_int(
-        "PREIMAGES_ORACLE_CAP", DEFAULT_ORACLE_STATE_CAP)
-    problem = {v: p for p, v in _GOAL_OF.items()}[args.goal]
-    try:
-        hit = oracle_mod.oracle_shortest(aut, s, args.goal, node_limit=budget, state_cap=cap)
-    except BudgetExceededError as exc:
-        report = WitnessReport(problem=problem, answer=ANSWER_UNKNOWN, subset_size=s.size,
-                               method="oracle", note=str(exc),
-                               classification=_classification(aut, want_sync=False))
-        _emit(report, args.json, aut.k)
-        return EXIT_UNKNOWN
-
-    answer = ANSWER_YES if hit else ANSWER_NO
-    word = hit[0] if hit else None
-    if args.max_len is not None and word is not None and len(word) > args.max_len:
-        answer, word = ANSWER_NO, None
-    witness_text = witness_length = preimage_size = None
-    if word is not None:
-        if not witness_holds(aut, s, problem, word):
-            raise RuntimeError("internal error: oracle witness failed re-verification")
-        preimage_size = preimage_word(aut, s, word).size
-        if args.witness:
-            witness_text = word.text(aut.k)
-            witness_length = len(word)
-    report = WitnessReport(problem=problem, answer=answer, subset_size=s.size, method="oracle",
-                           witness=witness_text, witness_length=witness_length,
-                           preimage_size=preimage_size, max_len=args.max_len,
-                           classification=_classification(aut, want_sync=False))
-    _emit(report, args.json, aut.k)
-    return _exit_code(answer)
+    _emit(report, args.json)
+    return _exit_code(route.answer)
 
 
 def _cmd_classify(args) -> int:
@@ -345,9 +294,7 @@ def _cmd_reset(args) -> int:
     if args.method == "greedy":
         word = greedy_reset_word(aut)
     else:
-        cap = args.oracle_cap if args.oracle_cap is not None else _env_int(
-            "PREIMAGES_ORACLE_CAP", DEFAULT_ORACLE_STATE_CAP)
-        hit = oracle_mod.oracle_shortest_reset(aut, state_cap=cap)
+        hit = oracle_mod.oracle_shortest_reset(aut, state_cap=_limit(args, "oracle_cap"))
         word = hit[0] if hit else None
     if word is None:
         sys.stdout.write("answer: no (not synchronizing)\n")
@@ -402,27 +349,23 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide extend / extend-total / avoid / resize")
     check.add_argument("file")
     check.add_argument("--subset", required=True, help="comma-separated state indices")
-    check.add_argument("--problem", required=True, choices=("extend", "extend-total", "avoid", "resize"))
+    check.add_argument("--problem", required=True, choices=tuple(_GOAL_OF))
     check.add_argument("--method", default="auto", choices=("auto", "poly", "oracle"))
-    check.add_argument("--max-len", type=_nonnegative_int, default=None)
-    check.add_argument("--witness", action="store_true")
-    check.add_argument("--json", action="store_true")
-    check.add_argument("--budget", type=_positive_int, default=None)
-    check.add_argument("--oracle-cap", type=int, default=None)
-    check.add_argument("--timing", action="store_true")
     check.set_defaults(func=_cmd_check)
 
     orc = sub.add_parser("oracle", help="exhaustive shortest-word queries (desk scale)")
     orc.add_argument("file")
-    orc.add_argument("--subset", required=True)
-    orc.add_argument("--goal", required=True,
-                     choices=("extending", "totally-extending", "avoiding", "resizing"))
-    orc.add_argument("--max-len", type=_nonnegative_int, default=None)
-    orc.add_argument("--witness", action="store_true")
-    orc.add_argument("--json", action="store_true")
-    orc.add_argument("--budget", type=_positive_int, default=None)
-    orc.add_argument("--oracle-cap", type=int, default=None)
-    orc.set_defaults(func=_cmd_oracle)
+    orc.add_argument("--subset", required=True, help="comma-separated state indices")
+    orc.add_argument("--goal", required=True, choices=tuple(_PROBLEM_OF))
+    orc.set_defaults(func=_cmd_oracle, method="oracle", timing=False)
+
+    for cmd in (check, orc):
+        cmd.add_argument("--max-len", type=_int_at_least(0), default=None)
+        cmd.add_argument("--witness", action="store_true")
+        cmd.add_argument("--json", action="store_true")
+        cmd.add_argument("--budget", type=_int_at_least(1), default=None)
+        cmd.add_argument("--oracle-cap", type=_int_at_least(0), default=None)
+    check.add_argument("--timing", action="store_true")
 
     classify = sub.add_parser("classify", help="structural flags of an automaton")
     classify.add_argument("file")
@@ -437,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     reset = sub.add_parser("reset", help="reset word (greedy or exhaustive-shortest)")
     reset.add_argument("file")
     reset.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
-    reset.add_argument("--oracle-cap", type=int, default=None)
+    reset.add_argument("--oracle-cap", type=_int_at_least(0), default=None)
     reset.set_defaults(func=_cmd_reset)
 
     gadget = sub.add_parser("gadget", help="reduction constructions")

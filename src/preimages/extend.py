@@ -17,29 +17,13 @@ shortest.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from math import comb
 from typing import Optional, Union
 
-from .automaton import Automaton, StateSet, Word, apply_word, scc
+from .automaton import Automaton, StateSet, Word, apply_word, scc, subset_bfs
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, NotSynchronizingError
 from .pairs import greedy_reset_word, is_synchronizing, minimal_rank_word
-
-
-def _reconstruct(visited: dict[int, tuple[int, int]], goal_bits: int) -> list[int]:
-    """Letters from a source node to ``goal_bits``, including the source's
-    recorded initial letter at the front."""
-    letters: list[int] = []
-    bits = goal_bits
-    while True:
-        letter, parent = visited[bits]
-        letters.append(letter)
-        if parent < 0:
-            break
-        bits = parent
-    letters.reverse()
-    return letters
 
 
 def shortest_extending_word_small(aut: Automaton, s: StateSet,
@@ -64,48 +48,18 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
     # c[a][q] = |{q} . a^-1|
     counts = [[aut.preimage_masks(a)[q].bit_count() for q in range(n)] for a in range(k)]
 
-    visited: dict[int, tuple[int, int]] = {}  # bits -> (letter into word, parent bits or -1)
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()
+    def sources():
+        for subset_size in range(1, size + 1):
+            for states in combinations(range(n), subset_size):
+                for a in range(k):
+                    row = counts[a]
+                    if sum(row[q] for q in states) > size:
+                        yield sum(1 << q for q in states), a
+                        break
+
     s_bits = s.bits
-
-    for subset_size in range(1, size + 1):
-        for states in combinations(range(n), subset_size):
-            for a in range(k):
-                row = counts[a]
-                if sum(row[q] for q in states) > size:
-                    bits = 0
-                    for q in states:
-                        bits |= 1 << q
-                    visited[bits] = (a, -1)
-                    if bits & ~s_bits == 0:
-                        if stats is not None:
-                            stats["nodes"] = len(visited)
-                        return Word(_reconstruct(visited, bits))
-                    queue.append((bits, states))
-                    break
-
-    while queue:
-        bits, states = queue.popleft()
-        for a in range(k):
-            succ = aut.by_letter[a]
-            child_states = tuple(sorted({succ[q] for q in states}))
-            child_bits = 0
-            for q in child_states:
-                child_bits |= 1 << q
-            if child_bits in visited:
-                continue
-            visited[child_bits] = (a, bits)
-            if len(visited) > budget:
-                raise BudgetExceededError(f"extend search exceeded budget {budget}", len(visited))
-            if child_bits & ~s_bits == 0:
-                if stats is not None:
-                    stats["nodes"] = len(visited)
-                return Word(_reconstruct(visited, child_bits))
-            queue.append((child_bits, child_states))
-
-    if stats is not None:
-        stats["nodes"] = len(visited)
-    return None
+    return subset_bfs(sources(), aut.image_bits, k, lambda bits: bits & ~s_bits == 0,
+                      budget, stats)
 
 
 def totally_extending_word_small(aut: Automaton, s: StateSet,
@@ -123,42 +77,14 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
         return None
 
     s_bits = s.bits
-    start = rank.image.bits
-    if start & ~s_bits == 0:
-        if stats is not None:
-            stats["nodes"] = 1
-        return rank.word
-
-    visited: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue: deque[int] = deque([start])
     r = rank.rank
-    while queue:
-        bits = queue.popleft()
-        for a in range(aut.k):
-            child = aut.image_bits(bits, a)
-            if child in visited:
-                continue
-            assert child.bit_count() == r, "image of an incompressible set changed size"
-            visited[child] = (a, bits)
-            if len(visited) > budget:
-                raise BudgetExceededError(
-                    f"totally-extending search exceeded budget {budget}", len(visited))
-            if child & ~s_bits == 0:
-                if stats is not None:
-                    stats["nodes"] = len(visited)
-                letters: list[int] = []
-                cur = child
-                while visited[cur][0] >= 0:
-                    letter, parent = visited[cur]
-                    letters.append(letter)
-                    cur = parent
-                letters.reverse()
-                return rank.word + Word(letters)
-            queue.append(child)
 
-    if stats is not None:
-        stats["nodes"] = len(visited)
-    return None
+    def is_goal(bits: int) -> bool:
+        assert bits.bit_count() == r, "image of an incompressible set changed size"
+        return bits & ~s_bits == 0
+
+    path = subset_bfs([(rank.image.bits, -1)], aut.image_bits, aut.k, is_goal, budget, stats)
+    return None if path is None else rank.word + path
 
 
 def totally_extensible_synchronizing(aut: Automaton, s: StateSet, witness: bool = False
@@ -185,28 +111,9 @@ def totally_extensible_synchronizing(aut: Automaton, s: StateSet, witness: bool 
 
     reset = greedy_reset_word(aut)
     p = next(iter(apply_word(aut, StateSet.full(aut.n), reset)))
-    # BFS from p to the nearest state of S (all of S's sink states qualify).
-    targets = s.bits
-    prev: dict[int, tuple[int, int]] = {p: (-1, -1)}
-    queue = deque([p])
-    goal = p if (targets >> p) & 1 else -1
-    while queue and goal < 0:
-        q = queue.popleft()
-        for a in range(aut.k):
-            nxt = aut.rows[q][a]
-            if nxt in prev:
-                continue
-            prev[nxt] = (a, q)
-            if (targets >> nxt) & 1:
-                goal = nxt
-                break
-            queue.append(nxt)
-    assert goal >= 0, "sink component state must be reachable from the reset state"
-    letters: list[int] = []
-    cur = goal
-    while prev[cur][0] >= 0:
-        letter, parent = prev[cur]
-        letters.append(letter)
-        cur = parent
-    letters.reverse()
-    return True, reset + Word(letters)
+    # BFS over singletons from p to the nearest state of S (all of S's sink
+    # states qualify); there are at most n nodes.
+    path = subset_bfs([(1 << p, -1)], aut.image_bits, aut.k, lambda bits: bits & s.bits != 0,
+                      aut.n)
+    assert path is not None, "sink component state must be reachable from the reset state"
+    return True, reset + path

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from preimages import (Automaton, StateSet, Word, apply_word, is_permutation_automaton,
-                       is_strongly_connected, preimage_word, scc, sink_state)
+from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
+                       is_permutation_automaton, is_strongly_connected, preimage_word, scc,
+                       sink_state)
+from preimages.automaton import subset_bfs
 
 
 @st.composite
@@ -50,9 +52,33 @@ def test_word_rendering_and_parsing():
     assert Word([27, 3]).text(30) == "27 3"
     assert Word.from_text("") == Word()
     assert (Word.from_text("a") + Word.from_text("b")).text(2) == "ab"
-    for bad in ("A", "aB", "a-b", "é"):
+    assert Word.from_text("0 2").letters == (0, 2)
+    for bad in ("A", "aB", "a-b", "é", "-1 2", "3 -1", "-1"):
         with pytest.raises(ValueError):
             Word.from_text(bad)
+
+
+def test_subset_bfs_kernel(c4, p3):
+    # From Q, the nearest singleton of the 4-state Cerny automaton is 9 letters away.
+    stats = {}
+    word = subset_bfs([(0b1111, -1)], c4.image_bits, 2, lambda b: b.bit_count() == 1, 100, stats)
+    assert len(word) == 9 and apply_word(c4, StateSet.full(4), word).size == 1
+    assert stats["nodes"] > 9
+    with pytest.raises(BudgetExceededError) as exc:
+        subset_bfs([(0b1111, -1)], c4.image_bits, 2, lambda b: b.bit_count() == 1, 5)
+    assert exc.value.nodes == 6
+    # Sources are goal-tested in order, and a source's letter starts its word.
+    stats = {}
+    assert subset_bfs([(0b0110, 1), (0b0001, 0), (0b1000, 1)], c4.image_bits, 2,
+                      lambda b: b == 0b0001, 10, stats) == Word([0])
+    assert stats == {"nodes": 2}
+    # {1,2} reaches {0} by aab, after the source's letter b.
+    assert subset_bfs([(0b0110, 1)], c4.image_bits, 2, lambda b: b == 0b0001,
+                      10) == Word.from_text("baab")
+    # Exhaustion: a permutation automaton never shrinks {0}.
+    stats = {}
+    assert subset_bfs([(0b001, -1)], p3.image_bits, 2, lambda b: b == 0, 10, stats) is None
+    assert stats == {"nodes": 3}
 
 
 def test_image_worked_example(c4):

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: routing, exit codes, JSON determinism."""
 
+import itertools
 import json
+import random
 
 import pytest
 
-from preimages import (Automaton, cerny_automaton, perm3, chain2, serialize_automaton,
+from preimages import (Automaton, StateSet, backward_subset_bfs, cerny_automaton,
+                       oracle_shortest, perm3, chain2, random_automaton, serialize_automaton,
                        validate_report)
 from preimages.cli import main
 
@@ -252,3 +255,101 @@ def test_human_output_mentions_answer(files, capsys):
                        "--problem", "extend", "--witness")
     assert code == 0
     assert "answer: yes" in out and "witness: ba" in out
+
+
+def test_invalid_environment_limits_are_usage_errors(files, capsys, monkeypatch):
+    args = ("check", files["cerny4"], "--subset", "1,2", "--problem", "extend", "--json")
+    for name, value in (("PREIMAGES_BUDGET", "0"), ("PREIMAGES_BUDGET", "-4"),
+                        ("PREIMAGES_ORACLE_CAP", "-1")):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *args)
+        assert code == 3 and out == "" and name in err
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("PREIMAGES_ORACLE_CAP", "0")
+    code, out, _ = run(capsys, *args[:-1], "--method", "oracle", "--json")
+    assert code == 2 and "exceeds cap 0" in json.loads(out)["note"]
+
+
+def test_negative_oracle_cap_is_a_usage_error(files, capsys):
+    for command in (("check", "--subset", "1,2", "--problem", "extend", "--method", "oracle"),
+                    ("oracle", "--subset", "1,2", "--goal", "extending"),
+                    ("reset", "--method", "oracle")):
+        code, out, _ = run(capsys, command[0], files["cerny4"], *command[1:],
+                           "--oracle-cap", "-3")
+        assert code == 3 and out == ""
+
+
+def _preimage(rows, s_bits, word):
+    return sum(1 << q for q in range(len(rows))
+               if (s_bits >> _run(rows, q, word)) & 1)
+
+
+def _run(rows, q, word):
+    for ch in word:
+        q = rows[q][ord(ch) - ord("a")]
+    return q
+
+
+def _witness_ok(rows, s_bits, problem, word):
+    n = len(rows)
+    if problem == "avoid":
+        return all(not (s_bits >> _run(rows, q, word)) & 1 for q in range(n))
+    size, pre = s_bits.bit_count(), _preimage(rows, s_bits, word).bit_count()
+    return {"extend": pre > size, "extend-total": pre == n, "resize": pre != size}[problem]
+
+
+_GOAL = {"extend": "extending", "extend-total": "totally-extending", "avoid": "avoiding",
+         "resize": "resizing"}
+
+
+def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
+    # The CLI router (fast paths, searches, oracle fallback, --max-len) against
+    # the power-set oracle.  "unknown" is allowed only where the README says:
+    # --method poly under a node budget, or --max-len with a method that gives
+    # no shortest witness and no oracle fallback.  The budget variant is the
+    # oracle's own node count, so --method auto must always fall back in time.
+    rng = random.Random(20240917)
+    checked = 0
+    for i in range(18):
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        constraint = ("none", "synchronizing", "permutation")[i % 3]
+        aut = random_automaton(n, k, seed=rng.randrange(10**9), constraint=constraint)
+        path = tmp_path / f"r{i}.aut"
+        path.write_text(serialize_automaton(aut))
+        rows = [list(r) for r in aut.rows]
+        for _ in range(2):
+            s_bits = rng.randrange(1 << n)
+            s = StateSet(n, s_bits)
+            reached = str(len(backward_subset_bfs(aut, s).reached))
+            for problem, goal in _GOAL.items():
+                hit = oracle_shortest(aut, s, goal)
+                shortest = None if hit is None else hit[1]
+                for method, witness, max_len, budget in itertools.product(
+                        ("auto", "poly"), ((), ("--witness",)), (None, 0, 1, 2, 3),
+                        ((), ("--budget", reached))):
+                    if budget and not (witness and max_len in (None, 2)):
+                        continue
+                    bound = () if max_len is None else ("--max-len", str(max_len))
+                    code, out, _ = run(capsys, "check", str(path), "--subset",
+                                       ",".join(map(str, s)), "--problem", problem,
+                                       "--method", method, *witness, *bound, *budget, "--json")
+                    report = json.loads(out)
+                    where = (i, s, problem, method, witness, max_len, budget, report)
+                    expect = shortest is not None and (max_len is None or shortest <= max_len)
+                    if report["answer"] == "unknown-budget":
+                        assert code == 2 and method == "poly", where
+                        assert budget or (max_len is not None and shortest is not None
+                                          and problem in ("extend-total", "avoid")), where
+                        continue
+                    assert report["answer"] == ("yes" if expect else "no"), where
+                    assert code == (0 if expect else 1), where
+                    word = report["witness"]
+                    assert (word is not None) == (expect and bool(witness)), where
+                    if word is not None:
+                        assert _witness_ok(rows, s_bits, problem, word), where
+                        assert report["witness_length"] == len(word), where
+                        assert max_len is None or len(word) <= max_len, where
+                        if problem in ("extend", "resize") or report["method"] == "oracle":
+                            assert len(word) == shortest, where
+                    checked += 1
+    assert checked > 2000
