@@ -6,6 +6,11 @@ letter whenever the alphabet has at most 26 letters.  Words act on states
 left to right: ``q . uv == (q . u) . v``, which fixes the composition order
 of preimages as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
 
+A whole word acts through its transformation ``word_map``, composed right to
+left with one C-level gather per letter; ``apply_word`` and ``preimage_word``
+read the image and the preimage off it.  The single-letter steps
+``image_bits`` and ``preimage_bits`` drive the subset searches.
+
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
 (idempotent, hence harmless under concurrent recomputation).
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -309,27 +315,46 @@ def subset_bfs(sources: Iterable[tuple[int, int]], step: Callable[[int, int], in
     return Word(reversed(letters))
 
 
+def word_map(aut: Automaton, w: Word) -> tuple[int, ...]:
+    """The transformation of ``w``: ``f[q] == q . w`` for every state ``q``.
+
+    Built right to left, since ``q . (av) == (q . a) . v``: each letter is one
+    cached ``itemgetter`` gather over the map of the rest of the word.  The
+    letters are not range-checked here.  The map of the last word is kept on
+    the automaton, so checking a witness and then measuring its preimage
+    walks the word once.
+    """
+    last = aut._derived.get("word_map")
+    if last is not None and last[0] is w.letters:
+        return last[1]
+    f = tuple(range(aut.n))
+    if aut.n > 1:  # itemgetter with one index returns a scalar, not a tuple
+        gathers = aut._derived.get("gathers")
+        if gathers is None:
+            gathers = aut._derived["gathers"] = tuple(itemgetter(*succ) for succ in aut.by_letter)
+        for a in reversed(w.letters):
+            f = gathers[a](f)
+    aut._derived["word_map"] = (w.letters, f)
+    return f
+
+
 def apply_word(aut: Automaton, s: StateSet, w: Word) -> StateSet:
     """Image ``S . w`` of a set under a word (never grows the set)."""
     aut.check_set(s)
     aut.check_word(w)
-    bits = s.bits
-    for a in w:
-        bits = aut.image_bits(bits, a)
+    f = word_map(aut, w)
+    bits = 0
+    for q in s:
+        bits |= 1 << f[q]
     return StateSet(aut.n, bits)
 
 
 def preimage_word(aut: Automaton, s: StateSet, w: Word) -> StateSet:
-    """Preimage ``S . w^-1``, i.e. all states that ``w`` maps into ``S``.
-
-    Letters are peeled from the right: ``S . (uv)^-1 == (S . v^-1) . u^-1``.
-    """
+    """Preimage ``S . w^-1``, i.e. all states that ``w`` maps into ``S``."""
     aut.check_set(s)
     aut.check_word(w)
-    bits = s.bits
-    for a in reversed(tuple(w)):
-        bits = aut.preimage_bits(bits, a)
-    return StateSet(aut.n, bits)
+    f, target = word_map(aut, w), s.bits
+    return StateSet(aut.n, sum(1 << q for q, p in enumerate(f) if target >> p & 1))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, subset_bfs
+from .automaton import Automaton, StateSet, Word, subset_bfs, word_map
 from .errors import DEFAULT_NODE_BUDGET
 from .pairs import minimal_rank_word
 
@@ -40,12 +40,7 @@ class RankPartition:
 def rank_partition(aut: Automaton, s: StateSet) -> RankPartition:
     aut.check_set(s)
     rank = minimal_rank_word(aut)
-    u = tuple(rank.word)
-    image_of: list[int] = list(range(aut.n))
-    for a in u:
-        succ = aut.by_letter[a]
-        image_of = [succ[q] for q in image_of]
-
+    image_of = word_map(aut, rank.word)
     reps = sorted(set(image_of))
     rep_index = {p: i for i, p in enumerate(reps)}
     class_bits = [0] * len(reps)

@@ -179,7 +179,10 @@ def _apply_max_len(aut: Automaton, s: StateSet, problem: str, max_len: int, rout
         if method != "auto" or aut.n > oracle_cap:
             return Route(ANSWER_UNKNOWN, None, route.method, False,
                          "method does not produce shortest witnesses; length bound undecided")
-        route = _oracle(aut, s, problem, budget, oracle_cap)
+        try:
+            route = _oracle(aut, s, problem, budget, oracle_cap)
+        except BudgetExceededError as exc:
+            return Route(ANSWER_UNKNOWN, None, "oracle", False, f"length bound undecided: {exc}")
         if route.word is not None and len(route.word) <= max_len:
             return route
     return Route(ANSWER_NO, None, route.method, True, "shortest witness exceeds the length bound")
@@ -232,7 +235,7 @@ def _finish(args, aut: Automaton, s: StateSet, route: Route, stats: dict, t0: fl
     word = route.word if route.answer == ANSWER_YES else None
     shown = word if args.witness else None
     preimage_size = None
-    if word is not None:
+    if word is not None:  # both calls read one word map (automaton.word_map)
         if not witness_holds(aut, s, args.problem, word):
             raise RuntimeError(f"internal error: witness {word.text(aut.k)!r} failed re-verification")
         preimage_size = preimage_word(aut, s, word).size

@@ -5,11 +5,17 @@ unordered pair of states, the exact length of a shortest word merging the
 pair (infinite when the pair can never be merged).  On top of the table sit
 the synchronization check, a greedy reset word, minimal-rank words, and the
 avoidability decision for single states.
+
+The table keeps one back-pointer per pair in an array of machine ints,
+``(parent + 1) * k + a``: ``a`` is the first letter of the pair's shortest
+merging word, and ``parent`` is the index of the pair that ``a`` leads to,
+or -1 when ``a`` merges the pair directly.  The search runs level by level
+over plain lists of pair indices and allocates nothing per pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,15 +25,16 @@ from .automaton import Automaton, StateSet, Word, apply_word, scc
 class PairTable:
     """Shortest compressing-word lengths for all unordered state pairs.
 
-    ``dist`` is indexed by ``p * n + q`` with ``p < q``; -1 encodes
-    "not compressible".  Back-pointers allow exact reconstruction of a
-    shortest merging word per pair.
+    ``dist`` is an array of machine ints indexed by ``p * n + q`` with
+    ``p < q``; -1 encodes "not compressible".  Back-pointers, kept the same
+    way, allow exact reconstruction of a shortest merging word per pair.
     """
 
-    __slots__ = ("n", "dist", "_via")
+    __slots__ = ("n", "k", "dist", "_via")
 
-    def __init__(self, n: int, dist: list[int], via: list[Optional[tuple[int, int]]]):
+    def __init__(self, n: int, k: int, dist: array, via: array):
         self.n = n
+        self.k = k
         self.dist = dist
         self._via = via
 
@@ -54,64 +61,71 @@ class PairTable:
         if self.dist[i] < 0:
             return None
         letters = []
-        via = self._via[i]
-        while via is not None:
-            a, succ = via
+        while i >= 0:
+            parent, a = divmod(self._via[i], self.k)
             letters.append(a)
-            via = self._via[succ] if succ >= 0 else None
+            i = parent - 1
         return Word(letters)
 
     def all_compressible(self) -> bool:
         n = self.n
-        return all(self.dist[p * n + q] >= 0 for p in range(n) for q in range(p + 1, n))
+        return self.dist.count(-1) == n * (n + 1) // 2  # only the pairs p >= q
 
 
 def pair_table(aut: Automaton) -> PairTable:
-    """Multi-source backward BFS from all directly merged pairs."""
+    """Multi-source backward BFS from all directly merged pairs, level by level."""
     cached = aut._derived.get("pair_table")
     if cached is not None:
         return cached
 
     n, k = aut.n, aut.k
-    rows = aut.rows
-    dist = [-1] * (n * n)
-    via: list[Optional[tuple[int, int]]] = [None] * (n * n)
-    queue: deque[int] = deque()
-
-    for p in range(n):
-        row_p = rows[p]
-        for q in range(p + 1, n):
-            row_q = rows[q]
-            for a in range(k):
-                if row_p[a] == row_q[a]:
-                    i = p * n + q
-                    dist[i] = 1
-                    via[i] = (a, -1)
-                    queue.append(i)
-                    break
-
-    # inv[a][q] = states mapped to q by letter a
-    inv: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
+    dist = array("q", [-1]) * (n * n)
+    via = array("q", [0]) * (n * n)
+    # inv[q][a] = states mapped to q by letter a, in increasing order
+    inv: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
     for a in range(k):
         for p, q in enumerate(aut.by_letter[a]):
-            inv[a][q].append(p)
+            inv[q][a].append(p)
 
-    while queue:
-        i = queue.popleft()
-        d = dist[i]
-        p, q = divmod(i, n)
-        for a in range(k):
-            for x in inv[a][p]:
-                for y in inv[a][q]:
-                    if x == y:
-                        continue
-                    j = x * n + y if x < y else y * n + x
-                    if dist[j] < 0:
-                        dist[j] = d + 1
-                        via[j] = (a, i)
-                        queue.append(j)
+    # Directly merged pairs share a predecessor list; the smallest letter wins.
+    frontier = []
+    for a in range(k):
+        for q in range(n):
+            xs = inv[q][a]
+            for i, x in enumerate(xs):
+                base = x * n
+                for y in xs[i + 1:]:
+                    if dist[base + y] < 0:
+                        dist[base + y] = 1
+                        via[base + y] = a
+                        frontier.append(base + y)
+    frontier.sort()
 
-    table = PairTable(n, dist, via)
+    # pre[q] = the (letter, predecessors) entries of q that are non-empty
+    pre = [[(a, xs) for a, xs in enumerate(row) if xs] for row in inv]
+    d = 1
+    while frontier:
+        d += 1
+        nxt = []
+        for i in frontier:
+            p, q = divmod(i, n)
+            inv_q = inv[q]
+            back = (i + 1) * k
+            for a, xs in pre[p]:
+                ys = inv_q[a]
+                if not ys:
+                    continue
+                for x in xs:
+                    xn = x * n
+                    for y in ys:  # x != y: a state has one successor under a
+                        j = xn + y if x < y else y * n + x
+                        if dist[j] < 0:
+                            dist[j] = d
+                            via[j] = back + a
+                            nxt.append(j)
+        frontier = nxt
+
+    table = PairTable(n, k, dist, via)
     aut._derived["pair_table"] = table
     return table
 
@@ -133,21 +147,36 @@ def known_synchronizing(aut: Automaton) -> Optional[bool]:
 def _best_pair_in(bits: int, table: PairTable) -> Optional[tuple[int, int]]:
     """Compressible pair inside the given image with the shortest merging
     word; ties broken by smallest (p, q)."""
-    states = []
-    while bits:
-        low = bits & -bits
-        states.append(low.bit_length() - 1)
-        bits ^= low
-    best = None
-    best_d = -1
-    n = table.n
+    n, dist = table.n, table.dist
+    states = list(StateSet(n, bits))
+    best, best_d = None, -1
     for i, p in enumerate(states):
         base = p * n
         for q in states[i + 1:]:
-            d = table.dist[base + q]
+            d = dist[base + q]
             if d >= 0 and (best is None or d < best_d):
                 best, best_d = (p, q), d
+                if d == 1:  # no later pair can be shorter
+                    return best
     return best
+
+
+def _compress(aut: Automaton) -> tuple[list[int], int]:
+    """Iterated pair compression from Q until the image is incompressible:
+    the letters and the image bits."""
+    table = pair_table(aut)
+    bits = (1 << aut.n) - 1
+    letters: list[int] = []
+    while bits.bit_count() > 1:
+        pair = _best_pair_in(bits, table)
+        if pair is None:
+            break
+        w = table.word(*pair)
+        letters.extend(w)
+        bits = apply_word(aut, StateSet(aut.n, bits), w).bits
+        if len(letters) > aut.n ** 3:
+            raise AssertionError("pair compression exceeded its length guard")
+    return letters, bits
 
 
 def greedy_reset_word(aut: Automaton) -> Optional[Word]:
@@ -155,21 +184,7 @@ def greedy_reset_word(aut: Automaton) -> Optional[Word]:
 
     Returns None when the automaton is not synchronizing.
     """
-    if not is_synchronizing(aut):
-        return None
-    table = pair_table(aut)
-    bits = (1 << aut.n) - 1
-    letters: list[int] = []
-    guard = aut.n * aut.n * aut.n
-    while bits.bit_count() > 1:
-        p, q = _best_pair_in(bits, table)  # synchronizing => always found
-        w = table.word(p, q)
-        letters.extend(w)
-        for a in w:
-            bits = aut.image_bits(bits, a)
-        if len(letters) > guard:
-            raise AssertionError("greedy reset loop exceeded its length guard")
-    return Word(letters)
+    return Word(_compress(aut)[0]) if is_synchronizing(aut) else None
 
 
 @dataclass(frozen=True)
@@ -189,23 +204,11 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     can shrink.
     """
     cached = aut._derived.get("min_rank")
-    if cached is not None:
-        return cached
-
-    table = pair_table(aut)
-    bits = (1 << aut.n) - 1
-    letters: list[int] = []
-    while bits.bit_count() > 1:
-        pair = _best_pair_in(bits, table)
-        if pair is None:
-            break
-        w = table.word(*pair)
-        letters.extend(w)
-        for a in w:
-            bits = aut.image_bits(bits, a)
-    result = RankResult(Word(letters), StateSet(aut.n, bits), bits.bit_count())
-    aut._derived["min_rank"] = result
-    return result
+    if cached is None:
+        letters, bits = _compress(aut)
+        cached = RankResult(Word(letters), StateSet(aut.n, bits), bits.bit_count())
+        aut._derived["min_rank"] = cached
+    return cached
 
 
 def induced_automaton(aut: Automaton, component: tuple[int, ...]) -> Automaton:

@@ -1,12 +1,12 @@
 """Core types and set/word actions, pinned to the worked examples."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        is_permutation_automaton, is_strongly_connected, preimage_word, scc,
                        sink_state)
-from preimages.automaton import subset_bfs
+from preimages.automaton import subset_bfs, word_map
 
 
 @st.composite
@@ -122,6 +122,32 @@ def test_empty_and_full_conventions(data):
     assert apply_word(aut, StateSet.empty(aut.n), w).size == 0
     assert preimage_word(aut, StateSet.empty(aut.n), w).size == 0
     assert preimage_word(aut, StateSet.full(aut.n), w) == StateSet.full(aut.n)
+
+
+@given(automaton_set_word(), st.lists(st.integers(0, 2), max_size=4))
+@example((Automaton([[0, 0]]), StateSet(1, 1), Word([1, 0, 1])), [0])  # n = 1
+@example((Automaton([[0, 0]]), StateSet(1, 0), Word()), [])
+@example((Automaton([[1], [0], [0]]), StateSet(3, 0b101), Word()), [0])  # the empty word
+def test_word_actions_match_the_letter_by_letter_fold(data, extra):
+    aut, s, w = data
+    image = s.bits
+    for a in w:
+        image = aut.image_bits(image, a)
+    pre = s.bits
+    for a in reversed(w.letters):
+        pre = aut.preimage_bits(pre, a)
+    assert apply_word(aut, s, w).bits == image
+    assert preimage_word(aut, s, w).bits == pre
+
+    def fold(q, word):
+        for a in word:
+            q = aut.rows[q][a]
+        return q
+
+    # The map of the last word is kept; asking for another word must not reuse it.
+    v = w + Word([a % aut.k for a in extra])
+    for word in (w, v, w, Word(list(w.letters))):
+        assert word_map(aut, word) == tuple(fold(q, word) for q in range(aut.n))
 
 
 @given(automaton_set_word())

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from preimages import (Automaton, StateSet, backward_subset_bfs, cerny_automaton,
                        oracle_shortest, perm3, chain2, random_automaton, serialize_automaton,
                        validate_report)
+from preimages import automaton as automaton_mod
 from preimages.cli import main
 
 
@@ -111,6 +113,36 @@ def test_check_budget_exhaustion_reports_unknown(files, capsys):
     assert code == 2
     report = json.loads(out)
     assert report["answer"] == "unknown-budget"
+
+
+def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
+    # The fast-path witness is too long for --max-len 1, and the oracle that
+    # would settle the bound runs out of its node budget.
+    code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0",
+                         "--problem", "extend-total", "--max-len", "1", "--budget", "2",
+                         "--json")
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    validate_report(report)
+    assert report["answer"] == "unknown-budget" and report["max_len"] == 1
+    assert report["method"] == "oracle" and "node limit 2" in report["note"]
+
+
+def test_check_walks_the_witness_once(files, capsys, monkeypatch):
+    # Re-verifying the witness and measuring its preimage share one word map:
+    # one gather per letter in all, through the automaton module's itemgetter.
+    gathers = []
+
+    def counting_itemgetter(*items):
+        get = operator.itemgetter(*items)
+        return lambda seq: gathers.append(1) or get(seq)
+
+    monkeypatch.setattr(automaton_mod, "itemgetter", counting_itemgetter)
+    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
+                       "--problem", "extend-total", "--method", "oracle", "--witness", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["preimage_size"] == 4
+    assert len(gathers) == report["witness_length"] > 0
 
 
 def test_check_resize_honours_budget(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Pair table, synchronization, minimal rank, and state avoidability."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -128,3 +129,80 @@ def test_avoidable_state_matches_oracle_including_disconnected():
             assert avoidable_state(aut, q) == oracle_says
         # synchronization agrees with the forward oracle too
         assert is_synchronizing(aut) == any(b.bit_count() == 1 for b in reached)
+
+
+def _reference_table(aut):
+    """The former pair-table search: one FIFO deque, (letter, parent) tuples."""
+    n, k, rows = aut.n, aut.k, aut.rows
+    dist, via, queue = [-1] * (n * n), [None] * (n * n), deque()
+    for p in range(n):
+        for q in range(p + 1, n):
+            for a in range(k):
+                if rows[p][a] == rows[q][a]:
+                    dist[p * n + q], via[p * n + q] = 1, (a, -1)
+                    queue.append(p * n + q)
+                    break
+    inv = [[[] for _ in range(n)] for _ in range(k)]
+    for a in range(k):
+        for p in range(n):
+            inv[a][rows[p][a]].append(p)
+    while queue:
+        i = queue.popleft()
+        p, q = divmod(i, n)
+        for a in range(k):
+            for x in inv[a][p]:
+                for y in inv[a][q]:
+                    j = x * n + y if x < y else y * n + x
+                    if x != y and dist[j] < 0:
+                        dist[j], via[j] = dist[i] + 1, (a, i)
+                        queue.append(j)
+
+    def word(i):
+        letters = []
+        while i >= 0:
+            a, i = via[i]
+            letters.append(a)
+        return Word(letters)
+
+    return dist, word
+
+
+def _reference_compression(aut, dist, word):
+    """The former greedy loop: best pair by (length, p, q), applied letter by letter."""
+    n, bits, letters = aut.n, (1 << aut.n) - 1, []
+    while bits.bit_count() > 1:
+        states = [q for q in range(n) if bits >> q & 1]
+        pairs = [(dist[p * n + q], p, q) for i, p in enumerate(states) for q in states[i + 1:]
+                 if dist[p * n + q] >= 0]
+        if not pairs:
+            break
+        _, p, q = min(pairs)
+        for a in word(p * n + q):
+            letters.append(a)
+            bits = aut.image_bits(bits, a)
+    return Word(letters), bits
+
+
+def _seeded_automata():
+    rng = random.Random(11)
+    for _ in range(120):
+        yield random_automaton(rng.randint(1, 9), rng.randint(1, 3), seed=rng.randrange(10**9))
+    yield random_automaton(300, 2, seed=rng.randrange(10**9))
+
+
+def test_pair_table_and_compression_words_match_the_reference_search():
+    for aut in _seeded_automata():
+        n = aut.n
+        dist, word = _reference_table(aut)
+        table = pair_table(aut)
+        assert list(table.dist) == dist
+        for p in range(n):
+            for q in range(p + 1, n):
+                expected = word(p * n + q) if dist[p * n + q] >= 0 else None
+                assert table.word(p, q) == table.word(q, p) == expected
+        letters, bits = _reference_compression(aut, dist, word)
+        rank = minimal_rank_word(aut)
+        assert rank.word == letters and rank.image.bits == bits
+        synchronizing = dist.count(-1) == n * (n + 1) // 2
+        assert is_synchronizing(aut) == synchronizing
+        assert greedy_reset_word(aut) == (letters if synchronizing else None)
