@@ -297,7 +297,8 @@ def _cmd_reset(args) -> int:
     if args.method == "greedy":
         word = greedy_reset_word(aut)
     else:
-        hit = oracle_mod.oracle_shortest_reset(aut, state_cap=_limit(args, "oracle_cap"))
+        hit = oracle_mod.oracle_shortest_reset(aut, node_limit=_limit(args, "budget"),
+                                               state_cap=_limit(args, "oracle_cap"))
         word = hit[0] if hit else None
     if word is None:
         sys.stdout.write("answer: no (not synchronizing)\n")
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     reset.add_argument("file")
     reset.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
     reset.add_argument("--oracle-cap", type=_int_at_least(0), default=None)
-    reset.set_defaults(func=_cmd_reset)
+    reset.set_defaults(func=_cmd_reset, budget=None)  # PREIMAGES_BUDGET only
 
     gadget = sub.add_parser("gadget", help="reduction constructions")
     gadget.add_argument("kind", choices=("intersection", "binarize", "sink", "large-extend"))

@@ -302,6 +302,32 @@ def test_invalid_environment_limits_are_usage_errors(files, capsys, monkeypatch)
     assert code == 2 and "exceeds cap 0" in json.loads(out)["note"]
 
 
+def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
+    # The witness "ba" is the fourth subset generated; the rest of the power
+    # set is never built, so a budget of 4 decides the query.
+    args = ("check", files["cerny4"], "--subset", "1,2", "--problem", "extend",
+            "--method", "oracle", "--json", "--witness", "--budget")
+    code, out, _ = run(capsys, *args, "4")
+    report = json.loads(out)
+    assert code == 0 and report["answer"] == "yes" and report["witness"] == "ba"
+    code, out, _ = run(capsys, *args, "3")
+    assert code == 2 and json.loads(out)["answer"] == "unknown-budget"
+
+
+def test_reset_oracle_honours_environment_budget(files, capsys, monkeypatch):
+    monkeypatch.setenv("PREIMAGES_BUDGET", "3")
+    code, out, err = run(capsys, "reset", files["cerny4"], "--method", "oracle")
+    assert code == 2 and out == "" and "node limit 3" in err
+    monkeypatch.setenv("PREIMAGES_BUDGET", "0")
+    code, out, err = run(capsys, "reset", files["cerny4"], "--method", "oracle")
+    assert code == 3 and "PREIMAGES_BUDGET" in err
+    code, out, _ = run(capsys, "reset", files["cerny4"])  # greedy takes no budget
+    assert code == 0
+    monkeypatch.delenv("PREIMAGES_BUDGET")
+    code, out, _ = run(capsys, "reset", files["cerny4"], "--method", "oracle")
+    assert code == 0 and "length: 9" in out
+
+
 def test_negative_oracle_cap_is_a_usage_error(files, capsys):
     for command in (("check", "--subset", "1,2", "--problem", "extend", "--method", "oracle"),
                     ("oracle", "--subset", "1,2", "--goal", "extending"),

@@ -6,7 +6,11 @@ import pytest
 
 from preimages import (BudgetExceededError, StateSet, Word, apply_word, backward_subset_bfs,
                        forward_subset_bfs, oracle_min_rank, oracle_shortest,
-                       oracle_shortest_reset, preimage_word, random_automaton)
+                       oracle_shortest_reset, preimage_word, random_automaton,
+                       serialize_automaton)
+from preimages import oracle as oracle_mod
+from preimages.cli import main
+from preimages.oracle import GOALS, _step_tables, goal_predicate
 
 
 def test_backward_reachable_families(c4, p3, ch2):
@@ -36,10 +40,116 @@ def test_oracle_goal_validation(c4):
 
 
 def test_oracle_shortest_accepts_precomputed_result(c4):
+    # The early-stopped search answers exactly what the first match on the
+    # full power-set search answers, and never generates more subsets.
+    rng = random.Random(17)
+    corpus = [(c4, c4.state_set([1, 2]))]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        aut = random_automaton(n, rng.randint(1, 3), seed=rng.randrange(10**9))
+        corpus.append((aut, StateSet(n, rng.randrange(1 << n))))
+    for aut, s in corpus:
+        full = backward_subset_bfs(aut, s)
+        for goal in GOALS:
+            want = goal_predicate(goal, aut, s)
+            hit = full.first_match(want)
+            expected = None if hit is None else hit[:2]
+            assert oracle_shortest(aut, s, goal, result=full) == expected
+            assert oracle_shortest(aut, s, goal) == expected
+            stopped = backward_subset_bfs(aut, s, stop=want)
+            assert len(stopped.reached) <= len(full.reached)
+            assert stopped.hit == (None if hit is None else hit[2])
+        full = forward_subset_bfs(aut)
+        hit = full.first_match(lambda bits, depth: bits.bit_count() == 1)
+        assert oracle_shortest_reset(aut) == (None if hit is None else hit[:2])
+        stopped = forward_subset_bfs(aut, stop=lambda bits, depth: bits.bit_count() == 1)
+        assert len(stopped.reached) <= len(full.reached)
+
+
+def _reference_bfs(aut, start_bits, step):
+    """The per-state power-set BFS the chunk tables replace."""
+    reached = {start_bits: (0, -1, -1)}
+    frontier, depth = [start_bits], 0
+    while frontier:
+        depth += 1
+        next_frontier = []
+        for bits in frontier:
+            for a in range(aut.k):
+                child = step(bits, a)
+                if child not in reached:
+                    reached[child] = (depth, a, bits)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return reached
+
+
+def _table_step(tables, bits):
+    out = 0
+    for c, table in enumerate(tables):
+        out |= table[(bits >> 8 * c) & 0xFF]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20, 21])
+def test_chunk_table_step_matches_per_state_step(n):
+    rng = random.Random(n)
+    aut = random_automaton(n, 3, seed=500 + n)
+    if n <= 9:
+        patterns = range(1 << n)
+    else:
+        patterns = [0, (1 << n) - 1] + [1 << q for q in range(n)]
+        patterns += [rng.randrange(1 << n) for _ in range(2000)]
+    for direction, per_state in (("preimage", aut.preimage_bits), ("image", aut.image_bits)):
+        tables = _step_tables(aut, direction)
+        assert len(tables) == aut.k
+        for a, chunks in enumerate(tables):
+            # Fixed 8-bit chunks: ceil(n/8) tables of at most 256 entries.
+            assert len(chunks) == (n + 7) // 8
+            assert all(len(table) <= 256 for table in chunks)
+            for bits in patterns:
+                assert _table_step(chunks, bits) == per_state(bits, a)
+
+    cap = 25 if n > 20 else 20
+    for _ in range(3):
+        s = StateSet(n, rng.randrange(1 << n))
+        back = backward_subset_bfs(aut, s, state_cap=cap)
+        assert list(back.reached.items()) == list(
+            _reference_bfs(aut, s.bits, aut.preimage_bits).items())
+        fwd = forward_subset_bfs(aut, s, state_cap=cap)
+        assert list(fwd.reached.items()) == list(
+            _reference_bfs(aut, s.bits, aut.image_bits).items())
+        assert back.hit is None and fwd.hit is None
+
+
+def test_oracle_searches_go_through_module_functions(c4, monkeypatch, tmp_path, capsys):
+    # bench/spans.py counts the oracle's subsets by wrapping these two module
+    # functions, so the oracle must look them up at call time.
+    calls = []
+
+    def counting(name):
+        original = getattr(oracle_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("backward_subset_bfs", "forward_subset_bfs"):
+        monkeypatch.setattr(oracle_mod, name, counting(name))
     s = c4.state_set([1, 2])
-    res = backward_subset_bfs(c4, s)
-    for goal in ("extending", "totally-extending", "avoiding", "resizing"):
-        assert oracle_shortest(c4, s, goal, result=res) == oracle_shortest(c4, s, goal)
+    for goal in GOALS:
+        oracle_shortest(c4, s, goal)
+    oracle_shortest_reset(c4)
+    assert calls == ["backward_subset_bfs"] * len(GOALS) + ["forward_subset_bfs"]
+
+    path = tmp_path / "cerny4.aut"
+    path.write_text(serialize_automaton(c4))
+    del calls[:]
+    assert main(["check", str(path), "--subset", "1,2", "--problem", "extend",
+                 "--method", "oracle"]) == 0
+    assert main(["reset", str(path), "--method", "oracle"]) == 0
+    assert calls == ["backward_subset_bfs", "forward_subset_bfs"]
+    capsys.readouterr()
 
 
 def test_oracle_reset_and_min_rank(c4, p3, ch2):
