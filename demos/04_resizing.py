@@ -1,15 +1,17 @@
-"""Shortest resizing words through exact integer linear algebra.
+"""Shortest resizing words through linear algebra over a prime field.
 
 Does any word give S a preimage of a different size?  Each candidate
 preimage subset becomes a 0/1 vector with a constant affine coordinate; a
-subset already in the rational span of earlier ones can never reveal a new
-size, so the BFS inserts at most n vectors before concluding "no".  The
-first size discrepancy, in BFS order, is a shortest resizing word.
+subset already in the span of earlier ones can never reveal a new size, so
+the BFS inserts at most n vectors before concluding "no".  The first size
+discrepancy, in BFS order, is a shortest resizing word.  The span is taken
+modulo p = 2^31 - 1; sizes differ by at most n < p, so the answer is exact.
 """
 
-from preimages import (AugVector, RationalBasis, Word, cerny_automaton, perm3,
+from preimages import (RationalBasis, Word, cerny_automaton, perm3,
                        preimage_word, resizable_decision_fast, shortest_resizing_word,
                        is_synchronizing)
+from preimages.resize import P
 
 aut = cerny_automaton(4)
 s = aut.state_set([1, 2])
@@ -20,16 +22,18 @@ print("shortest resizing word for", s, "is", w.text(aut.k),
 print("no single letter works:",
       [preimage_word(aut, s, Word([a])).size for a in range(2)], "sizes stay 2")
 
-# The basis machinery, by hand: insert the characteristic vector of S, then
-# of its letter preimages, watching independence decisions.
-basis = RationalBasis(5)
-vec = AugVector.from_subset_bits(4, s.bits)
-print("\ninsert chi(S):          pivot", basis.insert(vec))
+# The basis machinery, by hand: insert the subset pattern of S (the affine
+# coordinate is implicit), then of its letter preimages, watching
+# independence decisions.
+basis = RationalBasis(4)
+print("\ninsert chi(S):          pivot", basis.insert(s.bits))
 pre_a = preimage_word(aut, s, Word([0]))
-print("insert chi(S.a^-1):     pivot", basis.insert(AugVector.from_subset_bits(4, pre_a.bits)))
-print("insert chi(S) again:   ", basis.insert(vec), "(dependent, pruned)")
-print("stored echelon rows (primitive integers, zero at earlier pivots):")
-for row, piv in zip(basis.vectors, basis.pivots):
+print("insert chi(S.a^-1):     pivot", basis.insert(pre_a.bits))
+print("insert chi(S) again:   ", basis.insert(s.bits), "(dependent, pruned)")
+print("stored echelon rows mod p (1 at the pivot, 0 at earlier pivots; last entry affine):")
+slot = (1 << basis.width) - 1
+for negrow, piv in zip(basis.negrows, basis.pivots):
+    row = [-(negrow >> (i * basis.width) & slot) % P for i in range(basis.n + 1)]
     print("  ", row, "pivot", piv)
 
 # Permutation automata never resize anything; the basis closes and the

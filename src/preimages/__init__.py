@@ -26,7 +26,7 @@ from .pairs import (PairTable, RankResult, avoidable_state, greedy_reset_word,
                     is_synchronizing, minimal_rank_word, pair_table)
 from .reference import cerny_automaton, chain2, perm3
 from .report import WitnessReport, validate_report, witness_holds
-from .resize import AugVector, RationalBasis, resizable_decision_fast, shortest_resizing_word
+from .resize import RationalBasis, resizable_decision_fast, shortest_resizing_word
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "shortest_extending_word_small", "totally_extending_word_small",
     "totally_extensible_synchronizing",
     "RankPartition", "rank_partition", "avoiding_word",
-    "AugVector", "RationalBasis", "shortest_resizing_word", "resizable_decision_fast",
+    "RationalBasis", "shortest_resizing_word", "resizable_decision_fast",
     "SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
     "oracle_shortest_reset", "oracle_min_rank",
     "DfaWithAcceptance", "GadgetOutput", "intersection_gadget", "binarize", "sink_binarize",

@@ -218,7 +218,7 @@ def _cmd_check(args) -> int:
         route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness,
                         args.max_len, stats)
     except BudgetExceededError as exc:  # the oracle itself ran out
-        route = Route(ANSWER_UNKNOWN, None, args.method, False, str(exc))
+        route = Route(ANSWER_UNKNOWN, None, "oracle", False, str(exc))
     if args.max_len is not None and route.answer != ANSWER_UNKNOWN:
         route = _apply_max_len(aut, s, args.problem, args.max_len, route, budget, cap, args.method)
     return _finish(args, aut, s, route, stats, t0)

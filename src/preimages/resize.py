@@ -1,4 +1,4 @@
-"""Shortest resizing words via exact span checking.
+"""Shortest resizing words via span checking over a prime field.
 
 A word resizes S when the preimage of S under it has a different size.  The
 search walks words by *prepended* letters, so each step is a single-letter
@@ -12,122 +12,110 @@ inserted so far.  The basis therefore closes after at most n insertions (the
 kernel of h has dimension n), and the first vector with h != 0, taken in BFS
 order, belongs to a shortest resizing word.
 
-All arithmetic is exact and stays in integers: the span check keeps a
-fraction-free echelon basis (Bareiss 1968) of primitive integer rows, so no
-rational number is ever formed on the search path.
+The span is taken over F_p, p = 2**31 - 1, not over Q, and the answer stays
+exact because p > n.  Each child's size is tested on its integer bit
+count, so the basis only decides which nodes are expanded.  The preimage map
+is linear over F_p too, so the closure argument (Tzeng 1992) holds there
+unchanged.  And on a 0/1 vector with affine coordinate 1, h equals |T| - |S|,
+whose absolute value is at most n < p, so h vanishes mod p exactly when it
+vanishes.  Hence the answer and the shortest length are those of the search
+over Q.  The returned word could differ from that search's only if p divides
+an integer minor that decides independence; it is still a shortest word.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 from .automaton import Automaton, StateSet, Word
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET
 from .pairs import known_synchronizing
 
-
-class AugVector:
-    """An exact rational vector of n+1 entries (n states + affine coordinate).
-
-    Stored as integer numerators over one positive denominator; ``entry(i)``
-    and ``entries()`` expose the values as Fractions.  Vectors generated by
-    the resizing search are 0/1 with affine coordinate 1.  Span membership
-    does not depend on the denominator, so the basis reads only ``nums``.
-    """
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums: Iterable[int], den: int = 1):
-        if den == 0:
-            raise ValueError("zero denominator")
-        nums = list(nums)
-        if den < 0:
-            den = -den
-            nums = [-x for x in nums]
-        self.nums = nums
-        self.den = den
-
-    @classmethod
-    def from_rationals(cls, values: Iterable) -> "AugVector":
-        fracs = [Fraction(v) for v in values]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls([int(f * den) for f in fracs], den)
-
-    @classmethod
-    def from_subset_bits(cls, n: int, bits: int) -> "AugVector":
-        nums = [(bits >> q) & 1 for q in range(n)]
-        nums.append(1)
-        return cls(nums, 1)
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def entry(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den)
-
-    def entries(self) -> list[Fraction]:
-        return [Fraction(x, self.den) for x in self.nums]
-
-    def is_zero_one_affine(self) -> bool:
-        return (self.den == 1 and self.nums[-1] == 1
-                and all(x in (0, 1) for x in self.nums[:-1]))
-
-    def __repr__(self) -> str:
-        return f"AugVector({[str(f) for f in self.entries()]})"
+P = (1 << 31) - 1
 
 
 class RationalBasis:
-    """Fraction-free echelon basis of a subspace of Q^dim.
+    """Echelon basis over F_p of the vectors (chi(T), 1), T a subset of n states.
 
-    ``vectors[j]`` is a primitive integer list (entries with gcd 1) that is
-    nonzero at its pivot ``pivots[j]`` and zero at the pivot of every earlier
-    row.  An incoming vector r is reduced against the rows in insertion order
-    by ``r = d*r - c*row``, where d is the row's pivot entry and c is r's
-    entry there: this clears r at that pivot and keeps every pivot cleared
-    before it at zero.  r is divided by its content after each step, which
-    stops the entries from growing.  A zero residual means the vector lies in
-    the span; a nonzero one is appended as a new row, and no older row
-    changes.
+    Rows stay in insertion order.  Row j is 1 at its pivot ``pivots[j]`` and 0
+    at the pivot of every earlier row.  It is stored as one int,
+    ``negrows[j]``, of ``n + 1`` slots of ``width`` bits, slot i holding
+    (-row[i]) mod p, and ``supports[j]`` is the bitmask of its nonzero
+    columns.  An incoming vector r is reduced against the rows in order by
+    ``r += c * negrow`` with c = r[pivot] mod p, which clears r at that pivot
+    modulo p and keeps every earlier pivot clear.  Slots are not reduced
+    during the loop: r starts with 0/1 entries and each of at most n + 1
+    steps adds less than p**2 to a slot, so ``width`` is the bit length of
+    (n + 2) * p**2, rounded up to whole bytes so that r unpacks by byte
+    slices.  r's running support holds its own columns and those of the
+    rows added so far, less the pivots already passed; a row whose pivot
+    lies outside it is skipped.  The residual is unpacked once, on its
+    support columns: all zero mod p means r lies in the span; otherwise it
+    is scaled to 1 at its first nonzero column and appended, and no older
+    row changes.
+
+    The name predates the move from Q to F_p; trace spans refer to it.
     """
 
-    __slots__ = ("dim", "vectors", "pivots")
+    __slots__ = ("n", "width", "negrows", "pivots", "supports", "pivot_mask")
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.vectors: list[list[int]] = []
+    def __init__(self, n: int):
+        self.n = n
+        self.width = 8 * -(-((n + 2) * P * P).bit_length() // 8)
+        self.negrows: list[int] = []
         self.pivots: list[int] = []
+        self.supports: list[int] = []
+        self.pivot_mask = 0
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.pivots)
 
-    def insert(self, g: AugVector) -> Optional[int]:
-        """Insert g if independent; returns the new row's pivot, else None."""
-        if len(g) != self.dim:
-            raise ValueError(f"vector has {len(g)} entries, basis dimension is {self.dim}")
-        r = g.nums
-        for row, piv in zip(self.vectors, self.pivots):
-            c = r[piv]
-            if c:
-                d = row[piv]
-                r = [d * x - c * y for x, y in zip(r, row)]
-                content = gcd(*r)
-                if content == 0:
-                    return None
-                if content > 1:
-                    r = [x // content for x in r]
-        content = gcd(*r)
-        if content == 0:
+    def insert(self, bits: int) -> Optional[int]:
+        """Insert (chi(bits), 1) if independent; returns the new row's pivot, else None."""
+        n, w = self.n, self.width
+        if bits < 0 or bits >> n:
+            raise ValueError(f"subset pattern {bits:#x} has a state outside 0..{n - 1}")
+        wb = w // 8
+        support = bits | 1 << n
+        buf = bytearray((n + 1) * wb)
+        rest = support
+        while rest:
+            low = rest & -rest
+            buf[(low.bit_length() - 1) * wb] = 1
+            rest ^= low
+        r = int.from_bytes(buf, "little")
+        mask = (1 << w) - 1
+        for negrow, piv, row_support in zip(self.negrows, self.pivots, self.supports):
+            if support >> piv & 1:
+                c = (r >> piv * w & mask) % P
+                if c:
+                    r += c * negrow
+                    support |= row_support
+                support ^= 1 << piv  # later rows are 0 here, so r stays 0 mod p
+        data = r.to_bytes(len(buf), "little")
+        entries = []
+        while support:
+            low = support & -support
+            q = low.bit_length() - 1
+            v = int.from_bytes(data[q * wb:(q + 1) * wb], "little") % P
+            if v:
+                entries.append((q, v))
+            support ^= low
+        if not entries:
             return None
-        r = [x // content for x in r]
-        pivot = next(i for i, x in enumerate(r) if x)
-        assert r[pivot] and all(r[p] == 0 for p in self.pivots), "echelon invariant broken"
-        self.vectors.append(r)
+        pivot = entries[0][0]
+        inv = pow(entries[0][1], -1, P)
+        buf = bytearray(len(data))
+        row_support = 0
+        for q, v in entries:
+            buf[q * wb:(q + 1) * wb] = (P - v * inv % P).to_bytes(wb, "little")
+            row_support |= 1 << q
+        assert not row_support & self.pivot_mask, "echelon invariant broken"
+        self.negrows.append(int.from_bytes(buf, "little"))
         self.pivots.append(pivot)
+        self.supports.append(row_support)
+        self.pivot_mask |= 1 << pivot
         return pivot
 
 
@@ -145,8 +133,8 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
     n, k = aut.n, aut.k
     target = s.size
 
-    basis = RationalBasis(n + 1)
-    basis.insert(AugVector.from_subset_bits(n, s.bits))
+    basis = RationalBasis(n)
+    basis.insert(s.bits)
     queue: deque[tuple[int, tuple[int, ...]]] = deque([(s.bits, ())])
     expanded = 0
 
@@ -166,7 +154,7 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
             # Every vector inserted so far lies in the n-dimensional kernel of
             # h, so a basis of n rows already spans every size-keeping child.
             if (len(basis) < n
-                    and basis.insert(AugVector.from_subset_bits(n, child_bits)) is not None):
+                    and basis.insert(child_bits) is not None):
                 queue.append((child_bits, child_letters))
 
     if stats is not None:

@@ -220,10 +220,11 @@ def test_criterion_3_randomized_oracle_cross_validation(sweep_random):
 def test_criterion_4_resizing_bound_and_exact_arithmetic(sweep_exhaustive, sweep_random):
     violations = sweep_exhaustive.resize_bound_violations + sweep_random.resize_bound_violations
     # Every run above asserts, inside RationalBasis.insert, that each new
-    # echelon row is zero at every earlier pivot and nonzero at its own
-    # (pytest keeps assertions enabled).  The full-basis invariant over all
-    # rows after every insertion, and the 0/1 + affine form of the vectors a
-    # real search inserts, are checked in tests/test_resize.py.
+    # row's support (its nonzero columns mod p) is disjoint from every
+    # earlier pivot (pytest keeps assertions enabled).  The full F_p
+    # invariant over all rows after every insertion, the subset patterns a
+    # real search inserts, and equal witnesses to the exact basis over Q
+    # are checked in tests/test_resize.py.
     detail = (f"max resize length seen: "
               f"{max(sweep_exhaustive.max_resize_length, sweep_random.max_resize_length)}, "
               f"{len(violations)} bound violations")

@@ -3,10 +3,15 @@
 import itertools
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import preimages
 from preimages import (Automaton, StateSet, backward_subset_bfs, cerny_automaton,
                        oracle_shortest, perm3, chain2, random_automaton, serialize_automaton,
                        validate_report)
@@ -312,6 +317,31 @@ def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
     assert code == 0 and report["answer"] == "yes" and report["witness"] == "ba"
     code, out, _ = run(capsys, *args, "3")
     assert code == 2 and json.loads(out)["answer"] == "unknown-budget"
+
+
+def test_oracle_fallback_out_of_budget_reports_oracle(files, capsys):
+    # The poly search runs out of budget, --method auto falls back to the
+    # oracle, and the oracle runs out too: the report names the route that
+    # ran last, never "auto".
+    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
+                       "--problem", "extend", "--budget", "3", "--json")
+    report = json.loads(out)
+    validate_report(report)
+    assert code == 2 and report["answer"] == "unknown-budget"
+    assert report["method"] == "oracle" and "node limit 3" in report["note"]
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # Every query process pays for what preimages.cli imports; fractions
+    # (with decimal and numbers) is not needed on any route.
+    package_root = str(Path(preimages.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", "import sys, preimages.cli; "
+                           "print('fractions' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_reset_oracle_honours_environment_budget(files, capsys, monkeypatch):
