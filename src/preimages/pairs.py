@@ -3,8 +3,10 @@
 The backward breadth-first search over the pair automaton yields, for every
 unordered pair of states, the exact length of a shortest word merging the
 pair (infinite when the pair can never be merged).  On top of the table sit
-the synchronization check, a greedy reset word, minimal-rank words, and the
-avoidability decision for single states.
+a greedy reset word, minimal-rank words, the avoidability decision for
+single states, and the "no" of the synchronization check.  A "yes" needs no
+table: a fixed pseudo-random word that maps Q to one state proves it, and
+random automata synchronize fast under random words (Nicaud 2016).
 
 The table keeps one back-pointer per pair in an array of machine ints,
 ``(parent + 1) * k + a``: ``a`` is the first letter of the pair's shortest
@@ -130,11 +132,37 @@ def pair_table(aut: Automaton) -> PairTable:
     return table
 
 
+def _reset_certificate(aut: Automaton) -> bool:
+    """True when a fixed pseudo-random word maps Q to one state, which proves
+    synchronization; False proves nothing.  The word stops after 8n letters,
+    once its work (the sum of the image sizes) passes k·n(n−1)/2, or once 16n
+    work passes without the image shrinking.  Its letters come from a
+    private LCG, so no caller's random state is used."""
+    n, k, succ = aut.n, aut.k, aut.by_letter
+    if n > 1 and all(len(set(row)) == n for row in succ):
+        return False  # every letter is a bijection: no word merges two states
+    image, x, work, stall, cap = set(range(n)), 1, 0, 0, k * n * (n - 1) // 2
+    for _ in range(8 * n):
+        size = len(image)
+        if size == 1 or work > cap or stall > 16 * n:
+            break
+        x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+        row = succ[(x >> 33) % k]
+        image = {row[q] for q in image}
+        work += size
+        stall = 0 if len(image) < size else stall + size
+    return len(image) == 1
+
+
 def is_synchronizing(aut: Automaton) -> bool:
-    """True iff every pair of states is compressible (classic criterion)."""
+    """True iff some word maps Q to one state.  Unless the pair table is
+    already built, a reset-word certificate is tried first and builds no
+    table; a "no" always comes from the table: the automaton synchronizes
+    iff every pair of states is compressible (Eppstein 1990)."""
     cached = aut._derived.get("synchronizing")
     if cached is None:
-        cached = pair_table(aut).all_compressible()
+        proved = "pair_table" not in aut._derived and _reset_certificate(aut)
+        cached = proved or pair_table(aut).all_compressible()
         aut._derived["synchronizing"] = cached
     return cached
 

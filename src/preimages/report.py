@@ -71,10 +71,12 @@ def validate_report(d: dict) -> None:
             raise ValueError(f"report key {key!r} must be {typ.__name__}")
     if d["answer"] not in (ANSWER_YES, ANSWER_NO, ANSWER_UNKNOWN):
         raise ValueError(f"bad answer value {d['answer']!r}")
-    for key, typ in (("method", str), ("witness", str), ("witness_length", int),
+    for key, typ in (("witness", str), ("witness_length", int),
                      ("preimage_size", int), ("max_len", int), ("note", str)):
         if d.get(key) is not None and not isinstance(d[key], typ):
             raise ValueError(f"report key {key!r} must be {typ.__name__} or null")
+    if d.get("method") not in (None, "poly", "oracle", "fast-path"):
+        raise ValueError(f"bad method value {d['method']!r}")
     if (d.get("witness") is None) != (d.get("witness_length") is None):
         raise ValueError("witness and witness_length must be present together")
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: routing, exit codes, JSON determinism."""
 
+import hashlib
 import itertools
 import json
 import operator
@@ -232,6 +233,20 @@ def test_random_command_is_deterministic(capsys):
     assert first == second and first.startswith("6 2")
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (1, "06a081d9e27f8c827a610973b79d84cfb501798ebec34c24d886cf4f52e6d53d"),
+    (2, "f6aa607d4c6851344f968a2bcd859e8f7cbf49cd38967a50adf66b783dc19eff"),
+    (3, "1bee4c45e39021a0206c9bc029bdfb1cbe9c339552577c4b8b16f04ebfed04fb"),
+])
+def test_random_synchronizing_output_is_pinned(capsys, seed, digest):
+    # SHA-256 of the output recorded while synchronization still came from
+    # the pair table alone: the reset-word certificate that now answers first
+    # must draw nothing from the generator's random state.
+    code, out, _ = run(capsys, "random", "--states", "200", "--letters", "2", "--seed", str(seed),
+                       "--constraint", "synchronizing")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_error_exit_codes(files, capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "missing.aut"),
                        "--subset", "0", "--problem", "extend")
@@ -329,6 +344,19 @@ def test_oracle_fallback_out_of_budget_reports_oracle(files, capsys):
     validate_report(report)
     assert code == 2 and report["answer"] == "unknown-budget"
     assert report["method"] == "oracle" and "node limit 3" in report["note"]
+
+
+def test_validate_report_rejects_a_method_outside_the_schema(files, capsys):
+    # An earlier version printed this report with "method": "auto", the
+    # command-line choice, instead of the route that ran.
+    _, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
+                    "--problem", "extend", "--budget", "3", "--json")
+    report = json.loads(out)
+    for method in ("poly", "oracle", "fast-path", None):
+        validate_report(dict(report, method=method))
+    for method in ("auto", "", 3):
+        with pytest.raises(ValueError):
+            validate_report(dict(report, method=method))
 
 
 def test_cli_import_leaves_fractions_unloaded():

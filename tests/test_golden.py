@@ -1,14 +1,17 @@
-"""Byte-for-byte guard on ``check --json --witness`` output.
+"""Byte-for-byte guard on ``check --json`` output, with and without ``--witness``.
 
 ``tests/data/golden_check.json`` holds the stdout and exit code of every case
-below, recorded before the pair table and the word actions were rewritten
-for speed.  A later change that alters an answer, a witness, a preimage size
-or a ``stats`` value fails here, so "same answers and witnesses" is checked
-on every run.  The automata are committed as files next to it, so the cases
-do not depend on the random generator: ``random40_sync`` is
-``random_automaton(40, 3, seed=4012)``, a synchronizing automaton, and
-``random40_rank2`` is ``random_automaton(40, 2, seed=4018)``, whose minimal
-rank is 2.
+below.  The ``--witness`` cases were recorded before the pair table and the
+word actions were rewritten for speed; the decision-only cases (key suffix
+``|decision``: ``extend-total`` and ``resize`` without ``--witness``, the
+routes that take the synchronizing fast paths) were recorded before
+synchronization was first proved by a reset-word certificate.  A later
+change that alters an answer, a witness, a preimage size or a ``stats``
+value fails here, so "same answers and witnesses" is checked on every run.
+The automata are committed as files next to it, so the cases do not depend
+on the random generator: ``random40_sync`` is ``random_automaton(40, 3,
+seed=4012)``, a synchronizing automaton, and ``random40_rank2`` is
+``random_automaton(40, 2, seed=4018)``, whose minimal rank is 2.
 """
 
 import json
@@ -29,12 +32,14 @@ SUBSETS = {
 }
 CASES = [f"{name}|{subset}|{problem}" for name, subsets in SUBSETS.items()
          for subset in subsets for problem in PROBLEMS]
+CASES += [f"{name}|{subset}|{problem}|decision" for name, subsets in SUBSETS.items()
+          for subset in subsets for problem in ("extend-total", "resize")]
 
 
 def run_case(case: str, capsys) -> dict:
-    name, subset, problem = case.split("|")
+    name, subset, problem, *decision = case.split("|")
     code = main(["check", str(DATA / f"{name}.aut"), "--subset", subset, "--problem", problem,
-                 "--json", "--witness"])
+                 "--json"] + ([] if decision else ["--witness"]))
     return {"exit": code, "stdout": capsys.readouterr().out}
 
 

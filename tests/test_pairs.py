@@ -1,13 +1,15 @@
 """Pair table, synchronization, minimal rank, and state avoidability."""
 
+import json
 import random
 from collections import deque
 
 import pytest
 
-from preimages import (StateSet, Word, apply_word, avoidable_state, forward_subset_bfs,
-                       greedy_reset_word, is_synchronizing, minimal_rank_word,
+from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, cerny_automaton,
+                       forward_subset_bfs, greedy_reset_word, is_synchronizing, minimal_rank_word,
                        oracle_min_rank, pair_table, random_automaton)
+from preimages import cli
 
 
 def test_pair_table_reference(c4, p3, ch2):
@@ -206,3 +208,66 @@ def test_pair_table_and_compression_words_match_the_reference_search():
         synchronizing = dist.count(-1) == n * (n + 1) // 2
         assert is_synchronizing(aut) == synchronizing
         assert greedy_reset_word(aut) == (letters if synchronizing else None)
+
+
+def _union(a, b):
+    """Disjoint union: b's states follow a's.  Never synchronizing."""
+    return [list(row) for row in a.rows] + [[q + a.n for q in row] for row in b.rows]
+
+
+def _certificate_corpus():
+    rng = random.Random(21)
+    for _ in range(150):
+        n, k = rng.randint(2, 60), rng.choice((2, 3))
+        yield random_automaton(n, k, seed=rng.randrange(10**9)).rows
+    for n in (2, 3, 5, 9, 17, 30):
+        yield cerny_automaton(n).rows
+    for _ in range(10):
+        parts = [random_automaton(rng.randint(1, 30), 2, seed=rng.randrange(10**9))
+                 for _ in range(2)]
+        yield _union(*parts)
+    yield _union(cerny_automaton(6), cerny_automaton(7))
+    for n, k in ((2, 1), (7, 2), (40, 3)):
+        rows = random_automaton(n, k, seed=rng.randrange(10**9), constraint="permutation").rows
+        yield rows
+        yield list(rows) + [[0] * k]  # one merge, then the image never shrinks again
+    yield [[0]]
+    yield [[0, 0, 0]]
+
+
+def test_synchronization_certificate_agrees_with_the_pair_criterion():
+    answers, tableless = set(), 0
+    for rows in _certificate_corpus():
+        aut = Automaton(rows)
+        flag = is_synchronizing(aut)
+        assert flag == pair_table(Automaton(rows)).all_compressible()
+        assert flag or "pair_table" in aut._derived
+        answers.add(flag)
+        tableless += "pair_table" not in aut._derived
+    # both outcomes occur, and most "yes" answers built no table
+    assert answers == {True, False} and tableless > 100
+
+
+def test_decision_only_routes_build_no_pair_table(monkeypatch, capsys):
+    rows = random_automaton(600, 2, seed=3).rows
+    random.seed(1)
+    state = random.getstate()
+    aut = Automaton(rows)
+    assert is_synchronizing(aut) and "pair_table" not in aut._derived
+    assert random.getstate() == state  # no shared random state consumed
+    for problem in ("extend-total", "resize"):
+        aut = Automaton(rows)
+        monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
+        code = cli.main(["check", "unused.aut", "--subset", "5,70", "--problem", problem,
+                         "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1) and report["method"] == "fast-path"
+        assert report["classification"]["synchronizing"] is True
+        assert "pair_table" not in aut._derived
+
+
+def test_a_no_comes_from_the_pair_table(p3):
+    union = Automaton(_union(random_automaton(30, 2, seed=4), random_automaton(40, 2, seed=5)))
+    for aut in (p3, union, Automaton(_union(cerny_automaton(5), cerny_automaton(6)))):
+        assert not is_synchronizing(aut)
+        assert "pair_table" in aut._derived
