@@ -38,5 +38,6 @@ print("  check: Q.w =", apply_word(aut, StateSet.full(4), w),
 # plus a short steering path.
 print("\nsynchronizing:", is_synchronizing(aut),
       " greedy reset word:", greedy_reset_word(aut).text(aut.k))
-decision, witness = totally_extensible_synchronizing(aut, aut.state_set([2]), witness=True)
+decision = totally_extensible_synchronizing(aut, aut.state_set([2]))
+witness = totally_extending_word_small(aut, aut.state_set([2]))
 print("fast path for {2}:", decision, "witness", witness.text(aut.k))

@@ -13,7 +13,7 @@ aut = cerny_automaton(4)
 
 for q in range(4):
     print(f"state {q} avoidable: {avoidable_state(aut, q)}")
-decision, w = avoidable_state(aut, 0, witness=True)
+w = avoiding_word(aut, aut.state_set([0]))
 print("witness avoiding state 0:", w.text(aut.k), "-> Q.w =",
       apply_word(aut, StateSet.full(4), w))
 

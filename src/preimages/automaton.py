@@ -91,9 +91,6 @@ class Word:
         return f"Word({self.text()!r})"
 
 
-EPSILON = Word()
-
-
 class StateSet:
     """A subset of the states of an ``n``-state automaton.
 
@@ -212,9 +209,6 @@ class Automaton:
         self.rows = tuple(table)
         self.by_letter = tuple(tuple(table[q][a] for q in range(n)) for a in range(k))
         self._derived: dict = {}
-
-    def delta(self, q: int, a: int) -> int:
-        return self.rows[q][a]
 
     def preimage_masks(self, a: int) -> tuple[int, ...]:
         """For letter ``a``: bit mask of ``{p : p.a == q}`` per target state ``q``."""

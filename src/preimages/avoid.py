@@ -32,7 +32,6 @@ class RankPartition:
     word: Word
     image: StateSet
     classes: tuple[StateSet, ...]
-    class_index: tuple[int, ...]
     representatives: tuple[int, ...]
     z: int
 
@@ -44,11 +43,8 @@ def rank_partition(aut: Automaton, s: StateSet) -> RankPartition:
     reps = sorted(set(image_of))
     rep_index = {p: i for i, p in enumerate(reps)}
     class_bits = [0] * len(reps)
-    class_index = [0] * aut.n
     for q, p in enumerate(image_of):
-        ci = rep_index[p]
-        class_index[q] = ci
-        class_bits[ci] |= 1 << q
+        class_bits[rep_index[p]] |= 1 << q
 
     z = sum(1 for bits in class_bits if bits & s.bits)
     assert len(reps) == rank.rank
@@ -56,7 +52,6 @@ def rank_partition(aut: Automaton, s: StateSet) -> RankPartition:
         word=rank.word,
         image=rank.image,
         classes=tuple(StateSet(aut.n, bits) for bits in class_bits),
-        class_index=tuple(class_index),
         representatives=tuple(reps),
         z=z,
     )

@@ -148,44 +148,47 @@ def _oracle(aut: Automaton, s: StateSet, problem: str, budget: int, oracle_cap: 
 
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
-    if method == "oracle":
-        return _oracle(aut, s, problem, budget, oracle_cap)
+    """Answer the whole query.  A fast path or the ``_SEARCH`` function answers
+    first unless ``--method oracle`` is given.  The oracle answers instead when
+    asked to, and under ``auto`` (n within the oracle cap) when the search ran
+    out of budget or its witness is not shortest and longer than ``--max-len``.
+    A shortest witness longer than ``--max-len`` turns "yes" into "no"."""
     need_word = want_witness or max_len is not None
-    if problem == "resize" and method == "auto" and not need_word and is_synchronizing(aut):
-        return Route(_yes_no(resize_mod.resizable_decision_fast(aut, s)), None, "fast-path", True)
-    if problem == "extend-total" and is_synchronizing(aut):
-        got = totally_extensible_synchronizing(aut, s, witness=need_word)
-        decision, word = got if isinstance(got, tuple) else (got, None)
-        return Route(_yes_no(decision), word, "fast-path", not decision)
-    if problem == "avoid" and s.size == 1 and not need_word:
-        return Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
+    if method == "oracle":
+        route = None
+    elif problem == "resize" and method == "auto" and not need_word and is_synchronizing(aut):
+        route = Route(_yes_no(resize_mod.resizable_decision_fast(aut, s)), None, "fast-path", True)
+    elif problem == "extend-total" and is_synchronizing(aut):
+        decision = totally_extensible_synchronizing(aut, s)
+        word = extend_mod.totally_extending_word_small(aut, s) if decision and need_word else None
+        route = Route(_yes_no(decision), word, "fast-path", not decision)
+    elif problem == "avoid" and s.size == 1 and not need_word:
+        route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
+    else:
+        module, name, shortest = _SEARCH[problem]
+        try:
+            word = getattr(module, name)(aut, s, budget=budget, stats=stats)
+            route = Route(_yes_no(word is not None), word, "poly", shortest or word is None)
+        except BudgetExceededError:
+            route = Route(ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded")
 
-    module, name, shortest = _SEARCH[problem]
-    try:
-        word = getattr(module, name)(aut, s, budget=budget, stats=stats)
-    except BudgetExceededError:
-        if method == "auto" and aut.n <= oracle_cap:
-            return _oracle(aut, s, problem, budget, oracle_cap)
-        return Route(ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded")
-    return Route(_yes_no(word is not None), word, "poly", shortest or word is None)
-
-
-def _apply_max_len(aut: Automaton, s: StateSet, problem: str, max_len: int, route: Route,
-                   budget: int, oracle_cap: int, method: str) -> Route:
-    """Resolve the bounded-length variant honestly."""
-    if route.answer != ANSWER_YES or (route.word is not None and len(route.word) <= max_len):
-        return route
-    if not route.shortest:
-        if method != "auto" or aut.n > oracle_cap:
-            return Route(ANSWER_UNKNOWN, None, route.method, False,
-                         "method does not produce shortest witnesses; length bound undecided")
+    why = ""  # prefix of the note when the oracle itself runs out
+    if route is not None:
+        too_long = max_len is not None and route.word is not None and len(route.word) > max_len
+        if route.answer == ANSWER_UNKNOWN or (too_long and not route.shortest):
+            if method == "auto" and aut.n <= oracle_cap:
+                route, why = None, "length bound undecided: " if too_long else ""
+            elif too_long:
+                return Route(ANSWER_UNKNOWN, None, route.method, False,
+                             "method does not produce shortest witnesses; length bound undecided")
+    if route is None:
         try:
             route = _oracle(aut, s, problem, budget, oracle_cap)
         except BudgetExceededError as exc:
-            return Route(ANSWER_UNKNOWN, None, "oracle", False, f"length bound undecided: {exc}")
-        if route.word is not None and len(route.word) <= max_len:
-            return route
-    return Route(ANSWER_NO, None, route.method, True, "shortest witness exceeds the length bound")
+            return Route(ANSWER_UNKNOWN, None, "oracle", False, why + str(exc))
+    if max_len is not None and route.word is not None and len(route.word) > max_len:
+        return Route(ANSWER_NO, None, route.method, True, "shortest witness exceeds the length bound")
+    return route
 
 
 def _emit(report: WitnessReport, as_json: bool) -> None:
@@ -214,13 +217,8 @@ def _cmd_check(args) -> int:
     budget, cap = _limit(args, "budget"), _limit(args, "oracle_cap")
     stats: dict = {}
     t0 = time.perf_counter()
-    try:
-        route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness,
-                        args.max_len, stats)
-    except BudgetExceededError as exc:  # the oracle itself ran out
-        route = Route(ANSWER_UNKNOWN, None, "oracle", False, str(exc))
-    if args.max_len is not None and route.answer != ANSWER_UNKNOWN:
-        route = _apply_max_len(aut, s, args.problem, args.max_len, route, budget, cap, args.method)
+    route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness, args.max_len,
+                    stats)
     return _finish(args, aut, s, route, stats, t0)
 
 

@@ -12,18 +12,20 @@ extending word ``aw`` forces ``|S . w^-1| <= |S|``.
 ``totally_extending_word_small`` first drives Q to an incompressible image
 via a minimal-rank word u, then searches the fixed-size image space for a
 subset of S; the result ``u . path`` is correct but not necessarily
-shortest.
+shortest.  On a synchronizing automaton u is the greedy reset word and the
+search walks singletons into S, so the same function gives the witness of
+the synchronizing fast path.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Optional, Union
+from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, apply_word, scc, subset_bfs
+from .automaton import Automaton, StateSet, Word, scc, subset_bfs
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, NotSynchronizingError
-from .pairs import greedy_reset_word, is_synchronizing, minimal_rank_word
+from .pairs import is_synchronizing, minimal_rank_word
 
 
 def shortest_extending_word_small(aut: Automaton, s: StateSet,
@@ -87,13 +89,13 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
     return None if path is None else rank.word + path
 
 
-def totally_extensible_synchronizing(aut: Automaton, s: StateSet, witness: bool = False
-                                     ) -> Union[bool, tuple[bool, Optional[Word]]]:
+def totally_extensible_synchronizing(aut: Automaton, s: StateSet) -> bool:
     """Fast path for synchronizing automata: S is totally extensible iff it
     meets the unique sink component.
 
-    Raises NotSynchronizingError otherwise.  The optional witness (reset
-    word, then a path into S inside the sink component) is not shortest.
+    Raises NotSynchronizingError otherwise.  A witness, the reset word
+    followed by a path into S inside the sink component, comes from
+    ``totally_extending_word_small``.
     """
     aut.check_set(s)
     if not is_synchronizing(aut):
@@ -102,18 +104,4 @@ def totally_extensible_synchronizing(aut: Automaton, s: StateSet, witness: bool 
     comps = scc(aut)
     sink_ids = comps.sink_components()
     assert len(sink_ids) == 1, "a synchronizing automaton has exactly one sink component"
-    sink_members = comps.components[sink_ids[0]]
-    decision = any(q in s for q in sink_members)
-    if not witness:
-        return decision
-    if not decision:
-        return False, None
-
-    reset = greedy_reset_word(aut)
-    p = next(iter(apply_word(aut, StateSet.full(aut.n), reset)))
-    # BFS over singletons from p to the nearest state of S (all of S's sink
-    # states qualify); there are at most n nodes.
-    path = subset_bfs([(1 << p, -1)], aut.image_bits, aut.k, lambda bits: bits & s.bits != 0,
-                      aut.n)
-    assert path is not None, "sink component state must be reachable from the reset state"
-    return True, reset + path
+    return any(q in s for q in comps.components[sink_ids[0]])

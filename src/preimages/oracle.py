@@ -47,10 +47,6 @@ class SubsetBfsResult:
     reached: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     hit: Optional[int] = None
 
-    def depth(self, s: StateSet) -> Optional[int]:
-        entry = self.reached.get(s.bits)
-        return None if entry is None else entry[0]
-
     def word_to(self, bits: int) -> Word:
         """Reconstruct the word whose action produced the given subset."""
         letters: list[int] = []
@@ -173,22 +169,16 @@ def _word_and_length(result: SubsetBfsResult) -> Optional[tuple[Word, int]]:
 
 def oracle_shortest(aut: Automaton, s: StateSet, goal: str,
                     node_limit: int = DEFAULT_NODE_BUDGET,
-                    state_cap: int = DEFAULT_ORACLE_STATE_CAP,
-                    result: Optional[SubsetBfsResult] = None) -> Optional[tuple[Word, int]]:
+                    state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> Optional[tuple[Word, int]]:
     """Shortest word for one of the preimage goals, or None.
 
     goal: "extending" (first preimage larger than S), "totally-extending"
     (preimage Q), "avoiding" (preimage of S shrinks to the empty set), or
     "resizing" (first preimage of a different size).  The search stops at
-    the first subset that meets the goal.  An already-computed full
-    ``backward_subset_bfs`` result for the same (automaton, S) may be passed
-    to answer several goals from one search.
+    the first subset that meets the goal.
     """
     aut.check_set(s)
     want = goal_predicate(goal, aut, s)
-    if result is not None:
-        hit = result.first_match(want)
-        return None if hit is None else hit[:2]
     return _word_and_length(backward_subset_bfs(aut, s, node_limit, state_cap, stop=want))
 
 

@@ -3,10 +3,12 @@
 The backward breadth-first search over the pair automaton yields, for every
 unordered pair of states, the exact length of a shortest word merging the
 pair (infinite when the pair can never be merged).  On top of the table sit
-a greedy reset word, minimal-rank words, the avoidability decision for
-single states, and the "no" of the synchronization check.  A "yes" needs no
-table: a fixed pseudo-random word that maps Q to one state proves it, and
-random automata synchronize fast under random words (Nicaud 2016).
+the minimal-rank word (iterated pair compression from Q, which on a
+synchronizing automaton is also the greedy reset word), the avoidability
+decision for single states, and the "no" of the synchronization check.  A
+"yes" needs no table: a fixed pseudo-random word that maps Q to one state
+proves it, and random automata synchronize fast under random words
+(Nicaud 2016).
 
 The table keeps one back-pointer per pair in an array of machine ints,
 ``(parent + 1) * k + a``: ``a`` is the first letter of the pair's shortest
@@ -189,32 +191,6 @@ def _best_pair_in(bits: int, table: PairTable) -> Optional[tuple[int, int]]:
     return best
 
 
-def _compress(aut: Automaton) -> tuple[list[int], int]:
-    """Iterated pair compression from Q until the image is incompressible:
-    the letters and the image bits."""
-    table = pair_table(aut)
-    bits = (1 << aut.n) - 1
-    letters: list[int] = []
-    while bits.bit_count() > 1:
-        pair = _best_pair_in(bits, table)
-        if pair is None:
-            break
-        w = table.word(*pair)
-        letters.extend(w)
-        bits = apply_word(aut, StateSet(aut.n, bits), w).bits
-        if len(letters) > aut.n ** 3:
-            raise AssertionError("pair compression exceeded its length guard")
-    return letters, bits
-
-
-def greedy_reset_word(aut: Automaton) -> Optional[Word]:
-    """A reset word built by repeated pair compression (not the shortest).
-
-    Returns None when the automaton is not synchronizing.
-    """
-    return Word(_compress(aut)[0]) if is_synchronizing(aut) else None
-
-
 @dataclass(frozen=True)
 class RankResult:
     """A word of minimal rank together with its (incompressible) image."""
@@ -233,10 +209,27 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     """
     cached = aut._derived.get("min_rank")
     if cached is None:
-        letters, bits = _compress(aut)
+        table = pair_table(aut)
+        bits = (1 << aut.n) - 1
+        letters: list[int] = []
+        while bits.bit_count() > 1:
+            pair = _best_pair_in(bits, table)
+            if pair is None:
+                break
+            w = table.word(*pair)
+            letters.extend(w)
+            bits = apply_word(aut, StateSet(aut.n, bits), w).bits
+            if len(letters) > aut.n ** 3:
+                raise AssertionError("pair compression exceeded its length guard")
         cached = RankResult(Word(letters), StateSet(aut.n, bits), bits.bit_count())
         aut._derived["min_rank"] = cached
     return cached
+
+
+def greedy_reset_word(aut: Automaton) -> Optional[Word]:
+    """A reset word built by repeated pair compression (not the shortest): the
+    minimal-rank word, or None when the automaton is not synchronizing."""
+    return minimal_rank_word(aut).word if is_synchronizing(aut) else None
 
 
 def induced_automaton(aut: Automaton, component: tuple[int, ...]) -> Automaton:
@@ -254,44 +247,28 @@ def induced_automaton(aut: Automaton, component: tuple[int, ...]) -> Automaton:
     return Automaton(rows)
 
 
-def avoidable_state(aut: Automaton, q: int, witness: bool = False):
+def avoidable_state(aut: Automaton, q: int) -> bool:
     """Is there a word whose image misses state ``q``?
 
-    Decision logic: with a cached positive synchronization flag the answer is
-    "q is not a sink state"; otherwise states outside every sink component
-    are avoidable, and a state inside a sink component is avoidable iff it
-    belongs to a compressible pair of that component's sub-automaton.
-
-    With ``witness=True`` returns ``(decision, word-or-None)`` where the word
-    comes from the subset-avoidance search on ``{q}``.
+    With a cached positive synchronization flag the answer is "q is not a
+    sink state"; otherwise states outside every sink component are avoidable,
+    and a state inside a sink component is avoidable iff it belongs to a
+    compressible pair of that component's sub-automaton.  A witness comes
+    from ``avoid.avoiding_word`` on ``{q}``.
     """
     if not 0 <= q < aut.n:
         raise ValueError(f"state {q} out of range [0, {aut.n})")
 
-    flag = known_synchronizing(aut)
-    if flag:
-        decision = not all(aut.rows[q][a] == q for a in range(aut.k))
-    else:
-        comps = scc(aut)
-        cid = comps.component_of[q]
-        if not comps.sink_flags[cid]:
-            decision = True
-        else:
-            component = comps.components[cid]
-            if len(component) == 1:
-                decision = False
-            else:
-                sub = induced_automaton(aut, component)
-                sub_q = component.index(q)
-                table = pair_table(sub)
-                decision = any(table.compressible(sub_q, p) for p in range(sub.n) if p != sub_q)
-
-    if not witness:
-        return decision
-    if not decision:
-        return False, None
-    from . import avoid  # local import; avoid builds on this module
-
-    word = avoid.avoiding_word(aut, StateSet.from_states(aut.n, [q]))
-    assert word is not None and q not in apply_word(aut, StateSet.full(aut.n), word)
-    return True, word
+    if known_synchronizing(aut):
+        return not all(aut.rows[q][a] == q for a in range(aut.k))
+    comps = scc(aut)
+    cid = comps.component_of[q]
+    if not comps.sink_flags[cid]:
+        return True
+    component = comps.components[cid]
+    if len(component) == 1:
+        return False
+    sub = induced_automaton(aut, component)
+    sub_q = component.index(q)
+    table = pair_table(sub)
+    return any(table.compressible(sub_q, p) for p in range(sub.n) if p != sub_q)

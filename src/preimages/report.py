@@ -7,7 +7,7 @@ requested) so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, apply_word, preimage_word
@@ -15,8 +15,6 @@ from .automaton import Automaton, StateSet, Word, apply_word, preimage_word
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
 ANSWER_UNKNOWN = "unknown-budget"
-
-PROBLEMS = ("extend", "extend-total", "avoid", "resize")
 
 
 @dataclass
@@ -34,21 +32,11 @@ class WitnessReport:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "problem": self.problem,
-            "answer": self.answer,
-            "subset_size": self.subset_size,
-            "method": self.method,
-            "witness": self.witness,
-            "witness_length": self.witness_length,
-            "preimage_size": self.preimage_size,
-            "stats": dict(self.stats),
-            "classification": dict(self.classification),
-        }
-        if self.max_len is not None:
-            d["max_len"] = self.max_len
-        if self.note is not None:
-            d["note"] = self.note
+        """Every field; ``max_len`` and ``note`` only when set."""
+        d = asdict(self)
+        for key in ("max_len", "note"):
+            if d[key] is None:
+                del d[key]
         return d
 
     def to_json(self) -> str:

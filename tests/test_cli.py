@@ -177,6 +177,21 @@ def test_json_is_byte_identical_across_runs(files, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("problem, extra", [("extend", ()), ("extend-total", ("--witness",)),
+                                            ("avoid", ("--max-len", "2")),
+                                            ("resize", ("--method", "oracle", "--witness"))])
+def test_timing_adds_only_elapsed_ms(files, capsys, problem, extra):
+    args = ("check", files["cerny4"], "--subset", "1,2", "--problem", problem, *extra, "--json")
+    code, out, _ = run(capsys, *args)
+    timed_code, timed_out, _ = run(capsys, *args, "--timing")
+    report, timed = json.loads(out), json.loads(timed_out)
+    validate_report(timed)
+    assert "elapsed_ms" not in report["stats"]
+    elapsed = timed["stats"].pop("elapsed_ms")
+    assert type(elapsed) in (int, float) and elapsed >= 0
+    assert timed_code == code and timed == report
+
+
 def test_classify_and_rank_and_reset(files, capsys):
     code, out, _ = run(capsys, "classify", files["cerny4"], "--json")
     assert code == 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preimages import (BudgetExceededError, NotSynchronizingError, StateSet, Word,
-                       apply_word, backward_subset_bfs, is_strongly_connected,
-                       is_synchronizing, preimage_word, random_automaton,
+                       apply_word, backward_subset_bfs, greedy_reset_word,
+                       is_strongly_connected, is_synchronizing, preimage_word, random_automaton,
                        shortest_extending_word_small, totally_extending_word_small,
                        totally_extensible_synchronizing)
 from preimages.oracle import goal_predicate
@@ -89,13 +89,37 @@ def test_totally_extending_matches_oracle_decision():
 def test_totally_extensible_synchronizing(c4, ch2, p3):
     assert totally_extensible_synchronizing(c4, c4.state_set([2]))
     assert not totally_extensible_synchronizing(ch2, ch2.state_set([0]))
-    ok, w = totally_extensible_synchronizing(ch2, ch2.state_set([1]), witness=True)
-    assert ok and w == Word.from_text("a")
+    assert totally_extensible_synchronizing(ch2, ch2.state_set([1]))
+    assert totally_extending_word_small(ch2, ch2.state_set([1])) == Word.from_text("a")
     with pytest.raises(NotSynchronizingError):
         totally_extensible_synchronizing(p3, p3.state_set([0]))
 
 
+def _reset_then_nearest_state(aut, s):
+    """The greedy reset word, then a shortest path (FIFO, letters ascending)
+    from its single image state to the nearest state of S."""
+    reset = greedy_reset_word(aut)
+    start = next(iter(apply_word(aut, StateSet.full(aut.n), reset)))
+    back, frontier = {start: None}, [start]
+    while not any(q in s for q in frontier):
+        nxt = []
+        for q in frontier:
+            for a in range(aut.k):
+                p = aut.rows[q][a]
+                if p not in back:
+                    back[p] = (q, a)
+                    nxt.append(p)
+        frontier = nxt
+    q, path = next(q for q in frontier if q in s), []
+    while back[q] is not None:
+        q, a = back[q]
+        path.append(a)
+    return reset + Word(reversed(path))
+
+
 def test_totally_extensible_synchronizing_witnesses_verify():
+    # On a synchronizing automaton the minimal-rank search is the greedy reset
+    # word followed by a shortest walk from its image state into S.
     rng = random.Random(13)
     done = 0
     while done < 60:
@@ -106,12 +130,12 @@ def test_totally_extensible_synchronizing_witnesses_verify():
         done += 1
         bits = rng.randrange(1, 1 << n)
         s = StateSet(n, bits)
-        got = totally_extensible_synchronizing(aut, s, witness=True)
-        decision, w = got
+        decision = totally_extensible_synchronizing(aut, s)
+        w = totally_extending_word_small(aut, s)
+        assert decision == (w is not None)
         if decision:
             assert preimage_word(aut, s, w).size == n
-        else:
-            assert w is None
+            assert w == _reset_then_nearest_state(aut, s)
 
 
 @settings(max_examples=60, deadline=None)

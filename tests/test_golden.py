@@ -5,8 +5,11 @@ below.  The ``--witness`` cases were recorded before the pair table and the
 word actions were rewritten for speed; the decision-only cases (key suffix
 ``|decision``: ``extend-total`` and ``resize`` without ``--witness``, the
 routes that take the synchronizing fast paths) were recorded before
-synchronization was first proved by a reset-word certificate.  A later
-change that alters an answer, a witness, a preimage size or a ``stats``
+synchronization was first proved by a reset-word certificate; the option
+cases (key suffix ``|--max-len=0`` and the like, each with and without
+``--witness``) pin the ``--max-len``, ``--method`` and ``--budget`` routes and
+were recorded before the length bound and the oracle fallback became one
+route.  A later change that alters an answer, a witness, a preimage size or a ``stats``
 value fails here, so "same answers and witnesses" is checked on every run.
 The automata are committed as files next to it, so the cases do not depend
 on the random generator: ``random40_sync`` is ``random_automaton(40, 3,
@@ -34,12 +37,21 @@ CASES = [f"{name}|{subset}|{problem}" for name, subsets in SUBSETS.items()
          for subset in subsets for problem in PROBLEMS]
 CASES += [f"{name}|{subset}|{problem}|decision" for name, subsets in SUBSETS.items()
           for subset in subsets for problem in ("extend-total", "resize")]
+OPTIONS = ("--max-len=0", "--max-len=2", "--method=poly", "--method=oracle", "--budget=2",
+           "--budget=3")
+CASES += [f"{name}|{subset}|{problem}|{option}{suffix}"
+          for name in ("cerny4", "perm3", "chain2", "random40_rank2")
+          for subset in SUBSETS[name] for problem in PROBLEMS for option in OPTIONS
+          for suffix in ("", "|decision")]
 
 
 def run_case(case: str, capsys) -> dict:
-    name, subset, problem, *decision = case.split("|")
-    code = main(["check", str(DATA / f"{name}.aut"), "--subset", subset, "--problem", problem,
-                 "--json"] + ([] if decision else ["--witness"]))
+    name, subset, problem, *rest = case.split("|")
+    argv = ["check", str(DATA / f"{name}.aut"), "--subset", subset, "--problem", problem,
+            "--json"]
+    for part in rest:
+        argv += [] if part == "decision" else part.split("=")
+    code = main(argv + ([] if "decision" in rest else ["--witness"]))
     return {"exit": code, "stdout": capsys.readouterr().out}
 
 

@@ -6,9 +6,9 @@ from collections import deque
 
 import pytest
 
-from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, cerny_automaton,
-                       forward_subset_bfs, greedy_reset_word, is_synchronizing, minimal_rank_word,
-                       oracle_min_rank, pair_table, random_automaton)
+from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
+                       cerny_automaton, forward_subset_bfs, greedy_reset_word, is_synchronizing,
+                       minimal_rank_word, oracle_min_rank, pair_table, random_automaton)
 from preimages import cli
 
 
@@ -111,8 +111,8 @@ def test_minimal_rank_image_is_incompressible():
 
 
 def test_avoidable_state_reference(c4, p3, ch2):
-    decision, witness = avoidable_state(c4, 0, witness=True)
-    assert decision and 0 not in apply_word(c4, StateSet.full(4), witness)
+    assert avoidable_state(c4, 0)
+    assert 0 not in apply_word(c4, StateSet.full(4), avoiding_word(c4, c4.state_set([0])))
     assert not avoidable_state(ch2, 1)
     assert avoidable_state(ch2, 0)
     assert not avoidable_state(p3, 0)
