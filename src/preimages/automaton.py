@@ -369,75 +369,61 @@ class SccDecomposition:
 
 
 def scc(aut: Automaton) -> SccDecomposition:
-    """Tarjan's algorithm (iterative), with deterministic component numbering."""
+    """Kosaraju's algorithm, iterative: a depth-first pass along the
+    transitions records the finishing order, then searches along predecessor
+    lists, started in reverse finishing order, each collect one component."""
     cached = aut._derived.get("scc")
     if cached is not None:
         return cached
 
-    n, k = aut.n, aut.k
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    raw_components: list[list[int]] = []
-    counter = 0
-
+    n, rows = aut.n, aut.rows
+    seen = [False] * n
+    order: list[int] = []  # states by finishing time
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        # Explicit DFS stack of (state, next letter to try).
-        work = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(rows[root]))]  # explicit DFS stack: (state, successors left)
         while work:
-            v, ai = work[-1]
-            if ai == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ai < k:
-                w = aut.rows[v][ai]
-                ai += 1
-                if index[w] == -1:
-                    work[-1] = (v, ai)
-                    work.append((w, 0))
-                    advanced = True
+            v, succ = work[-1]
+            for w in succ:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(rows[w])))
                     break
-                if on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                raw_components.append(comp)
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
+            else:
+                work.pop()
+                order.append(v)
+
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for q, row in enumerate(rows):
+        for p in row:
+            pred[p].append(q)
+    raw_components: list[list[int]] = []
+    for root in reversed(order):  # the second pass clears ``seen`` as it collects
+        if not seen[root]:
+            continue
+        seen[root] = False
+        comp, i = [root], 0
+        while i < len(comp):
+            for p in pred[comp[i]]:
+                if seen[p]:
+                    seen[p] = False
+                    comp.append(p)
+            i += 1
+        comp.sort()
+        raw_components.append(comp)
 
     raw_components.sort(key=lambda comp: comp[0])
     component_of = [0] * n
     for cid, comp in enumerate(raw_components):
         for q in comp:
             component_of[q] = cid
-    sink_flags = []
-    for cid, comp in enumerate(raw_components):
-        sink = all(component_of[aut.rows[q][a]] == cid for q in comp for a in range(k))
-        sink_flags.append(sink)
-
     result = SccDecomposition(
         component_of=tuple(component_of),
         components=tuple(tuple(c) for c in raw_components),
-        sink_flags=tuple(sink_flags),
+        sink_flags=tuple(all(component_of[p] == cid for q in comp for p in rows[q])
+                         for cid, comp in enumerate(raw_components)),
     )
     aut._derived["scc"] = result
     return result

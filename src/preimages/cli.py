@@ -11,6 +11,8 @@ them.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 import time
@@ -28,7 +30,8 @@ from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_ST
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
 from .gadgets import (CONSTRAINTS, DfaWithAcceptance, binarize, intersection_gadget,
                       large_extend_gadget, random_automaton, sink_binarize)
-from .pairs import greedy_reset_word, is_synchronizing, minimal_rank_word, avoidable_state
+from .pairs import (avoidable_state, greedy_reset_word, is_synchronizing, known_synchronizing,
+                    minimal_rank_word)
 from .extend import totally_extensible_synchronizing
 from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
 
@@ -101,8 +104,6 @@ def _parse_subset(aut: Automaton, text: str) -> StateSet:
 
 
 def _classification(aut: Automaton, want_sync: bool) -> dict:
-    from .pairs import known_synchronizing
-
     sync = known_synchronizing(aut)
     if sync is None and want_sync:
         sync = is_synchronizing(aut)
@@ -207,11 +208,11 @@ def _emit(report: WitnessReport, as_json: bool) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _exit_code(answer: str) -> int:
-    return {ANSWER_YES: EXIT_YES, ANSWER_NO: EXIT_NO, ANSWER_UNKNOWN: EXIT_UNKNOWN}[answer]
+_EXIT_OF = {ANSWER_YES: EXIT_YES, ANSWER_NO: EXIT_NO, ANSWER_UNKNOWN: EXIT_UNKNOWN}
 
 
 def _cmd_check(args) -> int:
+    """Decide the query, re-verify the witness, then build and emit the report."""
     aut = parse_automaton_file(args.file)
     s = _parse_subset(aut, args.subset)
     budget, cap = _limit(args, "budget"), _limit(args, "oracle_cap")
@@ -219,23 +220,12 @@ def _cmd_check(args) -> int:
     t0 = time.perf_counter()
     route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness, args.max_len,
                     stats)
-    return _finish(args, aut, s, route, stats, t0)
-
-
-def _cmd_oracle(args) -> int:
-    """``oracle --goal G`` is ``check --problem P --method oracle``."""
-    args.problem = _PROBLEM_OF[args.goal]
-    return _cmd_check(args)
-
-
-def _finish(args, aut: Automaton, s: StateSet, route: Route, stats: dict, t0: float) -> int:
-    """Re-verify the witness, then build and emit the report."""
     word = route.word if route.answer == ANSWER_YES else None
     shown = word if args.witness else None
     preimage_size = None
     if word is not None:  # both calls read one word map (automaton.word_map)
         if not witness_holds(aut, s, args.problem, word):
-            raise RuntimeError(f"internal error: witness {word.text(aut.k)!r} failed re-verification")
+            raise RuntimeError(f"witness {word.text(aut.k)!r} failed re-verification")
         preimage_size = preimage_word(aut, s, word).size
     if args.timing:
         stats["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
@@ -253,15 +243,19 @@ def _finish(args, aut: Automaton, s: StateSet, route: Route, stats: dict, t0: fl
         note=route.note,
     )
     _emit(report, args.json)
-    return _exit_code(route.answer)
+    return _EXIT_OF[route.answer]
+
+
+def _cmd_oracle(args) -> int:
+    """``oracle --goal G`` is ``check --problem P --method oracle``."""
+    args.problem = _PROBLEM_OF[args.goal]
+    return _cmd_check(args)
 
 
 def _cmd_classify(args) -> int:
     aut = parse_automaton_file(args.file)
     info = _classification(aut, want_sync=True)
     if args.json:
-        import json
-
         sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
     else:
         for key in ("strongly_connected", "synchronizing", "permutation"):
@@ -275,8 +269,6 @@ def _cmd_rank(args) -> int:
     aut = parse_automaton_file(args.file)
     result = minimal_rank_word(aut)
     if args.json:
-        import json
-
         payload = {
             "rank": result.rank,
             "word": result.word.text(aut.k),
@@ -302,7 +294,7 @@ def _cmd_reset(args) -> int:
         sys.stdout.write("answer: no (not synchronizing)\n")
         return EXIT_NO
     if apply_word(aut, StateSet.full(aut.n), word).size != 1:
-        raise RuntimeError("internal error: reset word failed re-verification")
+        raise RuntimeError("reset word failed re-verification")
     sys.stdout.write(f"answer: yes\nword: {word.text(aut.k)}\nlength: {len(word)}\n")
     return EXIT_YES
 
@@ -343,6 +335,7 @@ def _cmd_random(args) -> int:
     return EXIT_YES
 
 
+@functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="preimages",
                      description="Decide and witness preimage problems for complete DFAs")
@@ -413,7 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (AutomatonFormatError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
+    except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
     except (ValueError, NotSynchronizingError) as exc:

@@ -35,12 +35,6 @@ class DfaWithAcceptance:
             raise ValueError(f"initial state {self.initial} out of range")
         self.automaton.check_set(self.accepting)
 
-    def accepts(self, word) -> bool:
-        q = self.initial
-        for a in word:
-            q = self.automaton.rows[q][a]
-        return q in self.accepting
-
 
 def trim_reachable(dfa: DfaWithAcceptance) -> DfaWithAcceptance:
     """Restrict a DFA to the states reachable from its initial state.

@@ -41,8 +41,6 @@ class SubsetBfsResult:
     (None if no reachable subset does).
     """
 
-    n: int
-    origin: int
     direction: str  # "preimage" | "image"
     reached: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     hit: Optional[int] = None
@@ -95,7 +93,7 @@ def _subset_bfs(aut: Automaton, start_bits: int, direction: str, node_limit: int
     if aut.n > state_cap:
         raise BudgetExceededError(
             f"power-set search refused: n={aut.n} exceeds cap {state_cap}")
-    result = SubsetBfsResult(n=aut.n, origin=start_bits, direction=direction)
+    result = SubsetBfsResult(direction=direction)
     reached = result.reached
     reached[start_bits] = (0, -1, -1)
     if stop is not None and stop(start_bits, 0):

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, apply_word, scc
+from .automaton import Automaton, StateSet, Word, apply_word, is_permutation_automaton, scc
 
 
 class PairTable:
@@ -141,8 +141,8 @@ def _reset_certificate(aut: Automaton) -> bool:
     work passes without the image shrinking.  Its letters come from a
     private LCG, so no caller's random state is used."""
     n, k, succ = aut.n, aut.k, aut.by_letter
-    if n > 1 and all(len(set(row)) == n for row in succ):
-        return False  # every letter is a bijection: no word merges two states
+    if n > 1 and is_permutation_automaton(aut):
+        return False  # no word merges two states
     image, x, work, stall, cap = set(range(n)), 1, 0, 0, k * n * (n - 1) // 2
     for _ in range(8 * n):
         size = len(image)
@@ -232,35 +232,17 @@ def greedy_reset_word(aut: Automaton) -> Optional[Word]:
     return minimal_rank_word(aut).word if is_synchronizing(aut) else None
 
 
-def induced_automaton(aut: Automaton, component: tuple[int, ...]) -> Automaton:
-    """Sub-automaton on a sink component (all transitions stay inside)."""
-    relabel = {q: i for i, q in enumerate(component)}
-    rows = []
-    for q in component:
-        row = []
-        for a in range(aut.k):
-            p = aut.rows[q][a]
-            if p not in relabel:
-                raise ValueError("component is not closed under the transitions")
-            row.append(relabel[p])
-        rows.append(row)
-    return Automaton(rows)
-
-
 def avoidable_state(aut: Automaton, q: int) -> bool:
     """Is there a word whose image misses state ``q``?
 
-    With a cached positive synchronization flag the answer is "q is not a
-    sink state"; otherwise states outside every sink component are avoidable,
-    and a state inside a sink component is avoidable iff it belongs to a
-    compressible pair of that component's sub-automaton.  A witness comes
-    from ``avoid.avoiding_word`` on ``{q}``.
+    States outside every sink component are avoidable, and a state inside a
+    sink component is avoidable iff it belongs to a compressible pair of that
+    component's sub-automaton, which its own (smaller) pair table decides.
+    A witness comes from ``avoid.avoiding_word`` on ``{q}``.
     """
     if not 0 <= q < aut.n:
         raise ValueError(f"state {q} out of range [0, {aut.n})")
 
-    if known_synchronizing(aut):
-        return not all(aut.rows[q][a] == q for a in range(aut.k))
     comps = scc(aut)
     cid = comps.component_of[q]
     if not comps.sink_flags[cid]:
@@ -268,7 +250,7 @@ def avoidable_state(aut: Automaton, q: int) -> bool:
     component = comps.components[cid]
     if len(component) == 1:
         return False
-    sub = induced_automaton(aut, component)
-    sub_q = component.index(q)
-    table = pair_table(sub)
-    return any(table.compressible(sub_q, p) for p in range(sub.n) if p != sub_q)
+    index = {p: i for i, p in enumerate(component)}  # a sink component is closed
+    table = pair_table(Automaton([[index[p] for p in aut.rows[r]] for r in component]))
+    sub_q = index[q]
+    return any(table.compressible(sub_q, i) for i in range(len(component)) if i != sub_q)

@@ -120,8 +120,8 @@ def _run_sync_checks(aut, bits, truth, result: SweepResult):
 
 
 def _run_avoidable_checks(aut, fwd_reached, result: SweepResult, characterization: bool):
-    """avoidable_state against the forward oracle, before any cached
-    synchronization flag can shortcut it."""
+    """avoidable_state against the forward oracle, and in strongly connected
+    automata the compressible-pair characterization against it too."""
     n = aut.n
     for q in range(n):
         oracle_says = any(not (b >> q) & 1 for b in fwd_reached)

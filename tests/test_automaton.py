@@ -230,11 +230,22 @@ def test_scc_mutual_reachability_and_sinks(aut):
     for cid, comp in enumerate(d.components):
         outgoing = any(d.component_of[aut.rows[q][a]] != cid for q in comp for a in range(aut.k))
         assert d.sink_flags[cid] == (not outgoing)
+        assert list(comp) == sorted(comp)
+        assert all(d.component_of[q] == cid for q in comp)
+    assert [comp[0] for comp in d.components] == sorted(comp[0] for comp in d.components)
+    assert sorted(q for comp in d.components for q in comp) == list(range(aut.n))
 
 
 def test_component_numbering_is_by_smallest_member():
     aut = Automaton([[0], [1], [2]])  # three fixed points
     assert scc(aut).components == ((0,), (1,), (2,))
+
+    # A 20,000-state chain: deeper than any recursion limit, every state alone.
+    n = 20_000
+    d = scc(Automaton([[min(q + 1, n - 1)] for q in range(n)]))
+    assert d.components == tuple((q,) for q in range(n))
+    assert d.component_of == tuple(range(n))
+    assert d.sink_flags == (False,) * (n - 1) + (True,)
 
 
 def test_classification_helpers(c4, p3, ch2):

@@ -280,6 +280,28 @@ def test_error_exit_codes(files, capsys, tmp_path):
                      "--problem", "compress")
     assert code == 3
 
+    # Any file the OS cannot open, read or write is an input error.
+    for path in (files["cerny4"] + "/x", str(tmp_path / ("n" * 300))):
+        code, out, err = run(capsys, "check", path, "--subset", "0", "--problem", "extend")
+        assert code == 4 and out == "" and err.startswith("error: ")
+    code, _, err = run(capsys, "gadget", "sink", files["perm3"],
+                       "--output", files["cerny4"] + "/out")
+    assert code == 4 and err.startswith("error: ")
+
+
+def test_failed_reverification_is_an_internal_error(files, capsys, monkeypatch):
+    from preimages import Word, cli, extend
+
+    monkeypatch.setattr(extend, "shortest_extending_word_small", lambda *a, **kw: Word([0]))
+    code, out, err = run(capsys, "check", files["perm3"], "--subset", "0", "--problem", "extend")
+    assert code == 5 and out == ""
+    assert err == "internal error: witness 'a' failed re-verification\n"
+
+    monkeypatch.setattr(cli, "greedy_reset_word", lambda aut: Word([]))
+    code, out, err = run(capsys, "reset", files["cerny4"])
+    assert code == 5 and out == ""
+    assert err == "internal error: reset word failed re-verification\n"
+
 
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "binary.aut"
