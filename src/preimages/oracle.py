@@ -2,9 +2,8 @@
 
 Both directions walk the power set breadth-first, so they are capped (by
 default at 20 states) and guarded by an explicit node limit.  Depths are
-exact shortest distances; every stored back-pointer reconstructs a word of
-exactly that depth.  The preimage direction prepends letters while walking
-back-pointers, because ``(S . w^-1) . a^-1 == S . (aw)^-1``.
+exact shortest distances; the preimage direction prepends letters while
+walking back from a subset, because ``(S . w^-1) . a^-1 == S . (aw)^-1``.
 
 One step looks a subset up 8 states at a time: for each letter and each
 8-bit chunk of the state range a table holds, at index x, the union of the
@@ -13,11 +12,19 @@ ceil(n/8) lookups, and the tables stay linear in n.  A search given a goal
 stops at the first generated subset that meets it, which is a shortest
 witness because generation order is breadth-first; the node limit counts
 the subsets generated up to and including that one.
+
+Up to 20 states the search boxes nothing per subset: predecessors sit in
+an int array indexed by subset bits (4 MiB at n = 20, whatever the node
+limit) and the generation order in another.  Above that, under a raised
+cap, a dict holds the reached subsets' predecessors, bounded by the node
+limit.  Letters and depths are recovered from the predecessors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .automaton import Automaton, StateSet, Word
@@ -28,30 +35,75 @@ GOALS = ("extending", "totally-extending", "avoiding", "resizing")
 Goal = Callable[[int, int], bool]  # (subset bits, depth) -> met
 
 
+class _Reached(Mapping):
+    """Read-only map of the reached subsets in generation order (FIFO,
+    letters ascending): bits -> ``(depth, letter, predecessor bits)``, and
+    the start -> ``(0, -1, -1)``.  Its first match is what an early-stopping
+    search returns.  The letter is the smallest that maps the predecessor
+    to the subset, which is the one the search recorded."""
+
+    __slots__ = ("_pred", "_order", "_step", "_k")
+
+    def __init__(self, pred, order, step: Callable[[int, int], int], k: int):
+        self._pred = pred  # bits -> predecessor bits, the start's own bits, or -1
+        self._order = order  # reached subsets in generation order
+        self._step, self._k = step, k  # (bits, letter) -> child bits; letter count
+
+    def _parent(self, bits: int) -> int:
+        try:
+            parent = self._pred[bits] if bits >= 0 else -1
+        except IndexError:  # past the end of a flat store
+            parent = -1
+        if parent < 0:
+            raise KeyError(bits)
+        return parent
+
+    def _letter(self, parent: int, bits: int) -> int:
+        return next(a for a in range(self._k) if self._step(parent, a) == bits)
+
+    def __getitem__(self, bits: int) -> tuple[int, int, int]:
+        parent = self._parent(bits)
+        if parent == bits:
+            return 0, -1, -1
+        depth, p = 1, parent
+        while self._pred[p] != p:
+            depth, p = depth + 1, self._pred[p]
+        return depth, self._letter(parent, bits), parent
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+class _Sparse(dict):
+    """The predecessor store above the flat-array limit."""
+
+    def __missing__(self, bits: int) -> int:
+        return -1
+
+
 @dataclass
 class SubsetBfsResult:
-    """Reached subsets with shortest depths and back-pointers.
+    """The subsets a search reached, and the one that stopped it.
 
-    ``reached`` maps each subset bit pattern to ``(depth, letter, predecessor
-    bits)``; the origin has letter/predecessor -1.  Insertion order equals
-    generation order (FIFO, letters ascending), so iterating ``reached`` and
-    taking the first match reproduces what an early-stopping search returns.
     A search without a stop predicate reaches every subset; one with a stop
     predicate ends at the first subset that meets it, stored in ``hit``
     (None if no reachable subset does).
     """
 
     direction: str  # "preimage" | "image"
-    reached: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    reached: _Reached
     hit: Optional[int] = None
 
     def word_to(self, bits: int) -> Word:
         """Reconstruct the word whose action produced the given subset."""
-        letters: list[int] = []
-        entry = self.reached[bits]
-        while entry[1] >= 0:
-            letters.append(entry[1])
-            entry = self.reached[entry[2]]
+        reached, letters = self.reached, []
+        parent = reached._parent(bits)
+        while parent != bits:
+            letters.append(reached._letter(parent, bits))
+            bits, parent = parent, reached._pred[parent]
         if self.direction == "image":
             letters.reverse()
         return Word(letters)
@@ -93,34 +145,36 @@ def _subset_bfs(aut: Automaton, start_bits: int, direction: str, node_limit: int
     if aut.n > state_cap:
         raise BudgetExceededError(
             f"power-set search refused: n={aut.n} exceeds cap {state_cap}")
-    result = SubsetBfsResult(direction=direction)
-    reached = result.reached
-    reached[start_bits] = (0, -1, -1)
+    if aut.n <= DEFAULT_ORACLE_STATE_CAP:  # flat: at most 4 MiB of predecessors
+        pred, order = array("i", [-1]) * (1 << aut.n), array("I", [start_bits])
+    else:
+        pred, order = _Sparse(), [start_bits]
+    pred[start_bits] = start_bits
+    result = SubsetBfsResult(direction, _Reached(
+        pred, order, aut.preimage_bits if direction == "preimage" else aut.image_bits, aut.k))
     if stop is not None and stop(start_bits, 0):
         result.hit = start_bits
         return result
-    letters = tuple(enumerate(_step_tables(aut, direction)))
-    frontier = [start_bits]
-    depth = 0
-    while frontier:
+    step_tables = _step_tables(aut, direction)
+    depth = lo = 0
+    while lo < len(order):
         depth += 1
-        next_frontier = []
+        frontier, lo = order[lo:], len(order)
         for bits in frontier:
-            for a, tables in letters:
+            for tables in step_tables:
                 child, rest = 0, bits
                 for table in tables:
                     child |= table[rest & 0xFF]
                     rest >>= 8
-                if child not in reached:
-                    reached[child] = (depth, a, bits)
-                    next_frontier.append(child)
-                    if len(reached) > node_limit:
+                if pred[child] < 0:
+                    pred[child] = bits
+                    order.append(child)
+                    if len(order) > node_limit:
                         raise BudgetExceededError(
-                            f"subset BFS exceeded node limit {node_limit}", len(reached))
+                            f"subset BFS exceeded node limit {node_limit}", len(order))
                     if stop is not None and stop(child, depth):
                         result.hit = child
                         return result
-        frontier = next_frontier
     return result
 
 

@@ -10,11 +10,11 @@ decision for single states, and the "no" of the synchronization check.  A
 proves it, and random automata synchronize fast under random words
 (Nicaud 2016).
 
-The table keeps one back-pointer per pair in an array of machine ints,
-``(parent + 1) * k + a``: ``a`` is the first letter of the pair's shortest
-merging word, and ``parent`` is the index of the pair that ``a`` leads to,
-or -1 when ``a`` merges the pair directly.  The search runs level by level
-over plain lists of pair indices and allocates nothing per pair.
+The table keeps, per pair, its distance as an int32 and the first letter
+of its shortest merging word as one byte (an int32 above 256 letters).
+That letter leads the pair {p, q} to {p·a, q·a}, one step closer to a
+merge, so a word is read off by walking the successor rows.  The search
+runs level by level over arrays of pair indices and boxes nothing per pair.
 """
 
 from __future__ import annotations
@@ -29,18 +29,20 @@ from .automaton import Automaton, StateSet, Word, apply_word, is_permutation_aut
 class PairTable:
     """Shortest compressing-word lengths for all unordered state pairs.
 
-    ``dist`` is an array of machine ints indexed by ``p * n + q`` with
-    ``p < q``; -1 encodes "not compressible".  Back-pointers, kept the same
-    way, allow exact reconstruction of a shortest merging word per pair.
+    ``dist`` is an int32 array indexed by ``p * n + q`` with ``p < q``; -1
+    encodes "not compressible".  ``_via``, indexed the same way, holds the
+    first letter of a shortest merging word, and ``word`` follows it through
+    the automaton's successor rows ``_rows``.
     """
 
-    __slots__ = ("n", "k", "dist", "_via")
+    __slots__ = ("n", "k", "dist", "_via", "_rows")
 
-    def __init__(self, n: int, k: int, dist: array, via: array):
+    def __init__(self, n: int, k: int, dist: array, via: array, rows):
         self.n = n
         self.k = k
         self.dist = dist
         self._via = via
+        self._rows = rows
 
     def _idx(self, p: int, q: int) -> int:
         if p == q:
@@ -61,14 +63,13 @@ class PairTable:
 
     def word(self, p: int, q: int) -> Optional[Word]:
         """A shortest word merging {p, q}; its length equals ``length(p, q)``."""
-        i = self._idx(p, q)
-        if self.dist[i] < 0:
+        if self.dist[self._idx(p, q)] < 0:
             return None
-        letters = []
-        while i >= 0:
-            parent, a = divmod(self._via[i], self.k)
+        n, via, rows, letters = self.n, self._via, self._rows, []
+        while p != q:
+            a = via[p * n + q if p < q else q * n + p]
             letters.append(a)
-            i = parent - 1
+            p, q = rows[p][a], rows[q][a]
         return Word(letters)
 
     def all_compressible(self) -> bool:
@@ -83,8 +84,8 @@ def pair_table(aut: Automaton) -> PairTable:
         return cached
 
     n, k = aut.n, aut.k
-    dist = array("q", [-1]) * (n * n)
-    via = array("q", [0]) * (n * n)
+    dist = array("i", [-1]) * (n * n)
+    via = array("B" if k <= 256 else "i", [0]) * (n * n)
     # inv[q][a] = states mapped to q by letter a, in increasing order
     inv: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
     for a in range(k):
@@ -92,7 +93,7 @@ def pair_table(aut: Automaton) -> PairTable:
             inv[q][a].append(p)
 
     # Directly merged pairs share a predecessor list; the smallest letter wins.
-    frontier = []
+    first = []
     for a in range(k):
         for q in range(n):
             xs = inv[q][a]
@@ -102,19 +103,18 @@ def pair_table(aut: Automaton) -> PairTable:
                     if dist[base + y] < 0:
                         dist[base + y] = 1
                         via[base + y] = a
-                        frontier.append(base + y)
-    frontier.sort()
+                        first.append(base + y)
+    frontier = array("i", sorted(first))
 
     # pre[q] = the (letter, predecessors) entries of q that are non-empty
     pre = [[(a, xs) for a, xs in enumerate(row) if xs] for row in inv]
     d = 1
     while frontier:
         d += 1
-        nxt = []
+        nxt = array("i")
         for i in frontier:
             p, q = divmod(i, n)
             inv_q = inv[q]
-            back = (i + 1) * k
             for a, xs in pre[p]:
                 ys = inv_q[a]
                 if not ys:
@@ -125,11 +125,11 @@ def pair_table(aut: Automaton) -> PairTable:
                         j = xn + y if x < y else y * n + x
                         if dist[j] < 0:
                             dist[j] = d
-                            via[j] = back + a
+                            via[j] = a
                             nxt.append(j)
         frontier = nxt
 
-    table = PairTable(n, k, dist, via)
+    table = PairTable(n, k, dist, via, aut.rows)
     aut._derived["pair_table"] = table
     return table
 
@@ -238,7 +238,8 @@ def avoidable_state(aut: Automaton, q: int) -> bool:
     States outside every sink component are avoidable, and a state inside a
     sink component is avoidable iff it belongs to a compressible pair of that
     component's sub-automaton, which its own (smaller) pair table decides.
-    A witness comes from ``avoid.avoiding_word`` on ``{q}``.
+    The sub-automaton, and with it the table, is kept per component in
+    ``aut._derived``.  A witness comes from ``avoid.avoiding_word`` on ``{q}``.
     """
     if not 0 <= q < aut.n:
         raise ValueError(f"state {q} out of range [0, {aut.n})")
@@ -251,6 +252,10 @@ def avoidable_state(aut: Automaton, q: int) -> bool:
     if len(component) == 1:
         return False
     index = {p: i for i, p in enumerate(component)}  # a sink component is closed
-    table = pair_table(Automaton([[index[p] for p in aut.rows[r]] for r in component]))
+    sub = aut._derived.get(("sink_component", cid))
+    if sub is None:
+        sub = Automaton([[index[p] for p in aut.rows[r]] for r in component])
+        aut._derived[("sink_component", cid)] = sub
+    table = pair_table(sub)
     sub_q = index[q]
     return any(table.compressible(sub_q, i) for i in range(len(component)) if i != sub_q)

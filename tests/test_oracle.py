@@ -1,11 +1,13 @@
 """The power-set searches that everything else is validated against."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
 
-from preimages import (BudgetExceededError, StateSet, Word, apply_word, backward_subset_bfs,
-                       forward_subset_bfs, oracle_min_rank, oracle_shortest,
+from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
+                       backward_subset_bfs, forward_subset_bfs, oracle_min_rank, oracle_shortest,
                        oracle_shortest_reset, preimage_word, random_automaton,
                        serialize_automaton)
 from preimages import oracle as oracle_mod
@@ -190,3 +192,69 @@ def test_state_cap_and_node_limit():
     aut = random_automaton(10, 2, seed=2)
     with pytest.raises(BudgetExceededError):
         forward_subset_bfs(aut, node_limit=3)
+
+
+def test_identical_letters_resolve_to_the_smaller_one(c4):
+    # Letters 1 and 2 act alike; the search records the smaller, so the
+    # stored letters, words and witnesses are those without letter 2.
+    doubled = Automaton([row + row[1:] for row in c4.rows])
+    for s in (c4.state_set([1, 2]), c4.state_set([0])):
+        plain, twin = backward_subset_bfs(c4, s), backward_subset_bfs(doubled, s)
+        assert list(twin.reached.items()) == list(plain.reached.items())
+        assert all(twin.word_to(bits) == plain.word_to(bits) for bits in plain.reached)
+        for goal in GOALS:
+            assert oracle_shortest(doubled, s, goal) == oracle_shortest(c4, s, goal)
+    assert forward_subset_bfs(doubled).word_to(0b1000) == forward_subset_bfs(c4).word_to(0b1000)
+
+
+@pytest.mark.parametrize("n, cap", [(6, 20), (21, 25)])  # flat store, dict store
+def test_reached_view(n, cap):
+    aut = random_automaton(n, 2, seed=1)
+    start = (1 << n) - 1
+    res = forward_subset_bfs(aut, state_cap=cap)
+    reached = res.reached
+    expected = _reference_bfs(aut, start, aut.image_bits)
+    assert list(reached.items()) == list(expected.items())
+    assert len(reached) == len(expected) < 1 << n
+    assert reached[start] == (0, -1, -1)
+    unreached = next(bits for bits in range(1 << n) if bits not in expected)
+    for bits in (unreached, -1, 1 << n):
+        assert bits not in reached
+        with pytest.raises(KeyError):
+            reached[bits]
+    # the node limit counts reached subsets: exactly that many is enough
+    assert len(forward_subset_bfs(aut, node_limit=len(reached), state_cap=cap).reached) \
+        == len(reached)
+    with pytest.raises(BudgetExceededError):
+        forward_subset_bfs(aut, node_limit=len(reached) - 1, state_cap=cap)
+
+
+@pytest.mark.parametrize("n, cap", [(6, 20), (21, 25)])
+def test_budget_of_exactly_the_reached_subsets_answers(n, cap, tmp_path, capsys):
+    aut = random_automaton(n, 2, seed=1)
+    path = tmp_path / "a.aut"
+    path.write_text(serialize_automaton(aut))
+    # the budget counts the subsets generated up to and including the hit
+    s = aut.state_set([0, 1])
+    stop = goal_predicate("avoiding", aut, s)
+    nodes = len(backward_subset_bfs(aut, s, state_cap=cap, stop=stop).reached)
+    argv = ["check", str(path), "--subset", "0,1", "--problem", "avoid",
+            "--method", "oracle", "--oracle-cap", str(cap), "--json"]
+    assert main(argv + ["--budget", str(nodes)]) == 0
+    assert main(argv + ["--budget", str(nodes - 1)]) == 2
+    capsys.readouterr()
+
+
+def test_permutation_sweep_memory():
+    # The full backward sweep of a permutation automaton reaches every
+    # 9-subset of 18 states, and holds 4 bytes per possible subset plus
+    # 4 per reached one: about 1.2 MB.
+    aut = random_automaton(18, 2, seed=0, constraint="permutation")
+    tracemalloc.start()
+    try:
+        res = backward_subset_bfs(aut, StateSet(18, (1 << 9) - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.reached) == math.comb(18, 9)
+    assert peak < 4_000_000

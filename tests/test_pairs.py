@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
                        cerny_automaton, forward_subset_bfs, greedy_reset_word, is_synchronizing,
                        minimal_rank_word, oracle_min_rank, pair_table, random_automaton)
-from preimages import cli
+from preimages import cli, pairs
 
 
 def test_pair_table_reference(c4, p3, ch2):
@@ -271,3 +272,44 @@ def test_a_no_comes_from_the_pair_table(p3):
     for aut in (p3, union, Automaton(_union(cerny_automaton(5), cerny_automaton(6)))):
         assert not is_synchronizing(aut)
         assert "pair_table" in aut._derived
+
+
+def test_avoidable_state_builds_one_table_per_sink_component(monkeypatch):
+    aut = Automaton(_union(cerny_automaton(5), cerny_automaton(6)))
+    builds = []
+    original = pairs.pair_table
+
+    def counting(sub):
+        builds.append("pair_table" not in sub._derived)
+        return original(sub)
+
+    monkeypatch.setattr(pairs, "pair_table", counting)
+    assert [avoidable_state(aut, q) for q in (5, 8, 10)] == [True] * 3
+    assert builds == [True, False, False]
+
+
+def test_identical_letters_merge_with_the_smaller_one():
+    # Letters 1 and 2 act alike, so every pair word uses 1, never 2: the
+    # table is the one of the automaton without letter 2.
+    for aut in (cerny_automaton(6), random_automaton(40, 2, seed=9)):
+        doubled = pair_table(Automaton([row + row[1:] for row in aut.rows]))
+        table = pair_table(aut)
+        assert list(doubled.dist) == list(table.dist)
+        for p in range(aut.n):
+            for q in range(p + 1, aut.n):
+                assert doubled.word(p, q) == table.word(p, q)
+
+
+def test_pair_table_holds_five_bytes_per_entry():
+    # int32 distances and one-byte letters: 5 bytes per (p, q) entry; the
+    # bound leaves room for the levels, which hold pair indices as machine
+    # ints too, and the predecessor lists.
+    n = 150
+    rows = random_automaton(n, 2, seed=n).rows
+    tracemalloc.start()
+    try:
+        pair_table(Automaton(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n * n
