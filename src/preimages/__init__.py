@@ -5,47 +5,48 @@ some word extends S (larger preimage), totally extends it (preimage = all
 states), avoids it (image disjoint from S), or resizes it (preimage of a
 different cardinality), alongside the reduction gadgets relating these
 questions and an exhaustive power-set oracle for desk-scale ground truth.
+
+``import preimages`` loads no submodule: each public name is imported from
+its submodule on first access (PEP 562).
 """
 
-from .automaton import (Automaton, SccDecomposition, StateSet, Word, apply_word,
-                        is_permutation_automaton, is_strongly_connected, letter_name,
-                        preimage_word, scc, sink_state)
-from .avoid import RankPartition, avoiding_word, rank_partition
-from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
-                     NotSynchronizingError)
-from .extend import (shortest_extending_word_small, totally_extending_word_small,
-                     totally_extensible_synchronizing)
-from .fileformat import (AutomatonFormatError, parse_automaton, parse_automaton_file,
-                         serialize_automaton, serialize_gadget)
-from .gadgets import (DfaWithAcceptance, GadgetOutput, binarize, intersection_gadget,
-                      languages_intersect, large_extend_gadget, random_automaton,
-                      sink_binarize)
-from .oracle import (SubsetBfsResult, backward_subset_bfs, forward_subset_bfs,
-                     oracle_min_rank, oracle_shortest, oracle_shortest_reset)
-from .pairs import (PairTable, RankResult, avoidable_state, greedy_reset_word,
-                    is_synchronizing, minimal_rank_word, pair_table)
-from .reference import cerny_automaton, chain2, perm3
-from .report import WitnessReport, validate_report, witness_holds
-from .resize import RationalBasis, resizable_decision_fast, shortest_resizing_word
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Automaton", "StateSet", "Word", "SccDecomposition", "apply_word", "preimage_word",
-    "scc", "is_strongly_connected", "is_permutation_automaton", "sink_state", "letter_name",
-    "PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
-    "minimal_rank_word", "avoidable_state",
-    "shortest_extending_word_small", "totally_extending_word_small",
-    "totally_extensible_synchronizing",
-    "RankPartition", "rank_partition", "avoiding_word",
-    "RationalBasis", "shortest_resizing_word", "resizable_decision_fast",
-    "SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
-    "oracle_shortest_reset", "oracle_min_rank",
-    "DfaWithAcceptance", "GadgetOutput", "intersection_gadget", "binarize", "sink_binarize",
-    "large_extend_gadget", "random_automaton", "languages_intersect",
-    "parse_automaton", "parse_automaton_file", "serialize_automaton", "serialize_gadget",
-    "AutomatonFormatError", "WitnessReport", "validate_report", "witness_holds",
-    "BudgetExceededError", "NotSynchronizingError",
-    "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_STATE_CAP",
-    "cerny_automaton", "perm3", "chain2",
-]
+_EXPORTS = {  # submodule -> the public names it provides
+    "automaton": ("Automaton", "StateSet", "Word", "SccDecomposition", "apply_word",
+                  "preimage_word", "scc", "is_strongly_connected", "is_permutation_automaton",
+                  "sink_state", "letter_name"),
+    "pairs": ("PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
+              "minimal_rank_word", "avoidable_state"),
+    "extend": ("shortest_extending_word_small", "totally_extending_word_small",
+               "totally_extensible_synchronizing"),
+    "avoid": ("RankPartition", "rank_partition", "avoiding_word"),
+    "resize": ("RationalBasis", "shortest_resizing_word", "resizable_decision_fast"),
+    "oracle": ("SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
+               "oracle_shortest_reset", "oracle_min_rank"),
+    "gadgets": ("DfaWithAcceptance", "GadgetOutput", "intersection_gadget", "binarize",
+                "sink_binarize", "large_extend_gadget", "random_automaton", "languages_intersect"),
+    "fileformat": ("parse_automaton", "parse_automaton_file", "serialize_automaton",
+                   "serialize_gadget", "AutomatonFormatError"),
+    "report": ("WitnessReport", "validate_report", "witness_holds"),
+    "errors": ("BudgetExceededError", "NotSynchronizingError", "DEFAULT_NODE_BUDGET",
+               "DEFAULT_ORACLE_STATE_CAP"),
+    "reference": ("cerny_automaton", "perm3", "chain2"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

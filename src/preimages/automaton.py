@@ -19,11 +19,13 @@ freely between threads; derived analyses are memoized on the automaton
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
+
+# The classes random_automaton draws from, kept here so the CLI need not import gadgets.
+CONSTRAINTS = ("none", "strongly-connected", "synchronizing", "permutation")
 
 
 def letter_name(a: int, k: int) -> str:
@@ -351,8 +353,7 @@ def preimage_word(aut: Automaton, s: StateSet, w: Word) -> StateSet:
     return StateSet(aut.n, sum(1 << q for q, p in enumerate(f) if target >> p & 1))
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(NamedTuple):
     """Strongly connected components of the transition digraph.
 
     Components are numbered by their smallest member state; ``component_of``

@@ -11,17 +11,15 @@ the answer is u followed by the path word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import Automaton, StateSet, Word, subset_bfs, word_map
 from .errors import DEFAULT_NODE_BUDGET
 from .pairs import minimal_rank_word
 
 
-@dataclass(frozen=True)
-class RankPartition:
+class RankPartition(NamedTuple):
     """Partition of Q by the action of a minimal-rank word u.
 
     Two states share a class iff u maps them to the same state; class i is

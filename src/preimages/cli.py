@@ -5,34 +5,28 @@ Exit codes: 0 = yes, 1 = no, 2 = unknown (budget- or method-limited),
 re-verified before it is printed; a verification failure is an internal
 error.  The node budget and the oracle state cap honor the environment
 variables PREIMAGES_BUDGET and PREIMAGES_ORACLE_CAP unless flags override
-them.
+them.  A process imports only the modules its route runs: ``extend``,
+``avoid``, ``resize``, ``oracle`` and ``gadgets`` are imported on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import avoid as avoid_mod
-from . import extend as extend_mod
-from . import oracle as oracle_mod
-from . import resize as resize_mod
-from .automaton import (Automaton, StateSet, Word, apply_word, is_permutation_automaton,
-                        is_strongly_connected, preimage_word, sink_state)
+from .automaton import (CONSTRAINTS, Automaton, StateSet, Word, apply_word, preimage_word,
+                        is_permutation_automaton, is_strongly_connected, sink_state)
 from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
                      NotSynchronizingError)
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
-from .gadgets import (CONSTRAINTS, DfaWithAcceptance, binarize, intersection_gadget,
-                      large_extend_gadget, random_automaton, sink_binarize)
 from .pairs import (avoidable_state, greedy_reset_word, is_synchronizing, known_synchronizing,
                     minimal_rank_word)
-from .extend import totally_extensible_synchronizing
 from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
 
 EXIT_YES = 0
@@ -115,8 +109,7 @@ def _classification(aut: Automaton, want_sync: bool) -> dict:
     }
 
 
-@dataclass
-class Route:
+class Route(NamedTuple):
     """The answer one method gave, and whether its witnesses are shortest."""
 
     answer: str
@@ -127,13 +120,13 @@ class Route:
 
 
 # problem -> (module, search function, whether its witnesses are shortest).
-# The function is looked up by name at call time, so a wrapper installed on
-# the module after import (bench/spans.py) sees the call.
+# Modules load on first use, and route functions are looked up on them at call
+# time, so a wrapper installed on a module (bench/spans.py) sees the call.
 _SEARCH = {
-    "extend": (extend_mod, "shortest_extending_word_small", True),
-    "extend-total": (extend_mod, "totally_extending_word_small", False),
-    "avoid": (avoid_mod, "avoiding_word", False),
-    "resize": (resize_mod, "shortest_resizing_word", True),
+    "extend": ("extend", "shortest_extending_word_small", True),
+    "extend-total": ("extend", "totally_extending_word_small", False),
+    "avoid": ("avoid", "avoiding_word", False),
+    "resize": ("resize", "shortest_resizing_word", True),
 }
 
 
@@ -142,8 +135,9 @@ def _yes_no(decision: bool) -> str:
 
 
 def _oracle(aut: Automaton, s: StateSet, problem: str, budget: int, oracle_cap: int) -> Route:
-    hit = oracle_mod.oracle_shortest(aut, s, _GOAL_OF[problem], node_limit=budget,
-                                     state_cap=oracle_cap)
+    from . import oracle
+    hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], node_limit=budget,
+                                 state_cap=oracle_cap)
     return Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
 
 
@@ -158,17 +152,20 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     if method == "oracle":
         route = None
     elif problem == "resize" and method == "auto" and not need_word and is_synchronizing(aut):
-        route = Route(_yes_no(resize_mod.resizable_decision_fast(aut, s)), None, "fast-path", True)
+        from . import resize
+        route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path", True)
     elif problem == "extend-total" and is_synchronizing(aut):
-        decision = totally_extensible_synchronizing(aut, s)
-        word = extend_mod.totally_extending_word_small(aut, s) if decision and need_word else None
+        from . import extend
+        decision = extend.totally_extensible_synchronizing(aut, s)
+        word = extend.totally_extending_word_small(aut, s) if decision and need_word else None
         route = Route(_yes_no(decision), word, "fast-path", not decision)
     elif problem == "avoid" and s.size == 1 and not need_word:
         route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
     else:
         module, name, shortest = _SEARCH[problem]
         try:
-            word = getattr(module, name)(aut, s, budget=budget, stats=stats)
+            search = getattr(importlib.import_module(f".{module}", __package__), name)
+            word = search(aut, s, budget=budget, stats=stats)
             route = Route(_yes_no(word is not None), word, "poly", shortest or word is None)
         except BudgetExceededError:
             route = Route(ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded")
@@ -287,8 +284,9 @@ def _cmd_reset(args) -> int:
     if args.method == "greedy":
         word = greedy_reset_word(aut)
     else:
-        hit = oracle_mod.oracle_shortest_reset(aut, node_limit=_limit(args, "budget"),
-                                               state_cap=_limit(args, "oracle_cap"))
+        from . import oracle
+        hit = oracle.oracle_shortest_reset(aut, node_limit=_limit(args, "budget"),
+                                           state_cap=_limit(args, "oracle_cap"))
         word = hit[0] if hit else None
     if word is None:
         sys.stdout.write("answer: no (not synchronizing)\n")
@@ -300,6 +298,7 @@ def _cmd_reset(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    from . import gadgets
     if args.kind != "intersection" and not args.file:
         raise ValueError(f"gadget {args.kind} needs an automaton file")
     if args.kind == "intersection":
@@ -309,17 +308,17 @@ def _cmd_gadget(args) -> int:
         for path, initial, accepting in args.dfa:
             aut = parse_automaton_file(path)
             acc = _parse_subset(aut, accepting)
-            dfas.append(DfaWithAcceptance(aut, int(initial), acc))
-        out = intersection_gadget(dfas)
+            dfas.append(gadgets.DfaWithAcceptance(aut, int(initial), acc))
+        out = gadgets.intersection_gadget(dfas)
     elif args.kind == "binarize":
         aut = parse_automaton_file(args.file)
-        out = binarize(aut, _parse_subset(aut, args.subset))
+        out = gadgets.binarize(aut, _parse_subset(aut, args.subset))
     elif args.kind == "sink":
         aut = parse_automaton_file(args.file)
-        out = sink_binarize(aut)
+        out = gadgets.sink_binarize(aut)
     else:  # large-extend
         aut = parse_automaton_file(args.file)
-        out = large_extend_gadget(aut, _parse_subset(aut, args.subset), args.target)
+        out = gadgets.large_extend_gadget(aut, _parse_subset(aut, args.subset), args.target)
     text = serialize_gadget(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -330,7 +329,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    aut = random_automaton(args.states, args.letters, args.seed, args.constraint)
+    from . import gadgets
+    aut = gadgets.random_automaton(args.states, args.letters, args.seed, args.constraint)
     sys.stdout.write(serialize_automaton(aut))
     return EXIT_YES
 

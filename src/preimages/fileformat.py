@@ -9,10 +9,12 @@ mutually inverse up to comments and whitespace.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .automaton import Automaton, StateSet
-from .gadgets import GadgetOutput
+
+if TYPE_CHECKING:  # gadgets is imported only by the routes that build gadgets
+    from .gadgets import GadgetOutput
 
 
 class AutomatonFormatError(ValueError):

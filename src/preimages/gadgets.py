@@ -15,10 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Automaton, StateSet, is_strongly_connected, letter_name
+from .automaton import CONSTRAINTS, Automaton, StateSet, is_strongly_connected, letter_name
 from .pairs import is_synchronizing
 
-CONSTRAINTS = ("none", "strongly-connected", "synchronizing", "permutation")
 REJECTION_CAP = 10_000
 
 

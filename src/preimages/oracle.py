@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .automaton import Automaton, StateSet, Word
@@ -84,18 +83,18 @@ class _Sparse(dict):
         return -1
 
 
-@dataclass
 class SubsetBfsResult:
     """The subsets a search reached, and the one that stopped it.
 
-    A search without a stop predicate reaches every subset; one with a stop
-    predicate ends at the first subset that meets it, stored in ``hit``
-    (None if no reachable subset does).
+    ``direction`` is "preimage" or "image".  A search without a stop predicate
+    reaches every subset; one with a stop predicate ends at the first subset
+    that meets it, stored in ``hit`` (None if no reachable subset does).
     """
 
-    direction: str  # "preimage" | "image"
-    reached: _Reached
-    hit: Optional[int] = None
+    __slots__ = ("direction", "reached", "hit")
+
+    def __init__(self, direction: str, reached: _Reached, hit: Optional[int] = None):
+        self.direction, self.reached, self.hit = direction, reached, hit
 
     def word_to(self, bits: int) -> Word:
         """Reconstruct the word whose action produced the given subset."""

@@ -20,8 +20,7 @@ runs level by level over arrays of pair indices and boxes nothing per pair.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import Automaton, StateSet, Word, apply_word, is_permutation_automaton, scc
 
@@ -191,8 +190,7 @@ def _best_pair_in(bits: int, table: PairTable) -> Optional[tuple[int, int]]:
     return best
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """A word of minimal rank together with its (incompressible) image."""
 
     word: Word

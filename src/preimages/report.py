@@ -7,7 +7,6 @@ requested) so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, apply_word, preimage_word
@@ -17,23 +16,26 @@ ANSWER_NO = "no"
 ANSWER_UNKNOWN = "unknown-budget"
 
 
-@dataclass
 class WitnessReport:
-    problem: str
-    answer: str
-    subset_size: int
-    method: Optional[str] = None            # poly | oracle | fast-path
-    witness: Optional[str] = None
-    witness_length: Optional[int] = None
-    preimage_size: Optional[int] = None     # |S . w^-1| under the witness
-    stats: dict = field(default_factory=dict)
-    classification: dict = field(default_factory=dict)
-    max_len: Optional[int] = None
-    note: Optional[str] = None
+    __slots__ = ("problem", "answer", "subset_size", "method", "witness", "witness_length",
+                 "preimage_size", "stats", "classification", "max_len", "note")
+
+    def __init__(self, problem: str, answer: str, subset_size: int,
+                 method: Optional[str] = None,          # poly | oracle | fast-path
+                 witness: Optional[str] = None, witness_length: Optional[int] = None,
+                 preimage_size: Optional[int] = None,   # |S . w^-1| under the witness
+                 stats: Optional[dict] = None, classification: Optional[dict] = None,
+                 max_len: Optional[int] = None, note: Optional[str] = None):
+        self.problem, self.answer, self.subset_size = problem, answer, subset_size
+        self.method, self.witness, self.witness_length = method, witness, witness_length
+        self.preimage_size, self.max_len, self.note = preimage_size, max_len, note
+        self.stats = {} if stats is None else stats
+        self.classification = {} if classification is None else classification
 
     def to_dict(self) -> dict:
-        """Every field; ``max_len`` and ``note`` only when set."""
-        d = asdict(self)
+        """Every field, ``stats`` and ``classification`` copied; ``max_len`` and ``note`` if set."""
+        d = {key: getattr(self, key) for key in self.__slots__}
+        d["stats"], d["classification"] = dict(self.stats), dict(self.classification)
         for key in ("max_len", "note"):
             if d[key] is None:
                 del d[key]

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: routing, exit codes, JSON determinism."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import operator
@@ -396,17 +397,158 @@ def test_validate_report_rejects_a_method_outside_the_schema(files, capsys):
             validate_report(dict(report, method=method))
 
 
-def test_cli_import_leaves_fractions_unloaded():
-    # Every query process pays for what preimages.cli imports; fractions
-    # (with decimal and numbers) is not needed on any route.
+def _fresh_python(code: str, *argv: str):
+    """Run ``code`` in a new interpreter that imports this checkout's package;
+    returns the last line it prints, parsed as JSON."""
     package_root = str(Path(preimages.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", "import sys, preimages.cli; "
-                           "print('fractions' in sys.modules)"],
+    done = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # Every query process pays for what preimages.cli imports; fractions
+    # (with decimal and numbers) is not needed on any route.
+    assert _fresh_python("import sys, preimages.cli; print(int('fractions' in sys.modules))") == 0
+
+
+_IMPORT_PROBE = """
+import json, sys
+heavy = lambda: sorted({"dataclasses", "inspect"} & set(sys.modules))
+ours = lambda: sorted(m for m in sys.modules if m.startswith("preimages."))
+found = {"startup": heavy()}
+import preimages
+found["package"] = ours()
+import preimages.cli
+found["cli"], found["cli_heavy"] = ours(), heavy()
+found["code"] = preimages.cli.main(sys.argv[1:])
+found["query"] = ours()
+print(json.dumps(found))
+"""
+
+
+def test_a_process_imports_only_the_modules_its_route_runs(files):
+    found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",
+                          "--problem", "resize", "--witness")
+    assert found["package"] == []
+    assert found["cli"] == ["preimages." + m for m in
+                            ("automaton", "cli", "errors", "fileformat", "pairs", "report")]
+    assert found["cli_heavy"] == found["startup"]  # no dataclasses, no inspect
+    assert found["code"] == 1
+    assert "preimages.resize" in found["query"]
+    for unused in ("oracle", "gadgets", "avoid", "extend"):
+        assert "preimages." + unused not in found["query"]
+
+
+_PUBLIC_NAMES = {
+    "Automaton", "StateSet", "Word", "SccDecomposition", "apply_word", "preimage_word", "scc",
+    "is_strongly_connected", "is_permutation_automaton", "sink_state", "letter_name",
+    "PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
+    "minimal_rank_word", "avoidable_state", "shortest_extending_word_small",
+    "totally_extending_word_small", "totally_extensible_synchronizing", "RankPartition",
+    "rank_partition", "avoiding_word", "RationalBasis", "shortest_resizing_word",
+    "resizable_decision_fast", "SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs",
+    "oracle_shortest", "oracle_shortest_reset", "oracle_min_rank", "DfaWithAcceptance",
+    "GadgetOutput", "intersection_gadget", "binarize", "sink_binarize", "large_extend_gadget",
+    "random_automaton", "languages_intersect", "parse_automaton", "parse_automaton_file",
+    "serialize_automaton", "serialize_gadget", "AutomatonFormatError", "WitnessReport",
+    "validate_report", "witness_holds", "BudgetExceededError", "NotSynchronizingError",
+    "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_STATE_CAP", "cerny_automaton", "perm3", "chain2",
+}
+
+
+def test_package_namespace_is_lazy_and_complete():
+    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 56
+    assert set(preimages.__all__) == _PUBLIC_NAMES
+    submodules = [importlib.import_module("preimages." + m) for m in (
+        "automaton", "avoid", "errors", "extend", "fileformat", "gadgets", "oracle", "pairs",
+        "reference", "report", "resize")]
+    for name in preimages.__all__:
+        value = getattr(preimages, name)
+        assert any(vars(m).get(name) is value for m in submodules), name
+    namespace: dict = {}
+    exec("from preimages import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(preimages.__all__)
+    assert set(preimages.__all__) <= set(dir(preimages))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(preimages, "no_such_name")
+    assert _fresh_python("import json, sys, preimages\n"
+                         "from preimages import pairs\n"
+                         "print(json.dumps([pairs.__name__, pairs is sys.modules[pairs.__name__],"
+                         " hasattr(pairs, 'pair_table')]))") == ["preimages.pairs", True, True]
+
+
+def test_records_keep_value_semantics():
+    for make, fields in (
+            (preimages.minimal_rank_word, ("word", "image", "rank")),
+            (preimages.scc, ("component_of", "components", "sink_flags")),
+            (lambda aut: preimages.rank_partition(aut, aut.state_set([1, 2])),
+             ("word", "image", "classes", "representatives", "z"))):
+        one, two = make(cerny_automaton(4)), make(cerny_automaton(4))
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert repr(one) == (type(one).__name__ + "("
+                             + ", ".join(f"{f}={getattr(one, f)!r}" for f in fields) + ")")
+        with pytest.raises(AttributeError):
+            setattr(one, fields[0], None)
+
+
+def test_report_dict_is_a_copy_and_json_is_pinned():
+    fields = {"problem": "extend", "answer": "yes", "subset_size": 2, "method": "poly",
+              "witness": "ba", "witness_length": 2, "preimage_size": 3, "stats": {"nodes": 5},
+              "classification": {"synchronizing": True}}
+    report = preimages.WitnessReport(**fields)
+    d = report.to_dict()
+    d["stats"]["nodes"] = 99
+    d["classification"].clear()
+    assert report.stats == {"nodes": 5} and report.classification == {"synchronizing": True}
+    for extra in ({}, {"max_len": 4, "note": "why"}):
+        report = preimages.WitnessReport(**fields, **extra)
+        assert report.to_json() == json.dumps(dict(fields, **extra), sort_keys=True,
+                                              indent=2) + "\n"
+    assert preimages.WitnessReport("avoid", "no", 1).to_dict() == {
+        "problem": "avoid", "answer": "no", "subset_size": 1, "method": None, "witness": None,
+        "witness_length": None, "preimage_size": None, "stats": {}, "classification": {}}
+
+
+def test_route_functions_are_looked_up_at_call_time(files, capsys, monkeypatch):
+    # bench/spans.py wraps these module functions after preimages.cli is
+    # imported, and the set-up timing calls preimages.cli.parse_automaton_file.
+    from preimages import avoid, cli, extend, fileformat, oracle, resize
+    assert cli.parse_automaton_file is fileformat.parse_automaton_file
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((resize, "shortest_resizing_word"),
+                         (extend, "shortest_extending_word_small"),
+                         (extend, "totally_extensible_synchronizing"),
+                         (avoid, "avoiding_word"), (oracle, "oracle_shortest"),
+                         (oracle, "oracle_shortest_reset")):
+        counting(module, name)
+    for argv, name in (
+            (("check", files["perm3"], "--subset", "0", "--problem", "resize", "--witness"),
+             "shortest_resizing_word"),
+            (("check", files["cerny4"], "--subset", "1,2", "--problem", "extend"),
+             "shortest_extending_word_small"),
+            (("check", files["cerny4"], "--subset", "1,2", "--problem", "extend-total"),
+             "totally_extensible_synchronizing"),
+            (("check", files["chain2"], "--subset", "0", "--problem", "avoid", "--witness"),
+             "avoiding_word"),
+            (("check", files["cerny4"], "--subset", "1,2", "--problem", "extend", "--method",
+              "oracle"), "oracle_shortest"),
+            (("reset", files["cerny4"], "--method", "oracle"), "oracle_shortest_reset")):
+        del calls[:]
+        run(capsys, *argv)
+        assert calls == [name], argv
 
 
 def test_reset_oracle_honours_environment_budget(files, capsys, monkeypatch):
