@@ -266,48 +266,52 @@ class Automaton:
         return f"Automaton(n={self.n}, k={self.k})"
 
 
-def subset_bfs(sources: Iterable[tuple[int, int]], step: Callable[[int, int], int], k: int,
+def subset_bfs(sources: Iterable[int], step: Callable[[int, int], int], k: int,
                is_goal: Callable[[int], bool], budget: int,
                stats: Optional[dict] = None) -> Optional[Word]:
     """Multi-source FIFO BFS over subsets held as bit patterns.
 
-    ``sources`` yields distinct ``(bits, letter)`` pairs; ``letter`` (or -1
-    for none) starts the word of every path from that source.  Children are
-    ``step(bits, a)`` for ``a`` in ``0..k-1``.  Every discovered node,
-    sources included, is tested by ``is_goal``; the first hit returns its
-    word, exhaustion returns None.  More than ``budget`` discovered nodes
-    raise BudgetExceededError; ``stats["nodes"]`` counts them otherwise.
+    ``sources`` yields distinct bit patterns.  Children are ``step(bits, a)``
+    for ``a`` in ``0..k-1``, tried in ascending order.  Every discovered
+    node, sources included, is tested by ``is_goal``; the first hit returns
+    the letters of its path from a source, exhaustion returns None.  More
+    than ``budget`` discovered nodes raise BudgetExceededError;
+    ``stats["nodes"]`` counts them otherwise.
+
+    A node stores only its parent, and a source is its own parent.  A path's
+    letters are recovered afterwards: the smallest letter that steps the
+    parent to the child is the one the search recorded.
     """
-    visited: dict[int, tuple[int, int]] = {}  # bits -> (letter, parent bits or -1)
+    parent: dict[int, int] = {}
     queue: deque[int] = deque()
 
-    def discover(bits: int, letter: int, parent: int) -> bool:
+    def discover(bits: int, par: int) -> bool:
         """Record a new node; True if it is a goal."""
-        visited[bits] = (letter, parent)
-        if len(visited) > budget:
-            raise BudgetExceededError(f"subset search exceeded budget {budget}", len(visited))
+        parent[bits] = par
+        if len(parent) > budget:
+            raise BudgetExceededError(f"subset search exceeded budget {budget}", len(parent))
         if is_goal(bits):
             return True
         queue.append(bits)
         return False
 
-    goal = next((bits for bits, letter in sources if discover(bits, letter, -1)), None)
+    goal = next((bits for bits in sources if discover(bits, bits)), None)
     while goal is None and queue:
         bits = queue.popleft()
         for a in range(k):
             child = step(bits, a)
-            if child not in visited and discover(child, a, bits):
+            if child not in parent and discover(child, bits):
                 goal = child
                 break
     if stats is not None:
-        stats["nodes"] = len(visited)
+        stats["nodes"] = len(parent)
     if goal is None:
         return None
     letters = []
-    while goal >= 0:
-        letter, goal = visited[goal]
-        if letter >= 0:
-            letters.append(letter)
+    par = parent[goal]
+    while par != goal:
+        letters.append(next(a for a in range(k) if step(par, a) == goal))
+        goal, par = par, parent[par]
     return Word(reversed(letters))
 
 

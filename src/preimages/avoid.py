@@ -83,6 +83,6 @@ def avoiding_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET
         assert bits.bit_count() == z, "image of a subset of the minimal image changed size"
         return (bits & good_mask).bit_count() == z
 
-    sources = ((sum(1 << q for q in states), -1) for states in combinations(sorted(part.image), z))
+    sources = (sum(1 << q for q in states) for states in combinations(sorted(part.image), z))
     path = subset_bfs(sources, aut.image_bits, aut.k, is_goal, budget, stats)
     return None if path is None else part.word + path

@@ -1,13 +1,12 @@
 """Extending and totally extending words for small subsets.
 
-``shortest_extending_word_small`` searches the automaton whose nodes are the
-subsets of at most |S| states.  A node A counts as *initial with letter a*
-when the letter-preimage of A is larger than |S| (preimages of distinct
-states are disjoint, so the size is a per-state table sum).  One multi-source
-forward BFS from all initial nodes, stopped at the first node contained in
-S, yields a shortest extending word: the initial letter followed by the path
-word.  Restricting nodes to size at most |S| is sound because a shortest
-extending word ``aw`` forces ``|S . w^-1| <= |S|``.
+``shortest_extending_word_small`` is one breadth-first search backward from
+S: a node is a preimage ``S . v^-1`` and its children prepend one letter,
+``(S . v^-1) . a^-1 == S . (av)^-1``.  The search stops at the first node
+larger than S, and the word is the path's letters read from that node back
+to S.  Every proper suffix v of a shortest extending word has
+``|S . v^-1| <= |S|``, so no stored node is larger than S, and the first
+hit is the witness the power-set oracle finds.
 
 ``totally_extending_word_small`` first drives Q to an incompressible image
 via a minimal-rank word u, then searches the fixed-size image space for a
@@ -19,12 +18,10 @@ the synchronizing fast path.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, scc, subset_bfs
-from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, NotSynchronizingError
+from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
 from .pairs import is_synchronizing, minimal_rank_word
 
 
@@ -33,35 +30,17 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
                                   stats: Optional[dict] = None) -> Optional[Word]:
     """A shortest word w with |S . w^-1| > |S|, or None if S is not extensible.
 
-    Cost grows like O(|Sigma| n^|S|); the node budget turns runaway searches
+    Cost grows like O(|Sigma| n^|S|) in the worst case, but only preimages
+    reachable from S are visited; the node budget turns runaway searches
     into a BudgetExceededError rather than a wrong answer.
     """
     aut.check_set(s)
-    n, k = aut.n, aut.k
     size = s.size
-    if size == 0 or size == n:
+    if size == 0 or size == aut.n:
         return None
-
-    estimate = sum(comb(n, j) for j in range(1, size + 1))
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"subset space of {estimate} nodes exceeds budget {budget}", estimate)
-
-    # c[a][q] = |{q} . a^-1|
-    counts = [[aut.preimage_masks(a)[q].bit_count() for q in range(n)] for a in range(k)]
-
-    def sources():
-        for subset_size in range(1, size + 1):
-            for states in combinations(range(n), subset_size):
-                for a in range(k):
-                    row = counts[a]
-                    if sum(row[q] for q in states) > size:
-                        yield sum(1 << q for q in states), a
-                        break
-
-    s_bits = s.bits
-    return subset_bfs(sources(), aut.image_bits, k, lambda bits: bits & ~s_bits == 0,
+    path = subset_bfs([s.bits], aut.preimage_bits, aut.k, lambda bits: bits.bit_count() > size,
                       budget, stats)
+    return None if path is None else Word(reversed(path.letters))
 
 
 def totally_extending_word_small(aut: Automaton, s: StateSet,
@@ -85,7 +64,7 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
         assert bits.bit_count() == r, "image of an incompressible set changed size"
         return bits & ~s_bits == 0
 
-    path = subset_bfs([(rank.image.bits, -1)], aut.image_bits, aut.k, is_goal, budget, stats)
+    path = subset_bfs([rank.image.bits], aut.image_bits, aut.k, is_goal, budget, stats)
     return None if path is None else rank.word + path
 
 

@@ -61,23 +61,27 @@ def test_word_rendering_and_parsing():
 def test_subset_bfs_kernel(c4, p3):
     # From Q, the nearest singleton of the 4-state Cerny automaton is 9 letters away.
     stats = {}
-    word = subset_bfs([(0b1111, -1)], c4.image_bits, 2, lambda b: b.bit_count() == 1, 100, stats)
+    word = subset_bfs([0b1111], c4.image_bits, 2, lambda b: b.bit_count() == 1, 100, stats)
     assert len(word) == 9 and apply_word(c4, StateSet.full(4), word).size == 1
     assert stats["nodes"] > 9
     with pytest.raises(BudgetExceededError) as exc:
-        subset_bfs([(0b1111, -1)], c4.image_bits, 2, lambda b: b.bit_count() == 1, 5)
+        subset_bfs([0b1111], c4.image_bits, 2, lambda b: b.bit_count() == 1, 5)
     assert exc.value.nodes == 6
-    # Sources are goal-tested in order, and a source's letter starts its word.
+    # Sources are goal-tested in order, and a source is reached by the empty word.
     stats = {}
-    assert subset_bfs([(0b0110, 1), (0b0001, 0), (0b1000, 1)], c4.image_bits, 2,
-                      lambda b: b == 0b0001, 10, stats) == Word([0])
+    assert subset_bfs([0b0110, 0b0001, 0b1000], c4.image_bits, 2,
+                      lambda b: b == 0b0001, 10, stats) == Word()
     assert stats == {"nodes": 2}
-    # {1,2} reaches {0} by aab, after the source's letter b.
-    assert subset_bfs([(0b0110, 1)], c4.image_bits, 2, lambda b: b == 0b0001,
-                      10) == Word.from_text("baab")
+    # Both letters step {3} to {0}: the smaller one, a, is the letter recovered.
+    assert c4.image_bits(0b1000, 0) == c4.image_bits(0b1000, 1) == 0b0001
+    assert subset_bfs([0b0100], c4.image_bits, 2, lambda b: b == 0b0001,
+                      10) == Word.from_text("aa")
+    # Only b steps {0,3} to {0}, so {1,2} reaches {0} by aab.
+    assert subset_bfs([0b0110], c4.image_bits, 2, lambda b: b == 0b0001,
+                      10) == Word.from_text("aab")
     # Exhaustion: a permutation automaton never shrinks {0}.
     stats = {}
-    assert subset_bfs([(0b001, -1)], p3.image_bits, 2, lambda b: b == 0, 10, stats) is None
+    assert subset_bfs([0b001], p3.image_bits, 2, lambda b: b == 0, 10, stats) is None
     assert stats == {"nodes": 3}
 
 

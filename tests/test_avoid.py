@@ -1,6 +1,7 @@
 """Subset avoidance through the rank partition."""
 
 import random
+import tracemalloc
 from math import comb
 
 from preimages import (StateSet, Word, apply_word, avoidable_state, avoiding_word,
@@ -94,3 +95,20 @@ def test_single_state_agreement_with_avoidable_state():
         aut = random_automaton(n, rng.randint(1, 3), seed=rng.randrange(10**9))
         q = rng.randrange(n)
         assert (avoiding_word(aut, aut.state_set([q])) is not None) == avoidable_state(aut, q)
+
+
+def test_permutation_avoid_memory():
+    # Every letter of a permutation automaton is a bijection, so Q . w = Q
+    # meets S for every word.  The rank partition is into singletons, so the
+    # search starts from every 3-subset and stores all C(60, 3) of them; one
+    # parent int per node keeps that below 100 bytes a node (2.8 MB).
+    aut = random_automaton(60, 2, seed=0, constraint="permutation")
+    stats = {}
+    tracemalloc.start()
+    try:
+        w = avoiding_word(aut, aut.state_set([0, 1, 2]), stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is None and stats["nodes"] == comb(60, 3) == 34_220
+    assert peak < 100 * stats["nodes"]

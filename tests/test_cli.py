@@ -170,6 +170,18 @@ def test_check_resize_honours_budget(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["witness_length"] == n - 1
 
 
+def test_check_extend_has_no_size_gate(tmp_path, capsys):
+    # C(40, 1) + ... + C(40, 20) subsets of at most |S| states far exceed the
+    # default budget, but the backward search from S reaches only 8 of them.
+    path = tmp_path / "cerny40.aut"
+    path.write_text(serialize_automaton(cerny_automaton(40)))
+    code, out, _ = run(capsys, "check", str(path), "--subset", ",".join(map(str, range(5, 25))),
+                       "--problem", "extend", "--witness", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["answer"] == "yes" and report["witness"] == "baaaaa"
+    assert report["stats"] == {"nodes": 8} and report["preimage_size"] > 20
+
+
 def test_json_is_byte_identical_across_runs(files, capsys):
     args = ("check", files["cerny4"], "--subset", "1,2", "--problem", "avoid",
             "--witness", "--json")

@@ -44,7 +44,7 @@ def test_extend_matches_oracle_decision_and_length():
         if hit is None:
             assert w is None
         else:
-            assert w is not None and len(w) == hit[1]
+            assert w is not None and len(w) == hit[1] and w == hit[0]
             assert preimage_word(aut, s, w).size > s.size
 
 
