@@ -143,15 +143,28 @@ def _oracle(aut: Automaton, s: StateSet, problem: str, budget: int, oracle_cap: 
 
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
-    """Answer the whole query.  A fast path or the ``_SEARCH`` function answers
-    first unless ``--method oracle`` is given.  The oracle answers instead when
-    asked to, and under ``auto`` (n within the oracle cap) when the search ran
-    out of budget or its witness is not shortest and longer than ``--max-len``.
-    A shortest witness longer than ``--max-len`` turns "yes" into "no"."""
+    """Answer the whole query.  Unless ``--method oracle`` is given, a fast path
+    or the ``_SEARCH`` function answers first; the permutation route is tried
+    before all of them.  The oracle answers instead when asked to, and under
+    ``auto`` (n within the oracle cap) when the search ran out of budget or its
+    witness is not shortest and longer than ``--max-len``.  A shortest witness
+    longer than ``--max-len`` turns "yes" into "no".
+
+    The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
+    for every word w, so extend and resize are "no", and extend-total (S = Q)
+    and avoid (S = ∅) are "yes" by the empty word or not at all.  It runs in
+    O(nk), searches nothing and ignores the budget."""
     need_word = want_witness or max_len is not None
+    sync_route = problem == "extend-total" or (  # the fast paths that test synchronization
+        problem == "resize" and method == "auto" and not need_word)
     if method == "oracle":
         route = None
-    elif problem == "resize" and method == "auto" and not need_word and is_synchronizing(aut):
+    elif is_permutation_automaton(aut):
+        if sync_route:  # O(nk) here; keeps the report's flag as these problems set it
+            is_synchronizing(aut)
+        hit = s.size == {"extend-total": aut.n, "avoid": 0}.get(problem)
+        route = Route(_yes_no(hit), Word() if hit else None, "fast-path", True)
+    elif problem == "resize" and sync_route and is_synchronizing(aut):
         from . import resize
         route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path", True)
     elif problem == "extend-total" and is_synchronizing(aut):

@@ -140,8 +140,6 @@ def _reset_certificate(aut: Automaton) -> bool:
     work passes without the image shrinking.  Its letters come from a
     private LCG, so no caller's random state is used."""
     n, k, succ = aut.n, aut.k, aut.by_letter
-    if n > 1 and is_permutation_automaton(aut):
-        return False  # no word merges two states
     image, x, work, stall, cap = set(range(n)), 1, 0, 0, k * n * (n - 1) // 2
     for _ in range(8 * n):
         size = len(image)
@@ -156,14 +154,19 @@ def _reset_certificate(aut: Automaton) -> bool:
 
 
 def is_synchronizing(aut: Automaton) -> bool:
-    """True iff some word maps Q to one state.  Unless the pair table is
-    already built, a reset-word certificate is tried first and builds no
-    table; a "no" always comes from the table: the automaton synchronizes
-    iff every pair of states is compressible (Eppstein 1990)."""
+    """True iff some word maps Q to one state.  A permutation automaton with
+    n > 1 answers "no" in O(nk), since no word merges two states.  Otherwise,
+    unless the pair table is already built, a reset-word certificate is tried
+    first and builds no table; any other "no" comes from the table: the
+    automaton synchronizes iff every pair of states is compressible
+    (Eppstein 1990)."""
     cached = aut._derived.get("synchronizing")
     if cached is None:
-        proved = "pair_table" not in aut._derived and _reset_certificate(aut)
-        cached = proved or pair_table(aut).all_compressible()
+        if aut.n > 1 and is_permutation_automaton(aut):
+            cached = False
+        else:
+            proved = "pair_table" not in aut._derived and _reset_certificate(aut)
+            cached = proved or pair_table(aut).all_compressible()
         aut._derived["synchronizing"] = cached
     return cached
 

@@ -306,7 +306,7 @@ def test_failed_reverification_is_an_internal_error(files, capsys, monkeypatch):
     from preimages import Word, cli, extend
 
     monkeypatch.setattr(extend, "shortest_extending_word_small", lambda *a, **kw: Word([0]))
-    code, out, err = run(capsys, "check", files["perm3"], "--subset", "0", "--problem", "extend")
+    code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0", "--problem", "extend")
     assert code == 5 and out == ""
     assert err == "internal error: witness 'a' failed re-verification\n"
 
@@ -443,7 +443,7 @@ print(json.dumps(found))
 
 
 def test_a_process_imports_only_the_modules_its_route_runs(files):
-    found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",
+    found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "0,1,2,3",
                           "--problem", "resize", "--witness")
     assert found["package"] == []
     assert found["cli"] == ["preimages." + m for m in
@@ -453,6 +453,11 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
     assert "preimages.resize" in found["query"]
     for unused in ("oracle", "gadgets", "avoid", "extend"):
         assert "preimages." + unused not in found["query"]
+    # The permutation route answers every problem without a search module.
+    for problem in ("extend", "extend-total", "avoid", "resize"):
+        found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",
+                              "--problem", problem, "--witness")
+        assert found["code"] == 1 and found["query"] == found["cli"], problem
 
 
 _PUBLIC_NAMES = {
@@ -547,7 +552,7 @@ def test_route_functions_are_looked_up_at_call_time(files, capsys, monkeypatch):
                          (oracle, "oracle_shortest_reset")):
         counting(module, name)
     for argv, name in (
-            (("check", files["perm3"], "--subset", "0", "--problem", "resize", "--witness"),
+            (("check", files["cerny4"], "--subset", "1,2", "--problem", "resize", "--witness"),
              "shortest_resizing_word"),
             (("check", files["cerny4"], "--subset", "1,2", "--problem", "extend"),
              "shortest_extending_word_small"),
@@ -660,3 +665,36 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
                             assert len(word) == shortest, where
                     checked += 1
     assert checked > 2000
+
+
+def test_permutation_route_matches_oracle_on_every_subset(tmp_path, capsys):
+    # On a permutation automaton every check but --method oracle takes the
+    # permutation route.  Each variant must give the oracle's answer, exit code
+    # and witness: the oracle's shortest witness decides --max-len 0, and
+    # --budget changes nothing, since the route searches nothing.
+    rng = random.Random(20261018)
+    checked = 0
+    for n, k in itertools.product(range(1, 8), range(1, 4)):
+        letters = [rng.sample(range(n), n) for _ in range(k)]
+        if (n + k) % 2:
+            letters[rng.randrange(k)] = list(range(n))  # an identity letter
+        path = tmp_path / f"p{n}_{k}.aut"
+        path.write_text(serialize_automaton(Automaton([list(r) for r in zip(*letters)])))
+        for s_bits, problem in itertools.product(range(1 << n), _GOAL):
+            query = ("check", str(path), "--subset", ",".join(map(str, StateSet(n, s_bits))),
+                     "--problem", problem, "--json")
+            code, out, _ = run(capsys, *query, "--witness", "--method", "oracle")
+            oracle = (code, json.loads(out)["answer"], json.loads(out)["witness"])
+            bounded = oracle if oracle[2] == "" else (1, "no", None)
+            method = ("auto", "poly")[s_bits % 2]
+            for extra, expect in (((), oracle[:2] + (None,)),
+                                  (("--witness",), oracle),
+                                  (("--max-len", "0", "--witness"), bounded),
+                                  (("--budget", "1"), oracle[:2] + (None,))):
+                code, out, _ = run(capsys, *query, *extra, "--method", method)
+                report = json.loads(out)
+                where = (n, k, s_bits, problem, method, extra)
+                assert report["method"] == "fast-path" and report["stats"] == {}, where
+                assert (code, report["answer"], report["witness"]) == expect, where
+                checked += 1
+    assert checked == 4 * 4 * 3 * sum(1 << n for n in range(1, 8))

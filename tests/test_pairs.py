@@ -8,8 +8,9 @@ from collections import deque
 import pytest
 
 from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
-                       cerny_automaton, forward_subset_bfs, greedy_reset_word, is_synchronizing,
-                       minimal_rank_word, oracle_min_rank, pair_table, random_automaton)
+                       cerny_automaton, forward_subset_bfs, greedy_reset_word,
+                       is_permutation_automaton, is_synchronizing, minimal_rank_word,
+                       oracle_min_rank, pair_table, random_automaton)
 from preimages import cli, pairs
 
 
@@ -242,7 +243,8 @@ def test_synchronization_certificate_agrees_with_the_pair_criterion():
         aut = Automaton(rows)
         flag = is_synchronizing(aut)
         assert flag == pair_table(Automaton(rows)).all_compressible()
-        assert flag or "pair_table" in aut._derived
+        # a "no" needs the table unless every letter is a bijection
+        assert flag or ("pair_table" in aut._derived) != is_permutation_automaton(aut)
         answers.add(flag)
         tableless += "pair_table" not in aut._derived
     # both outcomes occur, and most "yes" answers built no table
@@ -269,9 +271,21 @@ def test_decision_only_routes_build_no_pair_table(monkeypatch, capsys):
 
 def test_a_no_comes_from_the_pair_table(p3):
     union = Automaton(_union(random_automaton(30, 2, seed=4), random_automaton(40, 2, seed=5)))
-    for aut in (p3, union, Automaton(_union(cerny_automaton(5), cerny_automaton(6)))):
+    for aut in (union, Automaton(_union(cerny_automaton(5), cerny_automaton(6)))):
         assert not is_synchronizing(aut)
         assert "pair_table" in aut._derived
+    # ...except on a permutation automaton, where no word merges two states
+    assert not is_synchronizing(p3) and "pair_table" not in p3._derived
+
+
+def test_permutation_automata_classify_without_the_pair_table(monkeypatch, capsys):
+    for aut, flag in ((random_automaton(600, 2, seed=6, constraint="permutation"), False),
+                      (Automaton([[0, 0]]), True)):
+        monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
+        assert cli.main(["classify", "unused.aut", "--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["permutation"] and info["synchronizing"] is flag
+        assert "pair_table" not in aut._derived
 
 
 def test_avoidable_state_builds_one_table_per_sink_component(monkeypatch):
