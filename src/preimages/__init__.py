@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the public names it provides
     "automaton": ("Automaton", "StateSet", "Word", "SccDecomposition", "apply_word",
                   "preimage_word", "scc", "is_strongly_connected", "is_permutation_automaton",
-                  "sink_state", "letter_name"),
+                  "sink_state", "letter_name", "SubsetBfsResult"),
     "pairs": ("PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
               "minimal_rank_word", "avoidable_state"),
     "extend": ("shortest_extending_word_small", "totally_extending_word_small",
                "totally_extensible_synchronizing"),
     "avoid": ("RankPartition", "rank_partition", "avoiding_word"),
     "resize": ("RationalBasis", "shortest_resizing_word", "resizable_decision_fast"),
-    "oracle": ("SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
+    "oracle": ("backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
                "oracle_shortest_reset", "oracle_min_rank"),
     "gadgets": ("DfaWithAcceptance", "GadgetOutput", "intersection_gadget", "binarize",
                 "sink_binarize", "large_extend_gadget", "random_automaton", "languages_intersect"),

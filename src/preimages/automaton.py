@@ -8,8 +8,10 @@ of preimages as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
 
 A whole word acts through its transformation ``word_map``, composed right to
 left with one C-level gather per letter; ``apply_word`` and ``preimage_word``
-read the image and the preimage off it.  The single-letter steps
-``image_bits`` and ``preimage_bits`` drive the subset searches.
+read the image and the preimage off it.  ``subset_bfs`` is the one
+breadth-first search over subsets: extend walks back from S by the
+single-letter steps ``preimage_bits``, extend-total and avoid walk forward
+by ``image_bits``, and the power-set oracle does both.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -18,11 +20,12 @@ freely between threads; derived analyses are memoized on the automaton
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections.abc import Mapping
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DEFAULT_ORACLE_STATE_CAP
 
 # The classes random_automaton draws from, kept here so the CLI need not import gadgets.
 CONSTRAINTS = ("none", "strongly-connected", "synchronizing", "permutation")
@@ -266,53 +269,196 @@ class Automaton:
         return f"Automaton(n={self.n}, k={self.k})"
 
 
-def subset_bfs(sources: Iterable[int], step: Callable[[int, int], int], k: int,
-               is_goal: Callable[[int], bool], budget: int,
-               stats: Optional[dict] = None) -> Optional[Word]:
+Goal = Callable[[int, int], bool]  # (subset bits, depth) -> met
+
+
+class _Reached(Mapping):
+    """Read-only map of the reached subsets in generation order (FIFO,
+    letters ascending): bits -> ``(depth, letter, predecessor bits)``, and
+    a source -> ``(0, -1, -1)``.  Its first match is what an early-stopping
+    search returns.  The letter is the smallest that maps the predecessor
+    to the subset, which is the one the search recorded."""
+
+    __slots__ = ("_pred", "_order", "_step", "_k")
+
+    def __init__(self, pred, order, step: Callable[[int, int], int], k: int):
+        self._pred = pred  # bits -> predecessor bits, a source's own bits, or -1
+        self._order = order  # reached subsets in generation order
+        self._step, self._k = step, k  # (bits, letter) -> child bits; letter count
+
+    def _parent(self, bits: int) -> int:
+        try:
+            parent = self._pred[bits] if bits >= 0 else -1
+        except IndexError:  # past the end of a flat store
+            parent = -1
+        if parent < 0:
+            raise KeyError(bits)
+        return parent
+
+    def _letter(self, parent: int, bits: int) -> int:
+        return next(a for a in range(self._k) if self._step(parent, a) == bits)
+
+    def __getitem__(self, bits: int) -> tuple[int, int, int]:
+        parent = self._parent(bits)
+        if parent == bits:
+            return 0, -1, -1
+        depth, p = 1, parent
+        while self._pred[p] != p:
+            depth, p = depth + 1, self._pred[p]
+        return depth, self._letter(parent, bits), parent
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
+class _Sparse(dict):
+    """The predecessor store above the flat-array limit."""
+
+    def __missing__(self, bits: int) -> int:
+        return -1
+
+
+class SubsetBfsResult:
+    """The subsets a search reached, and the one that stopped it.
+
+    ``direction`` is "preimage" or "image".  A search without a goal reaches
+    every subset; one with a goal ends at the first subset that meets it,
+    stored in ``hit`` (None if no reachable subset does).
+    """
+
+    __slots__ = ("direction", "reached", "hit")
+
+    def __init__(self, direction: str, reached: _Reached, hit: Optional[int]):
+        self.direction, self.reached, self.hit = direction, reached, hit
+
+    def word_to(self, bits: int) -> Word:
+        """The word whose action takes a source to the given subset."""
+        reached, letters = self.reached, []
+        parent = reached._parent(bits)
+        while parent != bits:
+            letters.append(reached._letter(parent, bits))
+            bits, parent = parent, reached._pred[parent]
+        if self.direction == "image":
+            letters.reverse()
+        return Word(letters)
+
+    def first_match(self, want: Goal) -> Optional[tuple[Word, int, int]]:
+        """First generated subset with ``want(bits, depth)``: (word, length, bits)."""
+        for bits, (depth, _, _) in self.reached.items():
+            if want(bits, depth):
+                return self.word_to(bits), depth, bits
+        return None
+
+
+def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per letter, the tables of one preimage or image step: for each 8-bit
+    chunk of the state range, entry x is the union of the one-letter
+    preimages (or images) of the states x selects.  The last chunk's table
+    has 2^r entries for its r states."""
+    if direction == "preimage":
+        per_letter = [aut.preimage_masks(a) for a in range(aut.k)]
+    else:
+        per_letter = [[1 << q for q in succ] for succ in aut.by_letter]
+    steps = []
+    for per_state in per_letter:
+        tables = []
+        for base in range(0, aut.n, 8):
+            table = [0]
+            for mask in per_state[base:base + 8]:
+                table += [entry | mask for entry in table]
+            tables.append(tuple(table))
+        steps.append(tuple(tables))
+    return tuple(steps)
+
+
+def _search_by_chunks(step_tables, pred, order, goal: Optional[Goal], budget: int) -> Optional[int]:
+    """Continue the search from the subsets in ``order``, a step costing one
+    table lookup per 8-bit chunk; the first child that meets ``goal``, or None."""
+    depth = lo = 0
+    while lo < len(order):
+        depth += 1
+        frontier, lo = order[lo:], len(order)
+        for bits in frontier:
+            for tables in step_tables:
+                child, rest = 0, bits
+                for table in tables:
+                    child |= table[rest & 0xFF]
+                    rest >>= 8
+                if pred[child] < 0:
+                    pred[child] = bits
+                    order.append(child)
+                    if len(order) > budget:
+                        raise BudgetExceededError(
+                            f"subset BFS exceeded node limit {budget}", len(order))
+                    if goal is not None and goal(child, depth):
+                        return child
+    return None
+
+
+def _search_by_members(step, k: int, pred, order, goal: Optional[Goal],
+                       budget: int) -> Optional[int]:
+    """``_search_by_chunks`` with a step of one mask per member state."""
+    depth = lo = 0
+    while lo < len(order):
+        depth += 1
+        frontier, lo = order[lo:], len(order)
+        for bits in frontier:
+            for a in range(k):
+                child = step(bits, a)
+                if pred[child] < 0:
+                    pred[child] = bits
+                    order.append(child)
+                    if len(order) > budget:
+                        raise BudgetExceededError(
+                            f"subset BFS exceeded node limit {budget}", len(order))
+                    if goal is not None and goal(child, depth):
+                        return child
+    return None
+
+
+def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
+               budget: int, stats: Optional[dict] = None) -> SubsetBfsResult:
     """Multi-source FIFO BFS over subsets held as bit patterns.
 
-    ``sources`` yields distinct bit patterns.  Children are ``step(bits, a)``
-    for ``a`` in ``0..k-1``, tried in ascending order.  Every discovered
-    node, sources included, is tested by ``is_goal``; the first hit returns
-    the letters of its path from a source, exhaustion returns None.  More
-    than ``budget`` discovered nodes raise BudgetExceededError;
-    ``stats["nodes"]`` counts them otherwise.
+    ``sources`` yields distinct bit patterns.  ``direction`` "preimage" steps
+    a subset T to ``T . a^-1`` and "image" to ``T . a``, letters ascending.
+    Every discovered subset, sources first and in order, is tested by
+    ``goal(bits, depth)``; the first that meets it is ``hit``.  Without a
+    goal the search is exhaustive.  More than ``budget`` discovered subsets
+    raise BudgetExceededError; ``stats["nodes"]`` counts them when the
+    search returns.
 
-    A node stores only its parent, and a source is its own parent.  A path's
-    letters are recovered afterwards: the smallest letter that steps the
-    parent to the child is the one the search recorded.
+    A subset stores only its predecessor, and a source is its own.  Up to
+    ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors sit in an int array
+    indexed by subset bits (4 MiB at n = 20, whatever the budget) and a step
+    is ceil(n/8) chunk-table lookups; above it a dict holds them, bounded
+    by the budget, and a step ORs one mask per member state.
     """
-    parent: dict[int, int] = {}
-    queue: deque[int] = deque()
-
-    def discover(bits: int, par: int) -> bool:
-        """Record a new node; True if it is a goal."""
-        parent[bits] = par
-        if len(parent) > budget:
-            raise BudgetExceededError(f"subset search exceeded budget {budget}", len(parent))
-        if is_goal(bits):
-            return True
-        queue.append(bits)
-        return False
-
-    goal = next((bits for bits in sources if discover(bits, bits)), None)
-    while goal is None and queue:
-        bits = queue.popleft()
-        for a in range(k):
-            child = step(bits, a)
-            if child not in parent and discover(child, bits):
-                goal = child
-                break
+    flat = aut.n <= DEFAULT_ORACLE_STATE_CAP
+    if flat:
+        pred, order = array("i", [-1]) * (1 << aut.n), array("I")
+    else:
+        pred, order = _Sparse(), []
+    step = aut.preimage_bits if direction == "preimage" else aut.image_bits
+    for bits in sources:
+        pred[bits] = bits
+        order.append(bits)
+        if len(order) > budget:
+            raise BudgetExceededError(f"subset BFS exceeded node limit {budget}", len(order))
+        if goal is not None and goal(bits, 0):
+            hit = bits
+            break
+    else:  # no source is a goal: only now is a step needed
+        if flat:
+            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, goal, budget)
+        else:
+            hit = _search_by_members(step, aut.k, pred, order, goal, budget)
     if stats is not None:
-        stats["nodes"] = len(parent)
-    if goal is None:
-        return None
-    letters = []
-    par = parent[goal]
-    while par != goal:
-        letters.append(next(a for a in range(k) if step(par, a) == goal))
-        goal, par = par, parent[par]
-    return Word(reversed(letters))
+        stats["nodes"] = len(order)
+    return SubsetBfsResult(direction, _Reached(pred, order, step, aut.k), hit)
 
 
 def word_map(aut: Automaton, w: Word) -> tuple[int, ...]:

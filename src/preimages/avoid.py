@@ -79,10 +79,10 @@ def avoiding_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET
         if c.bits & s_bits:
             good_mask |= c.bits & ~s_bits
 
-    def is_goal(bits: int) -> bool:
+    def is_goal(bits: int, depth: int) -> bool:
         assert bits.bit_count() == z, "image of a subset of the minimal image changed size"
         return (bits & good_mask).bit_count() == z
 
     sources = (sum(1 << q for q in states) for states in combinations(sorted(part.image), z))
-    path = subset_bfs(sources, aut.image_bits, aut.k, is_goal, budget, stats)
-    return None if path is None else part.word + path
+    res = subset_bfs(aut, sources, "image", is_goal, budget, stats)
+    return None if res.hit is None else part.word + res.word_to(res.hit)

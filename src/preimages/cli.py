@@ -147,8 +147,10 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     or the ``_SEARCH`` function answers first; the permutation route is tried
     before all of them.  The oracle answers instead when asked to, and under
     ``auto`` (n within the oracle cap) when the search ran out of budget or its
-    witness is not shortest and longer than ``--max-len``.  A shortest witness
-    longer than ``--max-len`` turns "yes" into "no".
+    witness is not shortest and longer than ``--max-len``.  Extend has no such
+    fallback: its search is the oracle's, from the same subset under the same
+    budget, so it would stop at the same node.  A shortest witness longer than
+    ``--max-len`` turns "yes" into "no".
 
     The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
     for every word w, so extend and resize are "no", and extend-total (S = Q)
@@ -187,7 +189,7 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     if route is not None:
         too_long = max_len is not None and route.word is not None and len(route.word) > max_len
         if route.answer == ANSWER_UNKNOWN or (too_long and not route.shortest):
-            if method == "auto" and aut.n <= oracle_cap:
+            if method == "auto" and aut.n <= oracle_cap and problem != "extend":
                 route, why = None, "length bound undecided: " if too_long else ""
             elif too_long:
                 return Route(ANSWER_UNKNOWN, None, route.method, False,

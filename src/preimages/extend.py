@@ -1,19 +1,21 @@
 """Extending and totally extending words for small subsets.
 
-``shortest_extending_word_small`` is one breadth-first search backward from
-S: a node is a preimage ``S . v^-1`` and its children prepend one letter,
+Both run ``automaton.subset_bfs``, the kernel the power-set oracle runs.
+``shortest_extending_word_small`` searches backward from S: a node is a
+preimage ``S . v^-1`` and its children prepend one letter,
 ``(S . v^-1) . a^-1 == S . (av)^-1``.  The search stops at the first node
 larger than S, and the word is the path's letters read from that node back
 to S.  Every proper suffix v of a shortest extending word has
-``|S . v^-1| <= |S|``, so no stored node is larger than S, and the first
-hit is the witness the power-set oracle finds.
+``|S . v^-1| <= |S|``, so no stored node is larger than S.  This is the
+oracle's "extending" search itself, from the same subset with the same
+stop, so it generates the same subsets and finds the same witness.
 
 ``totally_extending_word_small`` first drives Q to an incompressible image
-via a minimal-rank word u, then searches the fixed-size image space for a
-subset of S; the result ``u . path`` is correct but not necessarily
-shortest.  On a synchronizing automaton u is the greedy reset word and the
-search walks singletons into S, so the same function gives the witness of
-the synchronizing fast path.
+via a minimal-rank word u, then searches forward over the fixed-size images
+of Q.u for a subset of S; the result ``u . path`` is correct but not
+necessarily shortest.  On a synchronizing automaton u is the greedy reset
+word and the search walks singletons into S, so the same function gives
+the witness of the synchronizing fast path.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
     size = s.size
     if size == 0 or size == aut.n:
         return None
-    path = subset_bfs([s.bits], aut.preimage_bits, aut.k, lambda bits: bits.bit_count() > size,
-                      budget, stats)
-    return None if path is None else Word(reversed(path.letters))
+    res = subset_bfs(aut, [s.bits], "preimage", lambda bits, depth: bits.bit_count() > size,
+                     budget, stats)
+    return None if res.hit is None else res.word_to(res.hit)
 
 
 def totally_extending_word_small(aut: Automaton, s: StateSet,
@@ -60,12 +62,12 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
     s_bits = s.bits
     r = rank.rank
 
-    def is_goal(bits: int) -> bool:
+    def is_goal(bits: int, depth: int) -> bool:
         assert bits.bit_count() == r, "image of an incompressible set changed size"
         return bits & ~s_bits == 0
 
-    path = subset_bfs([rank.image.bits], aut.image_bits, aut.k, is_goal, budget, stats)
-    return None if path is None else rank.word + path
+    res = subset_bfs(aut, [rank.image.bits], "image", is_goal, budget, stats)
+    return None if res.hit is None else rank.word + res.word_to(res.hit)
 
 
 def totally_extensible_synchronizing(aut: Automaton, s: StateSet) -> bool:

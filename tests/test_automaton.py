@@ -58,31 +58,46 @@ def test_word_rendering_and_parsing():
             Word.from_text(bad)
 
 
-def test_subset_bfs_kernel(c4, p3):
+def _padded(aut, n):
+    """``aut`` with states added up to ``n``, each fixed by every letter."""
+    return Automaton(list(aut.rows) + [[q] * aut.k for q in range(aut.n, n)])
+
+
+@pytest.mark.parametrize("n", [0, 21], ids=["flat", "dict"])  # either side of the oracle cap
+def test_subset_bfs_kernel(c4, p3, n):
+    c4, p3 = _padded(c4, n), _padded(p3, n)
+    one = lambda bits, depth: bits.bit_count() == 1
     # From Q, the nearest singleton of the 4-state Cerny automaton is 9 letters away.
     stats = {}
-    word = subset_bfs([0b1111], c4.image_bits, 2, lambda b: b.bit_count() == 1, 100, stats)
-    assert len(word) == 9 and apply_word(c4, StateSet.full(4), word).size == 1
+    res = subset_bfs(c4, [0b1111], "image", one, 100, stats)
+    word = res.word_to(res.hit)
+    assert len(word) == 9 and apply_word(c4, c4.state_set(range(4)), word).size == 1
     assert stats["nodes"] > 9
+    stats = {}
     with pytest.raises(BudgetExceededError) as exc:
-        subset_bfs([0b1111], c4.image_bits, 2, lambda b: b.bit_count() == 1, 5)
-    assert exc.value.nodes == 6
+        subset_bfs(c4, [0b1111], "image", one, 5, stats)
+    assert exc.value.nodes == 6 and stats == {}
     # Sources are goal-tested in order, and a source is reached by the empty word.
     stats = {}
-    assert subset_bfs([0b0110, 0b0001, 0b1000], c4.image_bits, 2,
-                      lambda b: b == 0b0001, 10, stats) == Word()
+    res = subset_bfs(c4, [0b0110, 0b0001, 0b1000], "image",
+                     lambda bits, depth: bits == 0b0001, 10, stats)
+    assert res.hit == 0b0001 and res.word_to(res.hit) == Word()
     assert stats == {"nodes": 2}
     # Both letters step {3} to {0}: the smaller one, a, is the letter recovered.
     assert c4.image_bits(0b1000, 0) == c4.image_bits(0b1000, 1) == 0b0001
-    assert subset_bfs([0b0100], c4.image_bits, 2, lambda b: b == 0b0001,
-                      10) == Word.from_text("aa")
+    res = subset_bfs(c4, [0b0100], "image", lambda bits, depth: bits == 0b0001, 10)
+    assert res.word_to(res.hit) == Word.from_text("aa")
     # Only b steps {0,3} to {0}, so {1,2} reaches {0} by aab.
-    assert subset_bfs([0b0110], c4.image_bits, 2, lambda b: b == 0b0001,
-                      10) == Word.from_text("aab")
+    res = subset_bfs(c4, [0b0110], "image", lambda bits, depth: bits == 0b0001, 10)
+    assert res.word_to(res.hit) == Word.from_text("aab")
+    # Backward, the first preimage of {1,2} larger than it is {1,2}.(ba)^-1.
+    res = subset_bfs(c4, [0b0110], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
+    assert res.word_to(res.hit) == Word.from_text("ba") and res.reached[res.hit][0] == 2
     # Exhaustion: a permutation automaton never shrinks {0}.
     stats = {}
-    assert subset_bfs([0b001], p3.image_bits, 2, lambda b: b == 0, 10, stats) is None
-    assert stats == {"nodes": 3}
+    res = subset_bfs(p3, [0b001], "image", lambda bits, depth: bits == 0, 10, stats)
+    assert res.hit is None and stats == {"nodes": 3}
+    assert len(subset_bfs(p3, [0b001], "image", None, 10).reached) == 3
 
 
 def test_image_worked_example(c4):

@@ -17,7 +17,7 @@ import preimages
 from preimages import (Automaton, StateSet, backward_subset_bfs, cerny_automaton,
                        oracle_shortest, perm3, chain2, random_automaton, serialize_automaton,
                        validate_report)
-from preimages import automaton as automaton_mod
+from preimages import automaton as automaton_mod, extend as extend_mod, oracle as oracle_mod
 from preimages.cli import main
 
 
@@ -385,15 +385,38 @@ def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
 
 
 def test_oracle_fallback_out_of_budget_reports_oracle(files, capsys):
-    # The poly search runs out of budget, --method auto falls back to the
+    # The avoid search runs out of budget, --method auto falls back to the
     # oracle, and the oracle runs out too: the report names the route that
     # ran last, never "auto".
-    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
-                       "--problem", "extend", "--budget", "3", "--json")
+    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0,1,2",
+                       "--problem", "avoid", "--budget", "3", "--json")
     report = json.loads(out)
     validate_report(report)
     assert code == 2 and report["answer"] == "unknown-budget"
     assert report["method"] == "oracle" and "node limit 3" in report["note"]
+
+
+def test_extend_out_of_budget_runs_one_search(files, capsys, monkeypatch):
+    # Extend's search is the oracle's backward search from S, so --method
+    # auto does not rerun it through the oracle after it runs out of budget.
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(extend_mod, "subset_bfs")
+    counting(oracle_mod, "backward_subset_bfs")
+    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
+                       "--problem", "extend", "--budget", "3", "--json")
+    report = json.loads(out)
+    assert calls == ["subset_bfs"]
+    assert code == 2 and report["answer"] == "unknown-budget"
+    assert report["method"] == "poly" and report["note"] == "node budget exceeded"
 
 
 def test_validate_report_rejects_a_method_outside_the_schema(files, capsys):
@@ -453,6 +476,15 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
     assert "preimages.resize" in found["query"]
     for unused in ("oracle", "gadgets", "avoid", "extend"):
         assert "preimages." + unused not in found["query"]
+    # Extend and avoid run the subset BFS kernel of automaton, never the
+    # oracle's searches, which bench/spans.py times by name; nor does extend
+    # fall back to the oracle when it runs out of budget.
+    for problem, subset, budget, code in (("extend", "1,2", "50", 0), ("extend", "1,2", "3", 2),
+                                          ("avoid", "0,1,2", "50", 0)):
+        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", subset,
+                              "--problem", problem, "--witness", "--budget", budget)
+        assert found["code"] == code and "preimages." + problem in found["query"]
+        assert "preimages.oracle" not in found["query"], (problem, budget)
     # The permutation route answers every problem without a search module.
     for problem in ("extend", "extend-total", "avoid", "resize"):
         found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",

@@ -1,6 +1,8 @@
 """Extending-word searches and the synchronizing fast path."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,22 @@ def test_extend_edge_subsets(c4):
 def test_extend_budget_is_an_error_not_an_answer(c4):
     with pytest.raises(BudgetExceededError):
         shortest_extending_word_small(c4, c4.state_set([1, 2]), budget=2)
+
+
+def test_extend_permutation_sweep_memory():
+    # No preimage of a 9-subset of a permutation automaton grows, so the
+    # search reaches all C(18, 9) of them: 4 bytes per possible subset plus
+    # 4 per reached one is about 1.2 MB.
+    aut = random_automaton(18, 2, seed=0, constraint="permutation")
+    stats = {}
+    tracemalloc.start()
+    try:
+        assert shortest_extending_word_small(aut, StateSet(18, (1 << 9) - 1), stats=stats) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["nodes"] == math.comb(18, 9)
+    assert peak < 2_000_000
 
 
 def test_extend_matches_oracle_decision_and_length():

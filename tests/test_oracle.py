@@ -12,7 +12,8 @@ from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_wor
                        serialize_automaton)
 from preimages import oracle as oracle_mod
 from preimages.cli import main
-from preimages.oracle import GOALS, _step_tables, goal_predicate
+from preimages.automaton import _step_tables
+from preimages.oracle import GOALS, goal_predicate
 
 
 def test_backward_reachable_families(c4, p3, ch2):
