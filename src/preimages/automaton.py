@@ -431,17 +431,14 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     raise BudgetExceededError; ``stats["nodes"]`` counts them when the
     search returns.
 
-    A subset stores only its predecessor, and a source is its own.  Up to
-    ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors sit in an int array
-    indexed by subset bits (4 MiB at n = 20, whatever the budget) and a step
-    is ceil(n/8) chunk-table lookups; above it a dict holds them, bounded
-    by the budget, and a step ORs one mask per member state.
+    A subset stores only its predecessor, and a source is its own.  The
+    sources sit in a dict.  Once a step is needed, up to
+    ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors move to an int
+    array indexed by subset bits (4 MiB at n = 20, whatever the budget) and
+    a step is ceil(n/8) chunk-table lookups; above it the dict holds them,
+    bounded by the budget, and a step ORs one mask per member state.
     """
-    flat = aut.n <= DEFAULT_ORACLE_STATE_CAP
-    if flat:
-        pred, order = array("i", [-1]) * (1 << aut.n), array("I")
-    else:
-        pred, order = _Sparse(), []
+    pred, order = _Sparse(), []
     step = aut.preimage_bits if direction == "preimage" else aut.image_bits
     for bits in sources:
         pred[bits] = bits
@@ -452,7 +449,10 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
-        if flat:
+        if aut.n <= DEFAULT_ORACLE_STATE_CAP:
+            pred, order = array("i", [-1]) * (1 << aut.n), array("I", order)
+            for bits in order:
+                pred[bits] = bits
             hit = _search_by_chunks(_step_tables(aut, direction), pred, order, goal, budget)
         else:
             hit = _search_by_members(step, aut.k, pred, order, goal, budget)

@@ -25,47 +25,52 @@ class AutomatonFormatError(ValueError):
         self.line = line
 
 
-def _tokens(text: str):
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield tok, line_no
+def _line_of(bodies: list[str], i: int) -> int:
+    """1-based line of token ``i``; past the last token, that token's line."""
+    line = 1
+    for line_no, body in enumerate(bodies, start=1):
+        count = len(body.split())
+        if count:
+            line = line_no
+            if i < count:
+                break
+            i -= count
+    return line
 
 
 def parse_automaton(text: str) -> Automaton:
-    stream = _tokens(text)
+    bodies = [line.split("#", 1)[0] for line in text.splitlines()]
+    tokens = " ".join(bodies).split()
 
-    def next_int(what: str, line_hint: int) -> tuple[int, int]:
+    def fail(message: str, i: int):
+        raise AutomatonFormatError(message, _line_of(bodies, i))
+
+    def value(i: int, what: str) -> int:
+        if i >= len(tokens):
+            fail(f"unexpected end of input, expected {what}", i)
         try:
-            tok, line_no = next(stream)
-        except StopIteration:
-            raise AutomatonFormatError(f"unexpected end of input, expected {what}", line_hint)
-        try:
-            return int(tok), line_no
+            return int(tokens[i])
         except ValueError:
-            raise AutomatonFormatError(f"expected {what}, got {tok!r}", line_no)
+            fail(f"expected {what}, got {tokens[i]!r}", i)
 
-    n, line = next_int("state count", 1)
-    k, line = next_int("letter count", line)
+    n, k = value(0, "state count"), value(1, "letter count")
     if n < 1 or k < 1:
-        raise AutomatonFormatError(f"header must hold two positive integers, got {n} {k}", line)
-
-    rows = []
-    for q in range(n):
-        row = []
-        for a in range(k):
-            entry, line = next_int(f"transition ({q},{a})", line)
+        fail(f"header must hold two positive integers, got {n} {k}", 1)
+    end = 2 + n * k
+    try:
+        entries = list(map(int, tokens[2:end]))
+        valid = len(entries) == n * k and min(entries) >= 0 and max(entries) < n
+    except ValueError:
+        valid = False
+    if not valid:  # the first bad entry, in reading order
+        for i in range(2, end):
+            q, a = divmod(i - 2, k)
+            entry = value(i, f"transition ({q},{a})")
             if not 0 <= entry < n:
-                raise AutomatonFormatError(
-                    f"transition ({q},{a}) -> {entry} out of range [0, {n})", line)
-            row.append(entry)
-        rows.append(row)
-
-    leftover = next(stream, None)
-    if leftover is not None:
-        raise AutomatonFormatError(
-            f"expected {n} rows of {k} entries, found extra token {leftover[0]!r}", leftover[1])
-    return Automaton(rows)
+                fail(f"transition ({q},{a}) -> {entry} out of range [0, {n})", i)
+    if len(tokens) > end:
+        fail(f"expected {n} rows of {k} entries, found extra token {tokens[end]!r}", end)
+    return Automaton([entries[i:i + k] for i in range(0, n * k, k)])
 
 
 def parse_automaton_file(path: str) -> Automaton:

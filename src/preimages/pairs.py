@@ -10,11 +10,16 @@ decision for single states, and the "no" of the synchronization check.  A
 proves it, and random automata synchronize fast under random words
 (Nicaud 2016).
 
-The table keeps, per pair, its distance as an int32 and the first letter
-of its shortest merging word as one byte (an int32 above 256 letters).
-That letter leads the pair {p, q} to {p·a, q·a}, one step closer to a
-merge, so a word is read off by walking the successor rows.  The search
-runs level by level over arrays of pair indices and boxes nothing per pair.
+The table keeps, per pair, only its distance, as an int32.  A pair's
+merging word is its lexicographically smallest shortest one, read off the
+distances: from {p, q} at distance d, the smallest letter a that leads to
+{p·a, q·a} at distance d − 1.  The search runs level by level over arrays
+of pair indices and boxes nothing per pair.
+
+The minimal-rank word builds the table only when a greedy step cannot be
+found lazily, by one letter that merges a pair of the image or, while the
+image is small, by a BFS from its pairs.  On random automata every step is
+found that way and no table is built; on Černý automata it is built.
 """
 
 from __future__ import annotations
@@ -22,26 +27,24 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple, Optional
 
-from .automaton import Automaton, StateSet, Word, apply_word, is_permutation_automaton, scc
+from .automaton import Automaton, StateSet, Word, is_permutation_automaton, scc, word_map
 
 
 class PairTable:
     """Shortest compressing-word lengths for all unordered state pairs.
 
     ``dist`` is an int32 array indexed by ``p * n + q`` with ``p < q``; -1
-    encodes "not compressible".  ``_via``, indexed the same way, holds the
-    first letter of a shortest merging word, and ``word`` follows it through
-    the automaton's successor rows ``_rows``.
+    encodes "not compressible".  ``word`` reads a merging word off ``dist``
+    through the automaton's per-letter successor lists ``_succ``.
     """
 
-    __slots__ = ("n", "k", "dist", "_via", "_rows")
+    __slots__ = ("n", "k", "dist", "_succ")
 
-    def __init__(self, n: int, k: int, dist: array, via: array, rows):
+    def __init__(self, n: int, k: int, dist: array, succ):
         self.n = n
         self.k = k
         self.dist = dist
-        self._via = via
-        self._rows = rows
+        self._succ = succ
 
     def _idx(self, p: int, q: int) -> int:
         if p == q:
@@ -61,14 +64,22 @@ class PairTable:
         return self.dist[self._idx(p, q)] >= 0
 
     def word(self, p: int, q: int) -> Optional[Word]:
-        """A shortest word merging {p, q}; its length equals ``length(p, q)``."""
-        if self.dist[self._idx(p, q)] < 0:
+        """The lexicographically smallest shortest word merging {p, q}: each
+        letter is the smallest that leads the pair one step closer to a merge."""
+        d = self.dist[self._idx(p, q)]
+        if d < 0:
             return None
-        n, via, rows, letters = self.n, self._via, self._rows, []
-        while p != q:
-            a = via[p * n + q if p < q else q * n + p]
+        n, dist, letters = self.n, self.dist, []
+        succ = tuple(enumerate(self._succ))
+        while d > 1:
+            d -= 1
+            for a, row in succ:
+                x, y = row[p], row[q]
+                if dist[x * n + y if x < y else y * n + x] == d:  # never x == y: dist 1 < d
+                    break
             letters.append(a)
-            p, q = rows[p][a], rows[q][a]
+            p, q = x, y
+        letters.append(next(a for a, row in succ if row[p] == row[q]))
         return Word(letters)
 
     def all_compressible(self) -> bool:
@@ -84,14 +95,13 @@ def pair_table(aut: Automaton) -> PairTable:
 
     n, k = aut.n, aut.k
     dist = array("i", [-1]) * (n * n)
-    via = array("B" if k <= 256 else "i", [0]) * (n * n)
     # inv[q][a] = states mapped to q by letter a, in increasing order
     inv: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(n)]
     for a in range(k):
         for p, q in enumerate(aut.by_letter[a]):
             inv[q][a].append(p)
 
-    # Directly merged pairs share a predecessor list; the smallest letter wins.
+    # Directly merged pairs share a predecessor list.
     first = []
     for a in range(k):
         for q in range(n):
@@ -101,9 +111,8 @@ def pair_table(aut: Automaton) -> PairTable:
                 for y in xs[i + 1:]:
                     if dist[base + y] < 0:
                         dist[base + y] = 1
-                        via[base + y] = a
                         first.append(base + y)
-    frontier = array("i", sorted(first))
+    frontier = array("i", first)
 
     # pre[q] = the (letter, predecessors) entries of q that are non-empty
     pre = [[(a, xs) for a, xs in enumerate(row) if xs] for row in inv]
@@ -124,11 +133,10 @@ def pair_table(aut: Automaton) -> PairTable:
                         j = xn + y if x < y else y * n + x
                         if dist[j] < 0:
                             dist[j] = d
-                            via[j] = a
                             nxt.append(j)
         frontier = nxt
 
-    table = PairTable(n, k, dist, via, aut.rows)
+    table = PairTable(n, k, dist, aut.by_letter)
     aut._derived["pair_table"] = table
     return table
 
@@ -176,11 +184,10 @@ def known_synchronizing(aut: Automaton) -> Optional[bool]:
     return aut._derived.get("synchronizing")
 
 
-def _best_pair_in(bits: int, table: PairTable) -> Optional[tuple[int, int]]:
-    """Compressible pair inside the given image with the shortest merging
-    word; ties broken by smallest (p, q)."""
+def _best_pair_in(states: list[int], table: PairTable) -> Optional[tuple[int, int]]:
+    """Compressible pair of the given ascending states with the shortest
+    merging word; ties broken by smallest (p, q)."""
     n, dist = table.n, table.dist
-    states = list(StateSet(n, bits))
     best, best_d = None, -1
     for i, p in enumerate(states):
         base = p * n
@@ -191,6 +198,74 @@ def _best_pair_in(bits: int, table: PairTable) -> Optional[tuple[int, int]]:
                 if d == 1:  # no later pair can be shorter
                     return best
     return best
+
+
+def _one_letter_word(succ, image: list[int]) -> Optional[list[int]]:
+    """The smallest letter merging the smallest pair of the ascending
+    ``image`` that one letter merges, or None; O(k·|image|)."""
+    best = None
+    for a, row in enumerate(succ):
+        first: dict[int, int] = {}
+        for q in image:
+            p = first.setdefault(row[q], q)
+            if p != q and (best is None or (p, q) < best[:2]):
+                best = (p, q, a)
+    return None if best is None else [best[2]]
+
+
+def _closest_pair(succ, n: int, image: list[int], limit: int) -> tuple[Optional[int], int]:
+    """Forward BFS from every pair of the ascending ``image`` at once, a pair
+    ``p * n + q`` labelled with the smallest source that reaches it at its
+    depth.  The smallest label at the first depth where a pair merges is the
+    smallest source with the shortest merging word: each pair on a shortest
+    path from it lies at exactly its depth on that path.  Returns (source,
+    pairs visited): source -1 when no pair of the image merges, None once
+    more than ``limit`` pairs are visited."""
+    level = {p * n + q: p * n + q for i, p in enumerate(image) for q in image[i + 1:]}
+    seen = set(level)
+    while level and len(seen) <= limit:
+        best, nxt = -1, {}
+        for node, src in level.items():
+            p, q = divmod(node, n)
+            for row in succ:
+                x, y = row[p], row[q]
+                if x == y:
+                    if best < 0 or src < best:
+                        best = src
+                elif best < 0:
+                    j = x * n + y if x < y else y * n + x
+                    if j not in seen:
+                        seen.add(j)
+                        nxt[j] = src
+                    elif src < nxt.get(j, src):
+                        nxt[j] = src
+        if best >= 0:
+            return best, len(seen)
+        level = nxt
+    return (None if level else -1), len(seen)
+
+
+def _merging_word(succ, n: int, p: int, q: int) -> list[int]:
+    """The lexicographically smallest shortest word merging the compressible
+    pair p < q: a FIFO BFS with letters ascending meets the pairs in that
+    order of their words."""
+    parent = {p * n + q: None}
+    queue = [p * n + q]
+    for node in queue:
+        u, v = divmod(node, n)
+        for a, row in enumerate(succ):
+            x, y = row[u], row[v]
+            if x == y:
+                letters = [a]
+                while parent[node] is not None:
+                    node, a = parent[node]
+                    letters.append(a)
+                return letters[::-1]
+            j = x * n + y if x < y else y * n + x
+            if j not in parent:
+                parent[j] = (node, a)
+                queue.append(j)
+    raise ValueError(f"pair ({p}, {q}) is not compressible")
 
 
 class RankResult(NamedTuple):
@@ -204,25 +279,45 @@ class RankResult(NamedTuple):
 def minimal_rank_word(aut: Automaton) -> RankResult:
     """Iterated pair compression from Q until the image is incompressible.
 
+    Each step merges the pair of the image with the shortest merging word,
+    ties going to the smallest (p, q), by its lexicographically smallest
+    shortest merging word.  A step is found lazily: one letter first, then,
+    while |image|² ≤ 4n, a BFS from the image's pairs.  The pair table is
+    built only when neither finishes, or once the searches have visited as
+    many pairs as it holds; Černý automata take that route.
+
     The resulting image size equals the minimal rank over all words: any
     word's image contains an image of the incompressible set, which no word
     can shrink.
     """
     cached = aut._derived.get("min_rank")
     if cached is None:
-        table = pair_table(aut)
-        bits = (1 << aut.n) - 1
-        letters: list[int] = []
-        while bits.bit_count() > 1:
-            pair = _best_pair_in(bits, table)
-            if pair is None:
-                break
-            w = table.word(*pair)
-            letters.extend(w)
-            bits = apply_word(aut, StateSet(aut.n, bits), w).bits
-            if len(letters) > aut.n ** 3:
+        n, succ = aut.n, aut.by_letter
+        table, left = aut._derived.get("pair_table"), n * (n - 1) // 2
+        image, letters = list(range(n)), []
+        while len(image) > 1:
+            word = _one_letter_word(succ, image)
+            if word is None and table is None and len(image) ** 2 <= 4 * n:
+                src, seen = _closest_pair(succ, n, image, left)
+                left -= seen
+                if src == -1:
+                    break
+                if src is not None:
+                    word = _merging_word(succ, n, *divmod(src, n))
+            if word is None:
+                if table is None:
+                    table = pair_table(aut)
+                pair = _best_pair_in(image, table)
+                if pair is None:
+                    break
+                word = table.word(*pair).letters
+            letters.extend(word)
+            f = word_map(aut, Word(word))
+            image = sorted({f[q] for q in image})
+            if len(letters) > n ** 3:
                 raise AssertionError("pair compression exceeded its length guard")
-        cached = RankResult(Word(letters), StateSet(aut.n, bits), bits.bit_count())
+        bits = sum(1 << q for q in image)
+        cached = RankResult(Word(letters), StateSet(n, bits), len(image))
         aut._derived["min_rank"] = cached
     return cached
 

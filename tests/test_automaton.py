@@ -1,11 +1,13 @@
 """Core types and set/word actions, pinned to the worked examples."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
-                       is_permutation_automaton, is_strongly_connected, preimage_word, scc,
-                       sink_state)
+                       is_permutation_automaton, is_strongly_connected, preimage_word,
+                       random_automaton, scc, sink_state)
 from preimages.automaton import subset_bfs, word_map
 
 
@@ -98,6 +100,24 @@ def test_subset_bfs_kernel(c4, p3, n):
     res = subset_bfs(p3, [0b001], "image", lambda bits, depth: bits == 0, 10, stats)
     assert res.hit is None and stats == {"nodes": 3}
     assert len(subset_bfs(p3, [0b001], "image", None, 10).reached) == 3
+
+
+def test_subset_bfs_allocates_the_flat_store_only_for_a_step():
+    # At n = 20 the flat store takes 4 MiB; a source that meets the goal needs none.
+    aut = random_automaton(20, 2, seed=5)
+    tracemalloc.start()
+    try:
+        res = subset_bfs(aut, [0b100, 0b11], "preimage", lambda bits, depth: bits == 0b11, 10)
+        source_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        grown = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.hit == 0b11 and res.word_to(res.hit) == Word() and res.reached[0b100][0] == 0
+    assert source_peak < 1 << 16 <= 1 << 22 <= step_peak
+    word = grown.word_to(grown.hit)
+    assert preimage_word(aut, aut.state_set([0, 1]), word).bits == grown.hit
 
 
 def test_image_worked_example(c4):

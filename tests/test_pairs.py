@@ -136,14 +136,15 @@ def test_avoidable_state_matches_oracle_including_disconnected():
 
 
 def _reference_table(aut):
-    """The former pair-table search: one FIFO deque, (letter, parent) tuples."""
+    """The former pair-table search, one FIFO deque, and a word that takes at
+    each step the smallest letter leading to distance d - 1."""
     n, k, rows = aut.n, aut.k, aut.rows
-    dist, via, queue = [-1] * (n * n), [None] * (n * n), deque()
+    dist, queue = [-1] * (n * n), deque()
     for p in range(n):
         for q in range(p + 1, n):
             for a in range(k):
                 if rows[p][a] == rows[q][a]:
-                    dist[p * n + q], via[p * n + q] = 1, (a, -1)
+                    dist[p * n + q] = 1
                     queue.append(p * n + q)
                     break
     inv = [[[] for _ in range(n)] for _ in range(k)]
@@ -158,14 +159,18 @@ def _reference_table(aut):
                 for y in inv[a][q]:
                     j = x * n + y if x < y else y * n + x
                     if x != y and dist[j] < 0:
-                        dist[j], via[j] = dist[i] + 1, (a, i)
+                        dist[j] = dist[i] + 1
                         queue.append(j)
 
     def word(i):
-        letters = []
-        while i >= 0:
-            a, i = via[i]
+        (p, q), letters = divmod(i, n), []
+        for d in reversed(range(dist[i])):  # the distance after this letter
+            for a in range(k):
+                x, y = sorted((rows[p][a], rows[q][a]))
+                if (0 if x == y else dist[x * n + y]) == d:
+                    break
             letters.append(a)
+            p, q = x, y
         return Word(letters)
 
     return dist, word
@@ -210,6 +215,29 @@ def test_pair_table_and_compression_words_match_the_reference_search():
         synchronizing = dist.count(-1) == n * (n + 1) // 2
         assert is_synchronizing(aut) == synchronizing
         assert greedy_reset_word(aut) == (letters if synchronizing else None)
+
+
+def _rank_corpus():
+    rng = random.Random(16)
+    for _ in range(400):
+        yield random_automaton(rng.randint(1, 40), rng.randint(1, 3), seed=rng.randrange(10**9)).rows
+    for n, k in ((3, 2), (7, 2), (30, 3)):
+        rows = random_automaton(n, k, seed=rng.randrange(10**9), constraint="permutation").rows
+        yield list(rows) + [[0] * k]  # one merge, then the image never shrinks again
+    for n in (2, 3, 5, 9, 17):
+        yield cerny_automaton(n).rows
+    yield _union(cerny_automaton(5), cerny_automaton(6))
+
+
+def test_lazy_rank_word_matches_the_table_driven_compression():
+    branches = set()
+    for rows in _rank_corpus():
+        aut, reference = Automaton(rows), Automaton(rows)
+        rank = minimal_rank_word(aut)
+        branches.add("pair_table" in aut._derived)
+        letters, bits = _reference_compression(reference, *_reference_table(reference))
+        assert (rank.word, rank.image.bits, rank.rank) == (letters, bits, bits.bit_count())
+    assert branches == {True, False}
 
 
 def _union(a, b):
@@ -269,6 +297,19 @@ def test_decision_only_routes_build_no_pair_table(monkeypatch, capsys):
         assert "pair_table" not in aut._derived
 
 
+def test_random_avoid_witness_builds_no_pair_table(monkeypatch, capsys):
+    aut = Automaton(random_automaton(600, 2, seed=3).rows)
+    monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
+    code = cli.main(["check", "unused.aut", "--subset", "5,70", "--problem", "avoid",
+                     "--witness", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["answer"] == "yes"
+    image = apply_word(aut, StateSet.full(aut.n), Word.from_text(report["witness"]))
+    assert not {5, 70} & set(image)
+    assert "pair_table" not in aut._derived
+    assert report["classification"]["synchronizing"] is None  # not computed, as before
+
+
 def test_a_no_comes_from_the_pair_table(p3):
     union = Automaton(_union(random_automaton(30, 2, seed=4), random_automaton(40, 2, seed=5)))
     for aut in (union, Automaton(_union(cerny_automaton(5), cerny_automaton(6)))):
@@ -315,9 +356,9 @@ def test_identical_letters_merge_with_the_smaller_one():
 
 
 def test_pair_table_holds_five_bytes_per_entry():
-    # int32 distances and one-byte letters: 5 bytes per (p, q) entry; the
-    # bound leaves room for the levels, which hold pair indices as machine
-    # ints too, and the predecessor lists.
+    # int32 distances: 4 bytes per (p, q) entry, at most 5 as the name says;
+    # the bound leaves room for the levels, which hold pair indices as
+    # machine ints too, and the predecessor lists.
     n = 150
     rows = random_automaton(n, 2, seed=n).rows
     tracemalloc.start()
