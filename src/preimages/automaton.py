@@ -101,8 +101,8 @@ class StateSet:
 
     Backed by a bit vector (``bits`` has bit ``q`` set iff state ``q`` is a
     member); cardinality is computed once at construction.  Instances are
-    immutable; set operations return fresh values and insist that both
-    operands are bound to the same ``n``.
+    immutable; ``complement`` returns a fresh value, and ``issubset`` insists
+    that both operands are bound to the same ``n``.
     """
 
     __slots__ = ("n", "bits", "size")
@@ -152,18 +152,6 @@ class StateSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __or__(self, other: "StateSet") -> "StateSet":
-        self._check_peer(other)
-        return StateSet(self.n, self.bits | other.bits)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        self._check_peer(other)
-        return StateSet(self.n, self.bits & other.bits)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        self._check_peer(other)
-        return StateSet(self.n, self.bits & ~other.bits)
 
     def complement(self) -> "StateSet":
         return StateSet(self.n, ((1 << self.n) - 1) ^ self.bits)

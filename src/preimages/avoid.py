@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .automaton import Automaton, StateSet, Word, subset_bfs, word_map
+from .automaton import Automaton, StateSet, Word, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET
 from .pairs import minimal_rank_word
 
@@ -37,7 +37,7 @@ class RankPartition(NamedTuple):
 def rank_partition(aut: Automaton, s: StateSet) -> RankPartition:
     aut.check_set(s)
     rank = minimal_rank_word(aut)
-    image_of = word_map(aut, rank.word)
+    image_of = aut._derived["rank_classes"]  # q . u for every state q, kept by the search
     reps = sorted(set(image_of))
     rep_index = {p: i for i, p in enumerate(reps)}
     class_bits = [0] * len(reps)

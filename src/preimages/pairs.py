@@ -19,15 +19,20 @@ of pair indices and boxes nothing per pair.
 The minimal-rank word builds the table only when a greedy step cannot be
 found lazily, by one letter that merges a pair of the image or, while the
 image is small, by a BFS from its pairs.  On random automata every step is
-found that way and no table is built; on Černý automata it is built.
+found that way and no table is built; on Černý automata it is built.  With
+the table, a step reads each image state's partners in (distance, state)
+order, sorted once per state, so a run costs about n² pair reads instead of
+n³/6.  Every step moves only the image, one gather per letter, and the map
+q ↦ q·u of the whole word u is kept per step for the rank partition.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .automaton import Automaton, StateSet, Word, is_permutation_automaton, scc, word_map
+from .automaton import Automaton, StateSet, Word, is_permutation_automaton, scc
 
 
 class PairTable:
@@ -184,19 +189,35 @@ def known_synchronizing(aut: Automaton) -> Optional[bool]:
     return aut._derived.get("synchronizing")
 
 
-def _best_pair_in(states: list[int], table: PairTable) -> Optional[tuple[int, int]]:
-    """Compressible pair of the given ascending states with the shortest
-    merging word; ties broken by smallest (p, q)."""
-    n, dist = table.n, table.dist
-    best, best_d = None, -1
-    for i, p in enumerate(states):
-        base = p * n
-        for q in states[i + 1:]:
-            d = dist[base + q]
-            if d >= 0 and (best is None or d < best_d):
+def _closest_pair_in(image: list[int], table: PairTable,
+                     partners: dict) -> Optional[tuple[int, int]]:
+    """Compressible pair of the ascending ``image`` with the shortest merging
+    word, ties broken by smallest (p, q), or None.
+
+    ``partners[p]`` holds the states compressible with p, sorted by
+    (distance, state), with p's distance row; it is built when p is first
+    scanned.  Each p walks its order to the first member of the image, or
+    stops once the distance reaches the best so far.  The smallest p that
+    attains the minimum is the pair's smaller state, and its first partner in
+    the image is the larger one."""
+    n, dist, members = table.n, table.dist, set(image)
+    best, best_d = None, n * n
+    for p in image:
+        entry = partners.get(p)
+        if entry is None:
+            row = dist[p:p * n:n] + dist[p * n + p:(p + 1) * n]  # row[q]: distance of {p, q}
+            order = array("i", sorted(range(n), key=row.__getitem__))
+            entry = partners[p] = (order[row.count(-1):], row)
+        order, row = entry
+        for q in order:
+            d = row[q]
+            if d >= best_d:
+                break
+            if q in members:
                 best, best_d = (p, q), d
-                if d == 1:  # no later pair can be shorter
-                    return best
+                break
+        if best_d == 1:  # no later p can do better
+            break
     return best
 
 
@@ -284,7 +305,16 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     shortest merging word.  A step is found lazily: one letter first, then,
     while |image|² ≤ 4n, a BFS from the image's pairs.  The pair table is
     built only when neither finishes, or once the searches have visited as
-    many pairs as it holds; Černý automata take that route.
+    many pairs as it holds; Černý automata take that route.  Once the table
+    is built, every later step reads it alone: each image state's partners,
+    sorted by (distance, state) when the state is first scanned, are walked
+    to the first one in the image, which costs about n² pair reads over the
+    run.
+
+    A step's word moves the image only, one ``itemgetter`` gather per letter
+    over |image| states, and the image's moves update the classes
+    ``q ↦ q·u`` of all n states once per step.  The classes are kept in
+    ``aut._derived["rank_classes"]`` for ``avoid.rank_partition``.
 
     The resulting image size equals the minimal rank over all words: any
     word's image contains an image of the incompressible set, which no word
@@ -294,9 +324,10 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     if cached is None:
         n, succ = aut.n, aut.by_letter
         table, left = aut._derived.get("pair_table"), n * (n - 1) // 2
-        image, letters = list(range(n)), []
+        image, letters, partners = list(range(n)), [], {}
+        classes, step = tuple(range(n)), list(range(n))
         while len(image) > 1:
-            word = _one_letter_word(succ, image)
+            word = None if table is not None else _one_letter_word(succ, image)
             if word is None and table is None and len(image) ** 2 <= 4 * n:
                 src, seen = _closest_pair(succ, n, image, left)
                 left -= seen
@@ -307,18 +338,24 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
             if word is None:
                 if table is None:
                     table = pair_table(aut)
-                pair = _best_pair_in(image, table)
+                pair = _closest_pair_in(image, table, partners)
                 if pair is None:
                     break
                 word = table.word(*pair).letters
             letters.extend(word)
-            f = word_map(aut, Word(word))
-            image = sorted({f[q] for q in image})
+            moved = image  # moved[i] == image[i] . word, one gather per letter
+            for a in word:
+                moved = itemgetter(*moved)(succ[a])
+            for p, q in zip(image, moved):
+                step[p] = q
+            classes = itemgetter(*classes)(step)
+            image = sorted(set(moved))
             if len(letters) > n ** 3:
                 raise AssertionError("pair compression exceeded its length guard")
         bits = sum(1 << q for q in image)
         cached = RankResult(Word(letters), StateSet(n, bits), len(image))
         aut._derived["min_rank"] = cached
+        aut._derived["rank_classes"] = classes
     return cached
 
 

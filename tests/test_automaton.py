@@ -39,10 +39,11 @@ def test_stateset_basics():
     s = StateSet.from_states(4, [2, 0])
     assert len(s) == 2 and list(s) == [0, 2]
     assert 0 in s and 1 not in s
-    assert (s | StateSet.from_states(4, [1])).bits == 0b0111
+    assert s.issubset(StateSet.from_states(4, [0, 1, 2]))
+    assert not s.issubset(StateSet.from_states(4, [0, 1]))
     assert s.complement() == StateSet.from_states(4, [1, 3])
     with pytest.raises(ValueError):
-        s | StateSet.from_states(5, [1])
+        s.issubset(StateSet.from_states(5, [0, 2]))
     with pytest.raises(ValueError):
         StateSet.from_states(3, [3])
 

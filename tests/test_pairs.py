@@ -1,17 +1,21 @@
 """Pair table, synchronization, minimal rank, and state avoidability."""
 
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 from collections import deque
 
 import pytest
 
+import preimages
 from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
                        cerny_automaton, forward_subset_bfs, greedy_reset_word,
                        is_permutation_automaton, is_synchronizing, minimal_rank_word,
-                       oracle_min_rank, pair_table, random_automaton)
-from preimages import cli, pairs
+                       oracle_min_rank, pair_table, random_automaton, rank_partition)
+from preimages import cli, pairs, report
+from preimages.automaton import word_map
 
 
 def test_pair_table_reference(c4, p3, ch2):
@@ -210,8 +214,9 @@ def test_pair_table_and_compression_words_match_the_reference_search():
                 expected = word(p * n + q) if dist[p * n + q] >= 0 else None
                 assert table.word(p, q) == table.word(q, p) == expected
         letters, bits = _reference_compression(aut, dist, word)
-        rank = minimal_rank_word(aut)
+        rank = minimal_rank_word(aut)  # the table is built: every step reads it
         assert rank.word == letters and rank.image.bits == bits
+        assert aut._derived["rank_classes"] == word_map(Automaton(aut.rows), letters)
         synchronizing = dist.count(-1) == n * (n + 1) // 2
         assert is_synchronizing(aut) == synchronizing
         assert greedy_reset_word(aut) == (letters if synchronizing else None)
@@ -224,9 +229,10 @@ def _rank_corpus():
     for n, k in ((3, 2), (7, 2), (30, 3)):
         rows = random_automaton(n, k, seed=rng.randrange(10**9), constraint="permutation").rows
         yield list(rows) + [[0] * k]  # one merge, then the image never shrinks again
-    for n in (2, 3, 5, 9, 17):
+    for n in (2, 3, 5, 9, 17, 24, 40):
         yield cerny_automaton(n).rows
     yield _union(cerny_automaton(5), cerny_automaton(6))
+    yield _union(cerny_automaton(12), cerny_automaton(13))
 
 
 def test_lazy_rank_word_matches_the_table_driven_compression():
@@ -237,7 +243,54 @@ def test_lazy_rank_word_matches_the_table_driven_compression():
         branches.add("pair_table" in aut._derived)
         letters, bits = _reference_compression(reference, *_reference_table(reference))
         assert (rank.word, rank.image.bits, rank.rank) == (letters, bits, bits.bit_count())
+        assert aut._derived["rank_classes"] == word_map(reference, letters)
     assert branches == {True, False}
+
+
+def test_rank_partition_maps_no_word_over_all_states(monkeypatch):
+    """The classes come with the rank word: no module maps that word over Q."""
+    words = []
+
+    def recording(aut, w):
+        words.append(w.letters)
+        return word_map(aut, w)
+
+    for info in pkgutil.iter_modules(preimages.__path__):
+        module = importlib.import_module(f"preimages.{info.name}")
+        if getattr(module, "word_map", None) is word_map:
+            monkeypatch.setattr(module, "word_map", recording)
+    aut = Automaton(_union(cerny_automaton(12), cerny_automaton(13)))
+    part = rank_partition(aut, aut.state_set(range(6)))
+    rank = minimal_rank_word(aut)
+    assert "pair_table" in aut._derived and part.word == rank.word and len(rank.word) > 100
+    assert all(letters != rank.word.letters for letters in words)
+    f = word_map(Automaton(aut.rows), rank.word)
+    assert part.classes == tuple(aut.state_set([q for q in range(aut.n) if f[q] == p])
+                                 for p in part.representatives)
+
+
+def test_avoid_witness_is_reverified_from_its_own_letters(monkeypatch, capsys):
+    rows = _union(cerny_automaton(12), cerny_automaton(13))
+    aut = Automaton(rows)
+    rank_partition(aut, aut.state_set(range(6)))
+    rank = minimal_rank_word(aut)
+    assert "pair_table" in aut._derived
+    last = aut._derived.get("word_map")
+    assert last is None or last[0] != rank.word.letters
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(report.witness_holds(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
+    monkeypatch.setattr(cli, "witness_holds", recording)
+    code = cli.main(["check", "unused.aut", "--subset", "0,1,2,3,4,5", "--problem", "avoid",
+                     "--witness", "--json"])
+    answer = json.loads(capsys.readouterr().out)
+    assert code == 0 and answer["answer"] == "yes" and verdicts == [True]
+    image = apply_word(Automaton(rows), StateSet.full(len(rows)), Word.from_text(answer["witness"]))
+    assert not set(range(6)) & set(image)
 
 
 def _union(a, b):
