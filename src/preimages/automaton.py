@@ -6,12 +6,13 @@ letter whenever the alphabet has at most 26 letters.  Words act on states
 left to right: ``q . uv == (q . u) . v``, which fixes the composition order
 of preimages as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
 
-A whole word acts through its transformation ``word_map``, composed right to
-left with one C-level gather per letter; ``apply_word`` and ``preimage_word``
-read the image and the preimage off it.  ``subset_bfs`` is the one
-breadth-first search over subsets: extend walks back from S by the
-single-letter steps ``preimage_bits``, extend-total and avoid walk forward
-by ``image_bits``, and the power-set oracle does both.
+A whole word acts through its transformation ``word_map``, read left to
+right: a block of letters moves only the image so far, one gather per letter
+(``move_states``); ``apply_word`` and ``preimage_word`` read the image and
+the preimage off it.  ``subset_bfs`` is the one breadth-first search over
+subsets: extend walks back from S by the single-letter steps
+``preimage_bits``, extend-total and avoid walk forward by ``image_bits``,
+and the power-set oracle does both.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -362,10 +363,10 @@ def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...],
     return tuple(steps)
 
 
-def _search_by_chunks(step_tables, pred, order, goal: Optional[Goal], budget: int) -> Optional[int]:
-    """Continue the search from the subsets in ``order``, a step costing one
-    table lookup per 8-bit chunk; the first child that meets ``goal``, or None."""
-    depth = lo = 0
+def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optional[Goal],
+                      budget: int) -> Optional[int]:
+    """Continue the search from the subsets ``order[lo:]`` at ``depth``, a step costing
+    one table lookup per 8-bit chunk; the first child that meets ``goal``, or None."""
     while lo < len(order):
         depth += 1
         frontier, lo = order[lo:], len(order)
@@ -386,11 +387,12 @@ def _search_by_chunks(step_tables, pred, order, goal: Optional[Goal], budget: in
     return None
 
 
-def _search_by_members(step, k: int, pred, order, goal: Optional[Goal],
-                       budget: int) -> Optional[int]:
-    """``_search_by_chunks`` with a step of one mask per member state."""
+def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: int,
+                       levels: int) -> tuple[Optional[int], int]:
+    """``_search_by_chunks`` from the sources, a step ORing one mask per member
+    state, for at most ``levels`` levels (-1: all); also where the next level starts."""
     depth = lo = 0
-    while lo < len(order):
+    while lo < len(order) and depth != levels:
         depth += 1
         frontier, lo = order[lo:], len(order)
         for bits in frontier:
@@ -403,8 +405,8 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal],
                         raise BudgetExceededError(
                             f"subset BFS exceeded node limit {budget}", len(order))
                     if goal is not None and goal(child, depth):
-                        return child
-    return None
+                        return child, lo
+    return None, lo
 
 
 def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
@@ -420,11 +422,12 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     search returns.
 
     A subset stores only its predecessor, and a source is its own.  The
-    sources sit in a dict.  Once a step is needed, up to
+    sources and the first level sit in a dict, and a step ORs one mask per
+    member state.  Once a second level is needed, up to
     ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors move to an int
     array indexed by subset bits (4 MiB at n = 20, whatever the budget) and
-    a step is ceil(n/8) chunk-table lookups; above it the dict holds them,
-    bounded by the budget, and a step ORs one mask per member state.
+    a step is ceil(n/8) chunk-table lookups; above it the dict keeps them,
+    bounded by the budget.
     """
     pred, order = _Sparse(), []
     step = aut.preimage_bits if direction == "preimage" else aut.image_bits
@@ -437,37 +440,46 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
-        if aut.n <= DEFAULT_ORACLE_STATE_CAP:
-            pred, order = array("i", [-1]) * (1 << aut.n), array("I", order)
+        flat = aut.n <= DEFAULT_ORACLE_STATE_CAP
+        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget, 1 if flat else -1)
+        if flat and hit is None and lo < len(order):  # a second level is needed
+            sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
-                pred[bits] = bits
-            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, goal, budget)
-        else:
-            hit = _search_by_members(step, aut.k, pred, order, goal, budget)
+                pred[bits] = sparse[bits]
+            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, lo, 1, goal, budget)
     if stats is not None:
         stats["nodes"] = len(order)
     return SubsetBfsResult(direction, _Reached(pred, order, step, aut.k), hit)
 
 
+def move_states(aut: Automaton, states: Sequence[int], letters: Iterable[int]) -> Sequence[int]:
+    """``states[i] . letters`` for each of at least two states (itemgetter
+    returns a scalar for one index), one C-level gather per letter."""
+    for a in letters:
+        states = itemgetter(*states)(aut.by_letter[a])
+    return states
+
+
 def word_map(aut: Automaton, w: Word) -> tuple[int, ...]:
     """The transformation of ``w``: ``f[q] == q . w`` for every state ``q``.
 
-    Built right to left, since ``q . (av) == (q . a) . v``: each letter is one
-    cached ``itemgetter`` gather over the map of the rest of the word.  The
-    letters are not range-checked here.  The map of the last word is kept on
-    the automaton, so checking a witness and then measuring its preimage
-    walks the word once.
+    Read left to right, 32 letters at a time: a block moves only the distinct
+    states of the image Q.u of the prefix u so far, then the n-wide map is
+    composed once.  Along a merging word the image shrinks fast.  The letters
+    are not range-checked here.  The map of the last word is kept on the
+    automaton, so checking a witness and then measuring its preimage walks
+    the word once.
     """
     last = aut._derived.get("word_map")
     if last is not None and last[0] is w.letters:
         return last[1]
-    f = tuple(range(aut.n))
-    if aut.n > 1:  # itemgetter with one index returns a scalar, not a tuple
-        gathers = aut._derived.get("gathers")
-        if gathers is None:
-            gathers = aut._derived["gathers"] = tuple(itemgetter(*succ) for succ in aut.by_letter)
-        for a in reversed(w.letters):
-            f = gathers[a](f)
+    f = image = tuple(range(aut.n))
+    step = list(f)  # step[p] == p . block for p in the image
+    for i in range(0, len(w.letters) if aut.n > 1 else 0, 32):  # n == 1: f is (0,)
+        moved = move_states(aut, image, w.letters[i:i + 32])
+        for p, q in zip(image, moved):
+            step[p] = q
+        f, image = itemgetter(*f)(step), (*set(moved), moved[0])  # a repeat keeps two states
     aut._derived["word_map"] = (w.letters, f)
     return f
 

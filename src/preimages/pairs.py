@@ -32,7 +32,7 @@ from array import array
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .automaton import Automaton, StateSet, Word, is_permutation_automaton, scc
+from .automaton import Automaton, StateSet, Word, is_permutation_automaton, move_states, scc
 
 
 class PairTable:
@@ -311,9 +311,9 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     to the first one in the image, which costs about n² pair reads over the
     run.
 
-    A step's word moves the image only, one ``itemgetter`` gather per letter
-    over |image| states, and the image's moves update the classes
-    ``q ↦ q·u`` of all n states once per step.  The classes are kept in
+    A step's word moves the image only, by ``automaton.move_states``: one
+    gather per letter over |image| states.  The image's moves update the
+    classes ``q ↦ q·u`` of all n states once per step.  The classes are kept in
     ``aut._derived["rank_classes"]`` for ``avoid.rank_partition``.
 
     The resulting image size equals the minimal rank over all words: any
@@ -343,9 +343,7 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
                     break
                 word = table.word(*pair).letters
             letters.extend(word)
-            moved = image  # moved[i] == image[i] . word, one gather per letter
-            for a in word:
-                moved = itemgetter(*moved)(succ[a])
+            moved = move_states(aut, image, word)
             for p, q in zip(image, moved):
                 step[p] = q
             classes = itemgetter(*classes)(step)

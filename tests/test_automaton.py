@@ -1,13 +1,14 @@
 """Core types and set/word actions, pinned to the worked examples."""
 
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
-                       is_permutation_automaton, is_strongly_connected, preimage_word,
-                       random_automaton, scc, sink_state)
+                       cerny_automaton, is_permutation_automaton, is_strongly_connected,
+                       minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
 from preimages.automaton import subset_bfs, word_map
 
 
@@ -104,21 +105,27 @@ def test_subset_bfs_kernel(c4, p3, n):
 
 
 def test_subset_bfs_allocates_the_flat_store_only_for_a_step():
-    # At n = 20 the flat store takes 4 MiB; a source that meets the goal needs none.
+    # At n = 20 the flat store takes 4 MiB.  A source that meets the goal needs
+    # none, nor does a first level that meets it; a second level does.
     aut = random_automaton(20, 2, seed=5)
     tracemalloc.start()
     try:
         res = subset_bfs(aut, [0b100, 0b11], "preimage", lambda bits, depth: bits == 0b11, 10)
         source_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        grown = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
+        one = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
+        level_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        grown = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 3, 20)
         step_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.hit == 0b11 and res.word_to(res.hit) == Word() and res.reached[0b100][0] == 0
-    assert source_peak < 1 << 16 <= 1 << 22 <= step_peak
-    word = grown.word_to(grown.hit)
-    assert preimage_word(aut, aut.state_set([0, 1]), word).bits == grown.hit
+    assert source_peak < 1 << 16 and level_peak < 1 << 16 and 1 << 22 <= step_peak
+    assert one.reached[one.hit][0] == 1 and grown.reached[grown.hit][0] == 3
+    for found in (one, grown):
+        word = found.word_to(found.hit)
+        assert preimage_word(aut, aut.state_set([0, 1]), word).bits == found.hit
 
 
 def test_image_worked_example(c4):
@@ -188,6 +195,47 @@ def test_word_actions_match_the_letter_by_letter_fold(data, extra):
     v = w + Word([a % aut.k for a in extra])
     for word in (w, v, w, Word(list(w.letters))):
         assert word_map(aut, word) == tuple(fold(q, word) for q in range(aut.n))
+
+
+def _fold(aut, word):
+    """The map of ``word``, state by state and letter by letter."""
+    f = []
+    for q in range(aut.n):
+        for a in word:
+            q = aut.rows[q][a]
+        f.append(q)
+    return tuple(f)
+
+
+def test_word_map_matches_the_fold_around_the_block_length():
+    # word_map reads 32 letters per block: lengths 0, 1, 31, 32, 33 and 65,
+    # on collapsing and permutation automata, with n = 1 and k = 1 among them.
+    rng = random.Random(18)
+    auts = [Automaton([[0]]), Automaton([[0, 0, 0]]), Automaton([[1], [2], [0]]),
+            Automaton([[0]] * 7), Automaton([[(q + 1) % 9, 0] for q in range(9)]),
+            cerny_automaton(6)]
+    for _ in range(40):
+        n, k, seed = rng.randint(1, 40), rng.randint(1, 3), rng.randrange(10**9)
+        auts += [random_automaton(n, k, seed=seed),
+                 random_automaton(n, k, seed=seed, constraint="permutation")]
+    for aut in auts:
+        for length in (0, 1, 31, 32, 33, 65):
+            word = Word(rng.randrange(aut.k) for _ in range(length))
+            assert word_map(aut, word) == _fold(aut, word)
+
+
+def test_word_map_of_long_rank_words_matches_the_fold():
+    # Rank words of Černý unions: the image shrinks along the word, and the
+    # map is read from the letters alone, whatever the rank search left.
+    for m in (12, 55):
+        a, b = cerny_automaton(m), cerny_automaton(m + 1)
+        rows = [list(row) for row in a.rows] + [[q + m for q in row] for row in b.rows]
+        aut = Automaton(rows)
+        word = minimal_rank_word(aut).word
+        assert len(word) >= (10**4 if m == 55 else 200)
+        f = _fold(Automaton(rows), word)
+        assert word_map(aut, word) == word_map(Automaton(rows), word) == f
+        assert len(set(f)) == 2
 
 
 @given(automaton_set_word())

@@ -4,7 +4,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import operator
 import os
 import random
 import subprocess
@@ -136,20 +135,20 @@ def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
 
 
 def test_check_walks_the_witness_once(files, capsys, monkeypatch):
-    # Re-verifying the witness and measuring its preimage share one word map:
-    # one gather per letter in all, through the automaton module's itemgetter.
-    gathers = []
+    # Re-verifying the witness and measuring its preimage share one word_map
+    # walk: the runs of letters it moves the image by spell the witness once.
+    runs, move_states = [], automaton_mod.move_states
 
-    def counting_itemgetter(*items):
-        get = operator.itemgetter(*items)
-        return lambda seq: gathers.append(1) or get(seq)
+    def recording(aut, states, letters):
+        runs.append(letters)
+        return move_states(aut, states, letters)
 
-    monkeypatch.setattr(automaton_mod, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(automaton_mod, "move_states", recording)
     code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
                        "--problem", "extend-total", "--method", "oracle", "--witness", "--json")
     report = json.loads(out)
-    assert code == 0 and report["preimage_size"] == 4
-    assert len(gathers) == report["witness_length"] > 0
+    assert code == 0 and report["preimage_size"] == 4 and report["witness_length"] > 0
+    assert "".join("ab"[a] for run in runs for a in run) == report["witness"]
 
 
 def test_check_resize_honours_budget(tmp_path, capsys, monkeypatch):

@@ -50,6 +50,21 @@ def test_extend_permutation_sweep_memory():
     assert peak < 2_000_000
 
 
+def test_one_step_extend_allocates_no_flat_store():
+    # The first level of the search runs on the dict store; the 4 MiB flat
+    # store at n = 20 waits for a second level, which this search never needs.
+    aut = random_automaton(20, 2, seed=5)
+    stats = {}
+    tracemalloc.start()
+    try:
+        word = shortest_extending_word_small(aut, aut.state_set([0, 1]), stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word == Word.from_text("a") and stats["nodes"] == 2
+    assert peak < 1 << 20
+
+
 def test_extend_matches_oracle_decision_and_length():
     rng = random.Random(11)
     for _ in range(300):
