@@ -364,10 +364,11 @@ def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...],
 
 
 def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optional[Goal],
-                      budget: int) -> Optional[int]:
-    """Continue the search from the subsets ``order[lo:]`` at ``depth``, a step costing
-    one table lookup per 8-bit chunk; the first child that meets ``goal``, or None."""
-    while lo < len(order):
+                      budget: int, max_depth: int) -> Optional[int]:
+    """Continue the search from the subsets ``order[lo:]`` at ``depth`` to ``max_depth``
+    (-1: no cut), a step costing one table lookup per 8-bit chunk; the first
+    child that meets ``goal``, or None."""
+    while lo < len(order) and depth != max_depth:
         depth += 1
         frontier, lo = order[lo:], len(order)
         for bits in frontier:
@@ -410,16 +411,16 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: 
 
 
 def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
-               budget: int, stats: Optional[dict] = None) -> SubsetBfsResult:
+               budget: int, stats: Optional[dict] = None, max_depth: int = -1) -> SubsetBfsResult:
     """Multi-source FIFO BFS over subsets held as bit patterns.
 
     ``sources`` yields distinct bit patterns.  ``direction`` "preimage" steps
     a subset T to ``T . a^-1`` and "image" to ``T . a``, letters ascending.
     Every discovered subset, sources first and in order, is tested by
     ``goal(bits, depth)``; the first that meets it is ``hit``.  Without a
-    goal the search is exhaustive.  More than ``budget`` discovered subsets
-    raise BudgetExceededError; ``stats["nodes"]`` counts them when the
-    search returns.
+    goal the search is exhaustive; ``max_depth`` L >= 0 cuts it after depth
+    L.  More than ``budget`` discovered subsets raise BudgetExceededError;
+    ``stats["nodes"]`` adds them up when the search returns.
 
     A subset stores only its predecessor, and a source is its own.  The
     sources and the first level sit in a dict, and a step ORs one mask per
@@ -440,15 +441,16 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
-        flat = aut.n <= DEFAULT_ORACLE_STATE_CAP
-        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget, 1 if flat else -1)
+        flat = aut.n <= DEFAULT_ORACLE_STATE_CAP and max_depth not in (0, 1)
+        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget, 1 if flat else max_depth)
         if flat and hit is None and lo < len(order):  # a second level is needed
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
                 pred[bits] = sparse[bits]
-            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, lo, 1, goal, budget)
+            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, lo, 1, goal,
+                                    budget, max_depth)
     if stats is not None:
-        stats["nodes"] = len(order)
+        stats["nodes"] = stats.get("nodes", 0) + len(order)
     return SubsetBfsResult(direction, _Reached(pred, order, step, aut.k), hit)
 
 

@@ -3,10 +3,14 @@
 Exit codes: 0 = yes, 1 = no, 2 = unknown (budget- or method-limited),
 3 = usage error, 4 = input/file error, 5 = internal error.  Every witness is
 re-verified before it is printed; a verification failure is an internal
-error.  The node budget and the oracle state cap honor the environment
-variables PREIMAGES_BUDGET and PREIMAGES_ORACLE_CAP unless flags override
-them.  A process imports only the modules its route runs: ``extend``,
-``avoid``, ``resize``, ``oracle`` and ``gadgets`` are imported on first use.
+error.  ``check`` takes one route per query (see ``_decide``), and one node
+budget bounds all of the query's searches together; ``--method poly`` is a
+synonym of ``auto``, and the oracle state cap binds only ``--method
+oracle`` and ``reset --method oracle``.  The budget and the cap honor the
+environment variables PREIMAGES_BUDGET and PREIMAGES_ORACLE_CAP unless
+flags override them.  A process imports only the modules its route runs:
+``extend``, ``avoid``, ``resize``, ``oracle`` and ``gadgets`` are imported
+on first use.
 """
 
 from __future__ import annotations
@@ -134,74 +138,64 @@ def _yes_no(decision: bool) -> str:
     return ANSWER_YES if decision else ANSWER_NO
 
 
-def _oracle(aut: Automaton, s: StateSet, problem: str, budget: int, oracle_cap: int) -> Route:
-    from . import oracle
-    hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], node_limit=budget,
-                                 state_cap=oracle_cap)
-    return Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
-
-
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
-    """Answer the whole query.  Unless ``--method oracle`` is given, a fast path
-    or the ``_SEARCH`` function answers first; the permutation route is tried
-    before all of them.  The oracle answers instead when asked to, and under
-    ``auto`` (n within the oracle cap) when the search ran out of budget or its
-    witness is not shortest and longer than ``--max-len``.  Extend has no such
-    fallback: its search is the oracle's, from the same subset under the same
-    budget, so it would stop at the same node.  A shortest witness longer than
-    ``--max-len`` turns "yes" into "no".
+    """Answer the whole query along one route, under one node budget.
+    ``--method oracle`` asks the power-set oracle, capped at ``oracle_cap``
+    states.  Otherwise (``auto``, or its synonym ``poly``) the permutation
+    route answers, else a fast path, else the ``_SEARCH`` function.  A
+    shortest witness longer than ``--max-len`` L turns "yes" into "no".  A
+    longer witness that is not shortest is settled by the oracle's backward
+    search from S cut at depth L, with no state cap, under what is left of
+    the budget: its first hit is a shortest witness, and none means "no".
 
     The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
     for every word w, so extend and resize are "no", and extend-total (S = Q)
     and avoid (S = ∅) are "yes" by the empty word or not at all.  It runs in
     O(nk), searches nothing and ignores the budget."""
     need_word = want_witness or max_len is not None
-    sync_route = problem == "extend-total" or (  # the fast paths that test synchronization
-        problem == "resize" and method == "auto" and not need_word)
-    if method == "oracle":
-        route = None
-    elif is_permutation_automaton(aut):
-        if sync_route:  # O(nk) here; keeps the report's flag as these problems set it
-            is_synchronizing(aut)
-        hit = s.size == {"extend-total": aut.n, "avoid": 0}.get(problem)
-        route = Route(_yes_no(hit), Word() if hit else None, "fast-path", True)
-    elif problem == "resize" and sync_route and is_synchronizing(aut):
-        from . import resize
-        route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path", True)
-    elif problem == "extend-total" and is_synchronizing(aut):
-        from . import extend
-        decision = extend.totally_extensible_synchronizing(aut, s)
-        word = extend.totally_extending_word_small(aut, s) if decision and need_word else None
-        route = Route(_yes_no(decision), word, "fast-path", not decision)
-    elif problem == "avoid" and s.size == 1 and not need_word:
-        route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
-    else:
-        module, name, shortest = _SEARCH[problem]
-        try:
+    kind = "oracle" if method == "oracle" else "poly"  # the route a budget failure names
+    try:
+        if method == "oracle":
+            from . import oracle
+            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap)
+            route = Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
+        elif is_permutation_automaton(aut):
+            if problem == "extend-total" or (problem == "resize" and not need_word):
+                is_synchronizing(aut)  # O(nk) here; sets the report's flag as the fast paths do
+            hit = s.size == {"extend-total": aut.n, "avoid": 0}.get(problem)
+            route = Route(_yes_no(hit), Word() if hit else None, "fast-path", True)
+        elif problem == "resize" and not need_word and is_synchronizing(aut):
+            from . import resize
+            route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path", True)
+        elif problem == "extend-total" and is_synchronizing(aut):
+            from . import extend
+            kind = "fast-path"
+            decision = extend.totally_extensible_synchronizing(aut, s)
+            word = (extend.totally_extending_word_small(aut, s, budget=budget, stats=stats)
+                    if decision and need_word else None)
+            route = Route(_yes_no(decision), word, "fast-path", not decision)
+        elif problem == "avoid" and s.size == 1 and not need_word:
+            route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
+        else:
+            module, name, shortest = _SEARCH[problem]
             search = getattr(importlib.import_module(f".{module}", __package__), name)
             word = search(aut, s, budget=budget, stats=stats)
             route = Route(_yes_no(word is not None), word, "poly", shortest or word is None)
-        except BudgetExceededError:
-            route = Route(ANSWER_UNKNOWN, None, "poly", False, "node budget exceeded")
-
-    why = ""  # prefix of the note when the oracle itself runs out
-    if route is not None:
-        too_long = max_len is not None and route.word is not None and len(route.word) > max_len
-        if route.answer == ANSWER_UNKNOWN or (too_long and not route.shortest):
-            if method == "auto" and aut.n <= oracle_cap and problem != "extend":
-                route, why = None, "length bound undecided: " if too_long else ""
-            elif too_long:
-                return Route(ANSWER_UNKNOWN, None, route.method, False,
-                             "method does not produce shortest witnesses; length bound undecided")
-    if route is None:
-        try:
-            route = _oracle(aut, s, problem, budget, oracle_cap)
-        except BudgetExceededError as exc:
-            return Route(ANSWER_UNKNOWN, None, "oracle", False, why + str(exc))
-    if max_len is not None and route.word is not None and len(route.word) > max_len:
-        return Route(ANSWER_NO, None, route.method, True, "shortest witness exceeds the length bound")
-    return route
+        if max_len is None or route.word is None or len(route.word) <= max_len:
+            return route
+        if not route.shortest:
+            from . import oracle
+            kind = "oracle"
+            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget - stats.get("nodes", 0),
+                                         max_len=max_len, stats=stats)
+            if hit is not None:
+                return Route(ANSWER_YES, hit[0], "oracle", True)
+        return Route(ANSWER_NO, None, route.method if route.shortest else "oracle", True,
+                     "shortest witness exceeds the length bound")
+    except BudgetExceededError as exc:
+        return Route(ANSWER_UNKNOWN, None, kind, False,
+                     str(exc) if method == "oracle" else "node budget exceeded")
 
 
 def _emit(report: WitnessReport, as_json: bool) -> None:

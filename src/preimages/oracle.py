@@ -23,13 +23,16 @@ GOALS = ("extending", "totally-extending", "avoiding", "resizing")
 
 def backward_subset_bfs(aut: Automaton, s: StateSet, node_limit: int = DEFAULT_NODE_BUDGET,
                         state_cap: int = DEFAULT_ORACLE_STATE_CAP,
-                        stop: Optional[Goal] = None) -> SubsetBfsResult:
+                        stop: Optional[Goal] = None, max_depth: int = -1,
+                        stats: Optional[dict] = None) -> SubsetBfsResult:
     """Subsets reachable from S by iterated single-letter preimages: all of
-    them, or those generated up to the first that meets ``stop``."""
+    them, or those generated up to the first that meets ``stop``, and none
+    deeper than ``max_depth`` L >= 0.  A cut search holds at most
+    1 + k + ... + k^L subsets, so ``state_cap`` refuses only an uncut one."""
     aut.check_set(s)
-    if aut.n > state_cap:
+    if max_depth < 0 and aut.n > state_cap:
         raise BudgetExceededError(f"power-set search refused: n={aut.n} exceeds cap {state_cap}")
-    return subset_bfs(aut, [s.bits], "preimage", stop, node_limit)
+    return subset_bfs(aut, [s.bits], "preimage", stop, node_limit, stats, max_depth)
 
 
 def forward_subset_bfs(aut: Automaton, t0: Optional[StateSet] = None,
@@ -69,17 +72,20 @@ def _word_and_length(result: SubsetBfsResult) -> Optional[tuple[Word, int]]:
 
 def oracle_shortest(aut: Automaton, s: StateSet, goal: str,
                     node_limit: int = DEFAULT_NODE_BUDGET,
-                    state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> Optional[tuple[Word, int]]:
+                    state_cap: int = DEFAULT_ORACLE_STATE_CAP, max_len: Optional[int] = None,
+                    stats: Optional[dict] = None) -> Optional[tuple[Word, int]]:
     """Shortest word for one of the preimage goals, or None.
 
     goal: "extending" (first preimage larger than S), "totally-extending"
     (preimage Q), "avoiding" (preimage of S shrinks to the empty set), or
     "resizing" (first preimage of a different size).  The search stops at
-    the first subset that meets the goal.
+    the first subset that meets the goal.  With ``max_len`` it is cut at
+    that depth, so None means no word that short, and no state cap applies.
     """
     aut.check_set(s)
     want = goal_predicate(goal, aut, s)
-    return _word_and_length(backward_subset_bfs(aut, s, node_limit, state_cap, stop=want))
+    return _word_and_length(backward_subset_bfs(
+        aut, s, node_limit, state_cap, want, -1 if max_len is None else max_len, stats))
 
 
 def oracle_shortest_reset(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,

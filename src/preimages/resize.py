@@ -29,8 +29,8 @@ from collections import deque
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word
-from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET
-from .pairs import known_synchronizing
+from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, NotSynchronizingError
+from .pairs import is_synchronizing
 
 P = (1 << 31) - 1
 
@@ -163,15 +163,13 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
     return None
 
 
-def resizable_decision_fast(aut: Automaton, s: StateSet) -> Optional[bool]:
-    """Decision shortcut when the automaton is already known synchronizing.
+def resizable_decision_fast(aut: Automaton, s: StateSet) -> bool:
+    """Decision for a synchronizing automaton: a reset word pulls S to Q or
+    to the empty set, so S is resizable iff it is neither.
 
-    A reset word pulls S to either Q or the empty set, so S is resizable iff
-    it is neither; returns None ("unknown") unless a positive synchronization
-    flag has been cached, in which case callers fall back to
-    ``shortest_resizing_word``.
+    Raises NotSynchronizingError otherwise.
     """
     aut.check_set(s)
-    if known_synchronizing(aut):
-        return 0 < s.size < aut.n
-    return None
+    if not is_synchronizing(aut):
+        raise NotSynchronizingError("resizable_decision_fast needs a synchronizing automaton")
+    return 0 < s.size < aut.n

@@ -24,8 +24,8 @@ from preimages import (StateSet, Word, apply_word, avoidable_state, avoiding_wor
                        shortest_extending_word_small, shortest_resizing_word,
                        totally_extending_word_small, totally_extensible_synchronizing,
                        resizable_decision_fast, is_strongly_connected, Automaton,
-                       DfaWithAcceptance, binarize, intersection_gadget, languages_intersect,
-                       large_extend_gadget, sink_binarize)
+                       DfaWithAcceptance, NotSynchronizingError, binarize, intersection_gadget,
+                       languages_intersect, large_extend_gadget, sink_binarize)
 from preimages.gadgets import trim_reachable
 from preimages.oracle import goal_predicate
 
@@ -99,13 +99,22 @@ def _run_instance(aut, bits, result: SweepResult):
     return truth
 
 
-def _run_sync_checks(aut, bits, truth, result: SweepResult):
-    """Fast-path equivalences, meaningful only once the automaton is known
-    synchronizing (flag cached by the caller)."""
+def _run_sync_checks(aut, bits, truth, sync: bool, result: SweepResult):
+    """Fast-path equivalences on a synchronizing automaton; on any other,
+    both fast paths must refuse with NotSynchronizingError."""
     n = aut.n
     s = StateSet(n, bits)
-    result.synchronizing_instances += 1
     key = (aut.rows, bits)
+    if not sync:
+        for name, fast in (("totally-extend", totally_extensible_synchronizing),
+                           ("resize", resizable_decision_fast)):
+            try:
+                fast(aut, s)
+            except NotSynchronizingError:
+                continue
+            result.fastpath_mismatches.append((name + " on non-synchronizing",) + key)
+        return
+    result.synchronizing_instances += 1
 
     sink_ids = scc(aut).sink_components()
     sink_members = set(scc(aut).components[sink_ids[0]]) if len(sink_ids) == 1 else set()
@@ -157,8 +166,7 @@ def sweep_exhaustive():
                 _run_greedy_check(aut, result)
             for bits in range(8):
                 truth = _run_instance(aut, bits, result)
-                if sync:
-                    _run_sync_checks(aut, bits, truth, result)
+                _run_sync_checks(aut, bits, truth, sync, result)
     return result
 
 
@@ -179,8 +187,7 @@ def sweep_random():
             _run_greedy_check(aut, result)
         bits = rng.randrange(1 << n)
         truth = _run_instance(aut, bits, result)
-        if sync:
-            _run_sync_checks(aut, bits, truth, result)
+        _run_sync_checks(aut, bits, truth, sync, result)
     return result
 
 

@@ -128,6 +128,48 @@ def test_subset_bfs_allocates_the_flat_store_only_for_a_step():
         assert preimage_word(aut, aut.state_set([0, 1]), word).bits == found.hit
 
 
+def _depths(res):
+    return {bits: info for bits, info in res.reached.items()}
+
+
+@pytest.mark.parametrize("n", [12, 20, 21, 28], ids=["flat12", "flat20", "dict21", "dict28"])
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 5])
+def test_subset_bfs_depth_cut_is_the_uncut_search_up_to_that_depth(n, max_depth):
+    # Up to 20 states the flat store takes over after level 1, so cuts at 0
+    # and 1 must end before it starts; above 20 the dict store runs every level.
+    searches = [(random_automaton(n, 2, seed=n), "image", sources)
+                for sources in ([0b11], [0b110, 1 << n - 1 | 1, 0b1011])]
+    searches.append((_padded(cerny_automaton(6), n), "preimage", [0b000110]))
+    for aut, direction, sources in searches:
+        sizes = {bits.bit_count() for bits in sources}
+        for goal in (None, lambda bits, depth: bits.bit_count() not in sizes,
+                     lambda bits, depth: bits == sources[0] << 1):
+            full = subset_bfs(aut, sources, direction, goal, 10**6)
+            stats = {"nodes": 7}
+            cut = subset_bfs(aut, sources, direction, goal, 10**6, stats, max_depth)
+            kept = {bits: info for bits, info in _depths(full).items() if info[0] <= max_depth}
+            assert list(cut.reached) == list(kept) and _depths(cut) == kept
+            found = full.hit is not None and full.reached[full.hit][0] <= max_depth
+            assert cut.hit == (full.hit if found else None)
+            assert stats["nodes"] == 7 + len(kept)  # added to what the query counted before
+            if found:
+                assert cut.word_to(cut.hit) == full.word_to(full.hit)
+
+
+def test_subset_bfs_shallow_cut_allocates_no_flat_store():
+    aut = random_automaton(20, 2, seed=5)
+    tracemalloc.start()
+    try:
+        for max_depth in (0, 1):
+            cut = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 3,
+                             10**6, max_depth=max_depth)
+            assert cut.hit is None and max(d for d, _, _ in _depths(cut).values()) == max_depth
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_image_worked_example(c4):
     s = c4.state_set([1, 2])
     assert apply_word(c4, s, Word.from_text("aab")) == c4.state_set([0])

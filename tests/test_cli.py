@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import preimages
-from preimages import (Automaton, StateSet, backward_subset_bfs, cerny_automaton,
-                       oracle_shortest, perm3, chain2, random_automaton, serialize_automaton,
-                       validate_report)
-from preimages import automaton as automaton_mod, extend as extend_mod, oracle as oracle_mod
+from preimages import (Automaton, BudgetExceededError, StateSet, backward_subset_bfs,
+                       cerny_automaton, oracle_shortest, perm3, chain2, random_automaton,
+                       serialize_automaton, validate_report)
+from preimages import (automaton as automaton_mod, avoid as avoid_mod, extend as extend_mod,
+                       oracle as oracle_mod)
 from preimages.cli import main
 
 
@@ -93,16 +94,20 @@ def test_check_max_len_with_non_shortest_method_uses_oracle(files, capsys):
     assert report["answer"] == "yes"
 
 
-def test_check_max_len_unknown_when_oracle_forbidden(files, capsys):
-    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
-                       "--problem", "extend-total", "--method", "poly",
-                       "--max-len", "1", "--json")
-    report = json.loads(out)
-    if report["answer"] == "unknown-budget":
-        assert code == 2 and "note" in report
-    else:
-        # the poly witness happened to be short enough already
-        assert report["answer"] in ("yes", "no")
+def test_check_max_len_poly_is_auto(files, capsys):
+    # --method poly is a synonym of auto: it, too, settles a bound that a
+    # non-shortest witness exceeds by the depth-cut search, and never answers
+    # "length bound undecided".
+    reports = []
+    for method in ("auto", "poly"):
+        code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
+                           "--problem", "extend-total", "--method", method,
+                           "--max-len", "1", "--json")
+        reports.append((code, out))
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0][1])
+    assert reports[0][0] == 1 and report["answer"] == "no" and report["method"] == "oracle"
+    assert report["note"] == "shortest witness exceeds the length bound"
 
 
 def test_check_oracle_method(files, capsys):
@@ -122,8 +127,9 @@ def test_check_budget_exhaustion_reports_unknown(files, capsys):
 
 
 def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
-    # The fast-path witness is too long for --max-len 1, and the oracle that
-    # would settle the bound runs out of its node budget.
+    # The fast-path witness is too long for --max-len 1, and the depth-cut
+    # search that would settle the bound runs out of what is left of the
+    # query's node budget after the witness search took one node.
     code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0",
                          "--problem", "extend-total", "--max-len", "1", "--budget", "2",
                          "--json")
@@ -131,7 +137,7 @@ def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
     report = json.loads(out)
     validate_report(report)
     assert report["answer"] == "unknown-budget" and report["max_len"] == 1
-    assert report["method"] == "oracle" and "node limit 2" in report["note"]
+    assert report["method"] == "oracle" and report["note"] == "node budget exceeded"
 
 
 def test_check_walks_the_witness_once(files, capsys, monkeypatch):
@@ -383,16 +389,43 @@ def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
     assert code == 2 and json.loads(out)["answer"] == "unknown-budget"
 
 
-def test_oracle_fallback_out_of_budget_reports_oracle(files, capsys):
-    # The avoid search runs out of budget, --method auto falls back to the
-    # oracle, and the oracle runs out too: the report names the route that
-    # ran last, never "auto".
-    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0,1,2",
-                       "--problem", "avoid", "--budget", "3", "--json")
-    report = json.loads(out)
-    validate_report(report)
-    assert code == 2 and report["answer"] == "unknown-budget"
-    assert report["method"] == "oracle" and "node limit 3" in report["note"]
+def test_one_query_generates_at_most_its_budget(files, capsys, monkeypatch):
+    # Every subset search of a query runs the kernel, and each run gets what
+    # the earlier runs left of --budget: the witness search, then the
+    # depth-cut search that settles --max-len.  No query generates more
+    # subsets than --budget, and stats.nodes counts those it generated.
+    runs = []
+
+    def counting(*args, **kwargs):
+        budget = args[4]
+        try:
+            res = subset_bfs(*args, **kwargs)
+        except BudgetExceededError as exc:
+            runs.append((budget, exc.nodes - 1))  # the subset past the budget is refused
+            raise
+        runs.append((budget, len(res.reached)))
+        return res
+
+    subset_bfs = automaton_mod.subset_bfs
+    for module in (extend_mod, avoid_mod, oracle_mod):
+        monkeypatch.setattr(module, "subset_bfs", counting)
+    two_searches = 0
+    for name, subset, problem in (("cerny4", "0", "extend-total"), ("cerny4", "1,2", "avoid"),
+                                  ("cerny4", "0,1,2", "avoid"), ("chain2", "0", "avoid")):
+        for budget, max_len in itertools.product(range(1, 13), (None, 0, 1, 2, 3)):
+            del runs[:]
+            bound = () if max_len is None else ("--max-len", str(max_len))
+            code, out, _ = run(capsys, "check", files[name], "--subset", subset, "--problem",
+                               problem, "--budget", str(budget), *bound, "--json")
+            report = json.loads(out)
+            where = (name, subset, problem, budget, max_len, runs, report)
+            assert sum(nodes for _, nodes in runs) <= budget, where
+            assert [b for b, _ in runs] == [budget - sum(n for _, n in runs[:i])
+                                            for i in range(len(runs))], where
+            if code != 2:
+                assert report["stats"].get("nodes", 0) == sum(nodes for _, nodes in runs), where
+            two_searches += len(runs) == 2
+    assert two_searches > 20
 
 
 def test_extend_out_of_budget_runs_one_search(files, capsys, monkeypatch):
@@ -646,11 +679,11 @@ _GOAL = {"extend": "extending", "extend-total": "totally-extending", "avoid": "a
 
 
 def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
-    # The CLI router (fast paths, searches, oracle fallback, --max-len) against
-    # the power-set oracle.  "unknown" is allowed only where the README says:
-    # --method poly under a node budget, or --max-len with a method that gives
-    # no shortest witness and no oracle fallback.  The budget variant is the
-    # oracle's own node count, so --method auto must always fall back in time.
+    # The CLI router (fast paths, searches, the depth-cut search behind
+    # --max-len) against the power-set oracle, under --method auto and its
+    # synonym poly.  "unknown" is allowed only under --budget: the budget
+    # variant is the oracle's own node count, and one query may spend it on a
+    # search and then on the depth-cut search.
     rng = random.Random(20240917)
     checked = 0
     for i in range(18):
@@ -680,9 +713,7 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
                     where = (i, s, problem, method, witness, max_len, budget, report)
                     expect = shortest is not None and (max_len is None or shortest <= max_len)
                     if report["answer"] == "unknown-budget":
-                        assert code == 2 and method == "poly", where
-                        assert budget or (max_len is not None and shortest is not None
-                                          and problem in ("extend-total", "avoid")), where
+                        assert code == 2 and budget, where
                         continue
                     assert report["answer"] == ("yes" if expect else "no"), where
                     assert code == (0 if expect else 1), where
@@ -696,6 +727,31 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
                             assert len(word) == shortest, where
                     checked += 1
     assert checked > 2000
+
+
+def test_length_bound_is_decided_far_above_the_oracle_cap(tmp_path, capsys):
+    # n = 300: the avoid search's witness starts with a long minimal-rank
+    # word, so --max-len L is settled by the depth-cut search, which no
+    # state cap binds.  Its first hit is a shortest witness: the smallest L
+    # that answers "yes" has a witness of exactly L letters.
+    aut = random_automaton(300, 2, seed=4)
+    path = tmp_path / "random300.aut"
+    path.write_text(serialize_automaton(aut))
+    rows = [list(r) for r in aut.rows]
+    query = ("check", str(path), "--subset", "3,5", "--problem", "avoid", "--witness", "--json")
+    code, out, _ = run(capsys, *query)
+    unbounded = json.loads(out)["witness"]
+    assert code == 0 and len(unbounded) > 20
+    answers = []
+    for max_len in range(5):
+        code, out, _ = run(capsys, *query, "--max-len", str(max_len), "--oracle-cap", "0")
+        report = json.loads(out)
+        answers.append((code, report["answer"], report["method"], report["witness"]))
+        assert report["stats"]["nodes"] < 50, report
+    witness = answers[-1][3]
+    assert answers == [(1, "no", "oracle", None)] * len(witness) + [
+        (0, "yes", "oracle", witness)] * (5 - len(witness))
+    assert witness == "bba" and _witness_ok(rows, 0b101000, "avoid", witness)
 
 
 def test_permutation_route_matches_oracle_on_every_subset(tmp_path, capsys):

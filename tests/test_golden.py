@@ -7,9 +7,14 @@ word actions were rewritten for speed; the decision-only cases (key suffix
 routes that take the synchronizing fast paths) were recorded before
 synchronization was first proved by a reset-word certificate; the option
 cases (key suffix ``|--max-len=0`` and the like, each with and without
-``--witness``) pin the ``--max-len``, ``--method`` and ``--budget`` routes and
-were recorded before the length bound and the oracle fallback became one
-route.  A later change that alters an answer, a witness, a preimage size or a ``stats``
+``--witness``) pin the ``--max-len``, ``--method`` and ``--budget`` routes.
+76 entries were re-recorded when the length bound became a depth-cut search
+and the oracle fallback went: the 12 ``random40_rank2 … avoid|--max-len``
+entries that answered ``unknown`` are decided, the 15 ``--method=poly``
+entries that differ from ``auto`` now follow it, 4 ``--budget`` entries name
+the search that ran out instead of the oracle, and 45 change ``stats`` only
+(the extend-total witness search and the depth-cut search count their
+subsets); no witness of a "yes" changed.  A later change that alters an answer, a witness, a preimage size or a ``stats``
 value fails here, so "same answers and witnesses" is checked on every run.
 The automata are committed as files next to it, so the cases do not depend
 on the random generator: ``random40_sync`` is ``random_automaton(40, 3,

@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from preimages import (Automaton, BudgetExceededError, RationalBasis, StateSet, Word,
-                       backward_subset_bfs, is_synchronizing, preimage_word, random_automaton,
-                       resizable_decision_fast, shortest_resizing_word)
+from preimages import (Automaton, BudgetExceededError, NotSynchronizingError, RationalBasis,
+                       StateSet, Word, backward_subset_bfs, is_synchronizing, preimage_word,
+                       random_automaton, resizable_decision_fast, shortest_resizing_word)
 from preimages import resize as resize_mod
 from preimages.oracle import goal_predicate
 
@@ -332,15 +332,17 @@ def test_resize_stats_report_basis_size(p3):
     assert stats["basis_size"] >= 1 and stats["nodes"] >= 1
 
 
-def test_fast_decision_requires_cached_flag(c4, p3):
+def test_fast_decision_requires_synchronizing(c4, p3):
+    # No cached flag is needed: the decision proves synchronization itself,
+    # and refuses a non-synchronizing automaton as the extend-total fast path does.
     fresh = random_automaton(4, 2, seed=999)
-    assert resizable_decision_fast(fresh, StateSet.full(4)) is None  # nothing cached yet
-    assert is_synchronizing(c4)
+    assert resizable_decision_fast(fresh, StateSet.full(4)) is False
     assert resizable_decision_fast(c4, c4.state_set([1, 2])) is True
     assert resizable_decision_fast(c4, StateSet.full(4)) is False
     assert resizable_decision_fast(c4, StateSet.empty(4)) is False
+    with pytest.raises(NotSynchronizingError):
+        resizable_decision_fast(p3, p3.state_set([0]))
     assert is_synchronizing(p3) is False
-    assert resizable_decision_fast(p3, p3.state_set([0])) is None
 
 
 def test_fast_decision_agrees_with_algorithm_on_synchronizing():
