@@ -22,7 +22,6 @@ freely between threads; derived analyses are memoized on the automaton
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -37,6 +36,10 @@ def letter_name(a: int, k: int) -> str:
     if k <= 26:
         return chr(ord("a") + a)
     return str(a)
+
+
+# bytes.translate table from letter indices to names; a zero byte marks a letter past z.
+_LETTER_NAMES = bytes(range(ord("a"), ord("a") + 26)).ljust(256, b"\0")
 
 
 class Word:
@@ -69,11 +72,18 @@ class Word:
 
     def text(self, k: Optional[int] = None) -> str:
         """Render with letter names for alphabets of at most 26 letters."""
+        letters = self.letters
         if k is None:
-            k = (max(self.letters) + 1) if self.letters else 1
+            k = (max(letters) + 1) if letters else 1
         if k <= 26:
-            return "".join(chr(ord("a") + a) for a in self.letters)
-        return " ".join(str(a) for a in self.letters)
+            try:
+                names = bytes(letters).translate(_LETTER_NAMES)
+            except ValueError:  # a letter below 0 or above 255
+                names = b"\0"
+            if b"\0" not in names:
+                return names.decode()
+            return "".join(chr(ord("a") + a) for a in letters)
+        return " ".join(map(str, letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -219,9 +229,10 @@ class Automaton:
         return masks[a]
 
     def check_word(self, w: Word) -> None:
-        for a in w:
-            if not 0 <= a < self.k:
-                raise ValueError(f"letter {a} out of range [0, {self.k})")
+        distinct = set(w.letters)  # at most k letters when the word is valid
+        if distinct and (min(distinct) < 0 or max(distinct) >= self.k):
+            bad = next(a for a in w.letters if not 0 <= a < self.k)
+            raise ValueError(f"letter {bad} out of range [0, {self.k})")
 
     def check_set(self, s: StateSet) -> None:
         if s.n != self.n:
@@ -258,49 +269,7 @@ class Automaton:
         return f"Automaton(n={self.n}, k={self.k})"
 
 
-Goal = Callable[[int, int], bool]  # (subset bits, depth) -> met
-
-
-class _Reached(Mapping):
-    """Read-only map of the reached subsets in generation order (FIFO,
-    letters ascending): bits -> ``(depth, letter, predecessor bits)``, and
-    a source -> ``(0, -1, -1)``.  Its first match is what an early-stopping
-    search returns.  The letter is the smallest that maps the predecessor
-    to the subset, which is the one the search recorded."""
-
-    __slots__ = ("_pred", "_order", "_step", "_k")
-
-    def __init__(self, pred, order, step: Callable[[int, int], int], k: int):
-        self._pred = pred  # bits -> predecessor bits, a source's own bits, or -1
-        self._order = order  # reached subsets in generation order
-        self._step, self._k = step, k  # (bits, letter) -> child bits; letter count
-
-    def _parent(self, bits: int) -> int:
-        try:
-            parent = self._pred[bits] if bits >= 0 else -1
-        except IndexError:  # past the end of a flat store
-            parent = -1
-        if parent < 0:
-            raise KeyError(bits)
-        return parent
-
-    def _letter(self, parent: int, bits: int) -> int:
-        return next(a for a in range(self._k) if self._step(parent, a) == bits)
-
-    def __getitem__(self, bits: int) -> tuple[int, int, int]:
-        parent = self._parent(bits)
-        if parent == bits:
-            return 0, -1, -1
-        depth, p = 1, parent
-        while self._pred[p] != p:
-            depth, p = depth + 1, self._pred[p]
-        return depth, self._letter(parent, bits), parent
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
+Goal = Callable[[int], bool]  # subset bits -> met
 
 
 class _Sparse(dict):
@@ -313,33 +282,38 @@ class _Sparse(dict):
 class SubsetBfsResult:
     """The subsets a search reached, and the one that stopped it.
 
-    ``direction`` is "preimage" or "image".  A search without a goal reaches
-    every subset; one with a goal ends at the first subset that meets it,
-    stored in ``hit`` (None if no reachable subset does).
+    ``direction`` is "preimage" or "image".  ``reached`` holds the reached
+    subsets in generation order (FIFO, letters ascending), sources first.  A
+    search without a goal reaches every subset; one with a goal ends at the
+    first subset that meets it, stored in ``hit`` (None if no reachable
+    subset does).
     """
 
-    __slots__ = ("direction", "reached", "hit")
+    __slots__ = ("direction", "reached", "hit", "_pred", "_step", "_k")
 
-    def __init__(self, direction: str, reached: _Reached, hit: Optional[int]):
+    def __init__(self, direction: str, reached: Sequence[int], hit: Optional[int], pred,
+                 step: Callable[[int, int], int], k: int):
         self.direction, self.reached, self.hit = direction, reached, hit
+        self._pred = pred  # bits -> predecessor bits, a source's own bits, or -1
+        self._step, self._k = step, k  # (bits, letter) -> child bits; letter count
 
     def word_to(self, bits: int) -> Word:
-        """The word whose action takes a source to the given subset."""
-        reached, letters = self.reached, []
-        parent = reached._parent(bits)
+        """The word whose action takes a source to the given subset, each
+        letter the smallest that makes its step, which is the one the search
+        recorded.  KeyError if the search did not reach the subset."""
+        pred, letters = self._pred, []
+        try:
+            parent = pred[bits] if bits >= 0 else -1
+        except IndexError:  # past the end of a flat store
+            parent = -1
+        if parent < 0:
+            raise KeyError(bits)
         while parent != bits:
-            letters.append(reached._letter(parent, bits))
-            bits, parent = parent, reached._pred[parent]
+            letters.append(next(a for a in range(self._k) if self._step(parent, a) == bits))
+            bits, parent = parent, pred[parent]
         if self.direction == "image":
             letters.reverse()
         return Word(letters)
-
-    def first_match(self, want: Goal) -> Optional[tuple[Word, int, int]]:
-        """First generated subset with ``want(bits, depth)``: (word, length, bits)."""
-        for bits, (depth, _, _) in self.reached.items():
-            if want(bits, depth):
-                return self.word_to(bits), depth, bits
-        return None
 
 
 def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -383,7 +357,7 @@ def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optio
                     if len(order) > budget:
                         raise BudgetExceededError(
                             f"subset BFS exceeded node limit {budget}", len(order))
-                    if goal is not None and goal(child, depth):
+                    if goal is not None and goal(child):
                         return child
     return None
 
@@ -405,7 +379,7 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: 
                     if len(order) > budget:
                         raise BudgetExceededError(
                             f"subset BFS exceeded node limit {budget}", len(order))
-                    if goal is not None and goal(child, depth):
+                    if goal is not None and goal(child):
                         return child, lo
     return None, lo
 
@@ -417,7 +391,7 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     ``sources`` yields distinct bit patterns.  ``direction`` "preimage" steps
     a subset T to ``T . a^-1`` and "image" to ``T . a``, letters ascending.
     Every discovered subset, sources first and in order, is tested by
-    ``goal(bits, depth)``; the first that meets it is ``hit``.  Without a
+    ``goal(bits)``; the first that meets it is ``hit``.  Without a
     goal the search is exhaustive; ``max_depth`` L >= 0 cuts it after depth
     L.  More than ``budget`` discovered subsets raise BudgetExceededError;
     ``stats["nodes"]`` adds them up when the search returns.
@@ -437,7 +411,7 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
         order.append(bits)
         if len(order) > budget:
             raise BudgetExceededError(f"subset BFS exceeded node limit {budget}", len(order))
-        if goal is not None and goal(bits, 0):
+        if goal is not None and goal(bits):
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
@@ -451,7 +425,7 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
                                     budget, max_depth)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + len(order)
-    return SubsetBfsResult(direction, _Reached(pred, order, step, aut.k), hit)
+    return SubsetBfsResult(direction, order, hit, pred, step, aut.k)
 
 
 def move_states(aut: Automaton, states: Sequence[int], letters: Iterable[int]) -> Sequence[int]:

@@ -37,11 +37,10 @@ class RankPartition(NamedTuple):
 def rank_partition(aut: Automaton, s: StateSet) -> RankPartition:
     aut.check_set(s)
     rank = minimal_rank_word(aut)
-    image_of = aut._derived["rank_classes"]  # q . u for every state q, kept by the search
-    reps = sorted(set(image_of))
+    reps = sorted(set(rank.classes))
     rep_index = {p: i for i, p in enumerate(reps)}
     class_bits = [0] * len(reps)
-    for q, p in enumerate(image_of):
+    for q, p in enumerate(rank.classes):
         class_bits[rep_index[p]] |= 1 << q
 
     z = sum(1 for bits in class_bits if bits & s.bits)
@@ -79,7 +78,7 @@ def avoiding_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET
         if c.bits & s_bits:
             good_mask |= c.bits & ~s_bits
 
-    def is_goal(bits: int, depth: int) -> bool:
+    def is_goal(bits: int) -> bool:
         assert bits.bit_count() == z, "image of a subset of the minimal image changed size"
         return (bits & good_mask).bit_count() == z
 

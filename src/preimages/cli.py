@@ -142,12 +142,12 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
     """Answer the whole query along one route, under one node budget.
     ``--method oracle`` asks the power-set oracle, capped at ``oracle_cap``
-    states.  Otherwise (``auto``, or its synonym ``poly``) the permutation
-    route answers, else a fast path, else the ``_SEARCH`` function.  A
-    shortest witness longer than ``--max-len`` L turns "yes" into "no".  A
-    longer witness that is not shortest is settled by the oracle's backward
-    search from S cut at depth L, with no state cap, under what is left of
-    the budget: its first hit is a shortest witness, and none means "no".
+    states, or under ``--max-len`` L cut at depth L with no cap.  Otherwise
+    (``auto``, or its synonym ``poly``) the permutation route answers, else a
+    fast path, else the ``_SEARCH`` function.  A shortest witness longer
+    than L turns "yes" into "no".  A longer witness that is not shortest is
+    settled by that same cut search, under what is left of the budget: its
+    first hit is a shortest witness, and none means "no".
 
     The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
     for every word w, so extend and resize are "no", and extend-total (S = Q)
@@ -158,7 +158,7 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     try:
         if method == "oracle":
             from . import oracle
-            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap)
+            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap, max_len)
             route = Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
         elif is_permutation_automaton(aut):
             if problem == "extend-total" or (problem == "resize" and not need_word):

@@ -40,7 +40,7 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
     size = s.size
     if size == 0 or size == aut.n:
         return None
-    res = subset_bfs(aut, [s.bits], "preimage", lambda bits, depth: bits.bit_count() > size,
+    res = subset_bfs(aut, [s.bits], "preimage", lambda bits: bits.bit_count() > size,
                      budget, stats)
     return None if res.hit is None else res.word_to(res.hit)
 
@@ -62,7 +62,7 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
     s_bits = s.bits
     r = rank.rank
 
-    def is_goal(bits: int, depth: int) -> bool:
+    def is_goal(bits: int) -> bool:
         assert bits.bit_count() == r, "image of an incompressible set changed size"
         return bits & ~s_bits == 0
 

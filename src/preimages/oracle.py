@@ -53,13 +53,13 @@ def goal_predicate(goal: str, aut: Automaton, s: StateSet) -> Goal:
     size = s.size
     full = (1 << aut.n) - 1
     if goal == "extending":
-        return lambda bits, depth: bits.bit_count() > size
+        return lambda bits: bits.bit_count() > size
     if goal == "totally-extending":
-        return lambda bits, depth: bits == full
+        return lambda bits: bits == full
     if goal == "avoiding":
-        return lambda bits, depth: bits == 0
-    if goal == "resizing":
-        return lambda bits, depth: depth > 0 and bits.bit_count() != size
+        return lambda bits: bits == 0
+    if goal == "resizing":  # S itself, the only source, has |S| states
+        return lambda bits: bits.bit_count() != size
     raise ValueError(f"unknown goal {goal!r}; expected one of {GOALS}")
 
 
@@ -93,7 +93,7 @@ def oracle_shortest_reset(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,
     """Exact shortest reset word via forward power-set BFS, stopping at the
     first singleton image."""
     return _word_and_length(forward_subset_bfs(
-        aut, None, node_limit, state_cap, stop=lambda bits, depth: bits.bit_count() == 1))
+        aut, None, node_limit, state_cap, stop=lambda bits: bits.bit_count() == 1))
 
 
 def oracle_min_rank(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,

@@ -290,11 +290,13 @@ def _merging_word(succ, n: int, p: int, q: int) -> list[int]:
 
 
 class RankResult(NamedTuple):
-    """A word of minimal rank together with its (incompressible) image."""
+    """A word u of minimal rank, its (incompressible) image, and the map
+    ``classes[q] == q . u`` of every state."""
 
     word: Word
     image: StateSet
     rank: int
+    classes: tuple[int, ...]
 
 
 def minimal_rank_word(aut: Automaton) -> RankResult:
@@ -313,8 +315,7 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
 
     A step's word moves the image only, by ``automaton.move_states``: one
     gather per letter over |image| states.  The image's moves update the
-    classes ``q ↦ q·u`` of all n states once per step.  The classes are kept in
-    ``aut._derived["rank_classes"]`` for ``avoid.rank_partition``.
+    classes ``q ↦ q·u`` of all n states once per step.
 
     The resulting image size equals the minimal rank over all words: any
     word's image contains an image of the incompressible set, which no word
@@ -351,9 +352,8 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
             if len(letters) > n ** 3:
                 raise AssertionError("pair compression exceeded its length guard")
         bits = sum(1 << q for q in image)
-        cached = RankResult(Word(letters), StateSet(n, bits), len(image))
+        cached = RankResult(Word(letters), StateSet(n, bits), len(image), classes)
         aut._derived["min_rank"] = cached
-        aut._derived["rank_classes"] = classes
     return cached
 
 

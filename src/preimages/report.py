@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, apply_word, preimage_word
+from .automaton import Automaton, StateSet, Word, preimage_word
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
@@ -72,14 +72,15 @@ def validate_report(d: dict) -> None:
 
 
 def witness_holds(aut: Automaton, s: StateSet, problem: str, w: Word) -> bool:
-    """Re-verify a claimed witness by direct computation."""
+    """Re-verify a claimed witness from its preimage ``S . w^-1``: Q . w
+    misses S exactly when no state maps into S, so avoid reads it too."""
+    size = preimage_word(aut, s, w).size
     if problem == "extend":
-        return preimage_word(aut, s, w).size > s.size
+        return size > s.size
     if problem == "extend-total":
-        return preimage_word(aut, s, w).size == aut.n
+        return size == aut.n
     if problem == "avoid":
-        image = apply_word(aut, StateSet.full(aut.n), w)
-        return (image.bits & s.bits) == 0
+        return size == 0
     if problem == "resize":
-        return preimage_word(aut, s, w).size != s.size
+        return size != s.size
     raise ValueError(f"unknown problem {problem!r}")

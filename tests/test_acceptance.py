@@ -57,8 +57,8 @@ def _run_instance(aut, bits, result: SweepResult):
     back = backward_subset_bfs(aut, s)
     truth = {}
     for goal in ("extending", "totally-extending", "avoiding", "resizing"):
-        hit = back.first_match(goal_predicate(goal, aut, s))
-        truth[goal] = None if hit is None else hit[1]
+        hit = next(filter(goal_predicate(goal, aut, s), back.reached), None)
+        truth[goal] = None if hit is None else len(back.word_to(hit))
 
     key = (aut.rows, bits)
     result.instances += 1
@@ -253,8 +253,8 @@ def test_criterion_5_gadget_equivalences():
 
     def ext_tot(aut, s, cap=64):
         res = backward_subset_bfs(aut, s, node_limit=5_000_000, state_cap=cap)
-        return (res.first_match(goal_predicate("extending", aut, s)) is not None,
-                res.first_match(goal_predicate("totally-extending", aut, s)) is not None)
+        return (any(map(goal_predicate("extending", aut, s), res.reached)),
+                any(map(goal_predicate("totally-extending", aut, s), res.reached)))
 
     cases = 0
     for _ in range(200):

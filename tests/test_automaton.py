@@ -62,6 +62,23 @@ def test_word_rendering_and_parsing():
             Word.from_text(bad)
 
 
+def test_word_text_and_letter_check_at_the_26_letter_boundary():
+    every = Word(range(26))
+    assert every.text(26) == "abcdefghijklmnopqrstuvwxyz" == every.text()
+    assert every.text(27) == " ".join(map(str, range(26)))
+    assert Word(range(27)).text() == " ".join(map(str, range(27)))
+    assert Word([25, 0] * 5000).text(26) == "za" * 5000
+    assert Word().text(26) == Word().text(27) == ""
+    # A letter outside the alphabet renders as it always did.
+    assert Word([26, -1, 300]).text(26) == "".join(chr(ord("a") + a) for a in (26, -1, 300))
+    aut = Automaton([[0] * 26])
+    aut.check_word(every)
+    aut.check_word(Word())
+    for letters, bad in (([0, 26, -1], 26), ([-1, 30], -1), ([25] * 100 + [27], 27)):
+        with pytest.raises(ValueError, match=rf"^letter {bad} out of range \[0, 26\)$"):
+            aut.check_word(Word(letters))
+
+
 def _padded(aut, n):
     """``aut`` with states added up to ``n``, each fixed by every letter."""
     return Automaton(list(aut.rows) + [[q] * aut.k for q in range(aut.n, n)])
@@ -70,7 +87,7 @@ def _padded(aut, n):
 @pytest.mark.parametrize("n", [0, 21], ids=["flat", "dict"])  # either side of the oracle cap
 def test_subset_bfs_kernel(c4, p3, n):
     c4, p3 = _padded(c4, n), _padded(p3, n)
-    one = lambda bits, depth: bits.bit_count() == 1
+    one = lambda bits: bits.bit_count() == 1
     # From Q, the nearest singleton of the 4-state Cerny automaton is 9 letters away.
     stats = {}
     res = subset_bfs(c4, [0b1111], "image", one, 100, stats)
@@ -84,22 +101,22 @@ def test_subset_bfs_kernel(c4, p3, n):
     # Sources are goal-tested in order, and a source is reached by the empty word.
     stats = {}
     res = subset_bfs(c4, [0b0110, 0b0001, 0b1000], "image",
-                     lambda bits, depth: bits == 0b0001, 10, stats)
+                     lambda bits: bits == 0b0001, 10, stats)
     assert res.hit == 0b0001 and res.word_to(res.hit) == Word()
     assert stats == {"nodes": 2}
     # Both letters step {3} to {0}: the smaller one, a, is the letter recovered.
     assert c4.image_bits(0b1000, 0) == c4.image_bits(0b1000, 1) == 0b0001
-    res = subset_bfs(c4, [0b0100], "image", lambda bits, depth: bits == 0b0001, 10)
+    res = subset_bfs(c4, [0b0100], "image", lambda bits: bits == 0b0001, 10)
     assert res.word_to(res.hit) == Word.from_text("aa")
     # Only b steps {0,3} to {0}, so {1,2} reaches {0} by aab.
-    res = subset_bfs(c4, [0b0110], "image", lambda bits, depth: bits == 0b0001, 10)
+    res = subset_bfs(c4, [0b0110], "image", lambda bits: bits == 0b0001, 10)
     assert res.word_to(res.hit) == Word.from_text("aab")
     # Backward, the first preimage of {1,2} larger than it is {1,2}.(ba)^-1.
-    res = subset_bfs(c4, [0b0110], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
-    assert res.word_to(res.hit) == Word.from_text("ba") and res.reached[res.hit][0] == 2
+    res = subset_bfs(c4, [0b0110], "preimage", lambda bits: bits.bit_count() > 2, 10)
+    assert res.word_to(res.hit) == Word.from_text("ba")
     # Exhaustion: a permutation automaton never shrinks {0}.
     stats = {}
-    res = subset_bfs(p3, [0b001], "image", lambda bits, depth: bits == 0, 10, stats)
+    res = subset_bfs(p3, [0b001], "image", lambda bits: bits == 0, 10, stats)
     assert res.hit is None and stats == {"nodes": 3}
     assert len(subset_bfs(p3, [0b001], "image", None, 10).reached) == 3
 
@@ -110,26 +127,26 @@ def test_subset_bfs_allocates_the_flat_store_only_for_a_step():
     aut = random_automaton(20, 2, seed=5)
     tracemalloc.start()
     try:
-        res = subset_bfs(aut, [0b100, 0b11], "preimage", lambda bits, depth: bits == 0b11, 10)
+        res = subset_bfs(aut, [0b100, 0b11], "preimage", lambda bits: bits == 0b11, 10)
         source_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        one = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 2, 10)
+        one = subset_bfs(aut, [0b11], "preimage", lambda bits: bits.bit_count() > 2, 10)
         level_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        grown = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 3, 20)
+        grown = subset_bfs(aut, [0b11], "preimage", lambda bits: bits.bit_count() > 3, 20)
         step_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.hit == 0b11 and res.word_to(res.hit) == Word() and res.reached[0b100][0] == 0
+    assert res.hit == 0b11 and res.word_to(res.hit) == res.word_to(0b100) == Word()
     assert source_peak < 1 << 16 and level_peak < 1 << 16 and 1 << 22 <= step_peak
-    assert one.reached[one.hit][0] == 1 and grown.reached[grown.hit][0] == 3
+    assert len(one.word_to(one.hit)) == 1 and len(grown.word_to(grown.hit)) == 3
     for found in (one, grown):
         word = found.word_to(found.hit)
         assert preimage_word(aut, aut.state_set([0, 1]), word).bits == found.hit
 
 
-def _depths(res):
-    return {bits: info for bits, info in res.reached.items()}
+def _words(res):
+    return {bits: res.word_to(bits) for bits in res.reached}
 
 
 @pytest.mark.parametrize("n", [12, 20, 21, 28], ids=["flat12", "flat20", "dict21", "dict28"])
@@ -142,18 +159,16 @@ def test_subset_bfs_depth_cut_is_the_uncut_search_up_to_that_depth(n, max_depth)
     searches.append((_padded(cerny_automaton(6), n), "preimage", [0b000110]))
     for aut, direction, sources in searches:
         sizes = {bits.bit_count() for bits in sources}
-        for goal in (None, lambda bits, depth: bits.bit_count() not in sizes,
-                     lambda bits, depth: bits == sources[0] << 1):
+        for goal in (None, lambda bits: bits.bit_count() not in sizes,
+                     lambda bits: bits == sources[0] << 1):
             full = subset_bfs(aut, sources, direction, goal, 10**6)
             stats = {"nodes": 7}
             cut = subset_bfs(aut, sources, direction, goal, 10**6, stats, max_depth)
-            kept = {bits: info for bits, info in _depths(full).items() if info[0] <= max_depth}
-            assert list(cut.reached) == list(kept) and _depths(cut) == kept
-            found = full.hit is not None and full.reached[full.hit][0] <= max_depth
+            kept = {bits: w for bits, w in _words(full).items() if len(w) <= max_depth}
+            assert list(cut.reached) == list(kept) and _words(cut) == kept
+            found = full.hit is not None and len(full.word_to(full.hit)) <= max_depth
             assert cut.hit == (full.hit if found else None)
             assert stats["nodes"] == 7 + len(kept)  # added to what the query counted before
-            if found:
-                assert cut.word_to(cut.hit) == full.word_to(full.hit)
 
 
 def test_subset_bfs_shallow_cut_allocates_no_flat_store():
@@ -161,9 +176,9 @@ def test_subset_bfs_shallow_cut_allocates_no_flat_store():
     tracemalloc.start()
     try:
         for max_depth in (0, 1):
-            cut = subset_bfs(aut, [0b11], "preimage", lambda bits, depth: bits.bit_count() > 3,
+            cut = subset_bfs(aut, [0b11], "preimage", lambda bits: bits.bit_count() > 3,
                              10**6, max_depth=max_depth)
-            assert cut.hit is None and max(d for d, _, _ in _depths(cut).values()) == max_depth
+            assert cut.hit is None and max(map(len, _words(cut).values())) == max_depth
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -118,6 +118,41 @@ def test_check_oracle_method(files, capsys):
     assert report["method"] == "oracle" and report["witness_length"] == 2
 
 
+def test_oracle_method_cuts_at_the_length_bound_above_the_state_cap(tmp_path, capsys):
+    # Under --max-len the oracle runs its search cut at that depth, which no
+    # state cap binds: n = 30 is answered, where the uncut search is refused.
+    path = tmp_path / "cerny30.aut"
+    path.write_text(serialize_automaton(cerny_automaton(30)))
+    query = ("check", str(path), "--subset", ",".join(map(str, range(0, 30, 2))),
+             "--problem", "extend", "--method", "oracle", "--witness", "--json")
+    code, out, _ = run(capsys, *query, "--max-len", "1")
+    report = json.loads(out)
+    assert code == 0 and report["answer"] == "yes" and report["witness"] == "b"
+    assert report["method"] == "oracle" and "note" not in report
+    code, out, _ = run(capsys, *query, "--max-len", "0")
+    report = json.loads(out)
+    assert code == 1 and report["answer"] == "no" and "note" not in report
+    code, out, _ = run(capsys, *query)
+    assert code == 2 and json.loads(out)["note"] == "power-set search refused: n=30 exceeds cap 20"
+
+
+def test_witness_holds_matches_the_image_definition():
+    # Avoid is read off the preimage: Q . w misses S exactly when S . w^-1 is empty.
+    rng = random.Random(23)
+    for _ in range(400):
+        n, k = rng.randint(1, 8), rng.randint(1, 3)
+        aut = random_automaton(n, k, seed=rng.randrange(10**9))
+        rows = [list(r) for r in aut.rows]
+        s_bits = rng.randrange(1 << n)
+        s = StateSet(n, s_bits)
+        word = preimages.Word(rng.randrange(k) for _ in range(rng.randint(0, 6)))
+        for problem in _GOAL:
+            assert preimages.witness_holds(aut, s, problem, word) == _witness_ok(
+                rows, s_bits, problem, word.text(k)), (rows, s_bits, problem, word)
+    with pytest.raises(ValueError):
+        preimages.witness_holds(aut, s, "compress", word)
+
+
 def test_check_budget_exhaustion_reports_unknown(files, capsys):
     code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
                        "--problem", "extend", "--method", "poly", "--budget", "2", "--json")
@@ -564,7 +599,7 @@ def test_package_namespace_is_lazy_and_complete():
 
 def test_records_keep_value_semantics():
     for make, fields in (
-            (preimages.minimal_rank_word, ("word", "image", "rank")),
+            (preimages.minimal_rank_word, ("word", "image", "rank", "classes")),
             (preimages.scc, ("component_of", "components", "sink_flags")),
             (lambda aut: preimages.rank_partition(aut, aut.state_set([1, 2])),
              ("word", "image", "classes", "representatives", "z"))):
@@ -681,7 +716,8 @@ _GOAL = {"extend": "extending", "extend-total": "totally-extending", "avoid": "a
 def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
     # The CLI router (fast paths, searches, the depth-cut search behind
     # --max-len) against the power-set oracle, under --method auto and its
-    # synonym poly.  "unknown" is allowed only under --budget: the budget
+    # synonym poly, and under --method oracle with a length bound, where the
+    # oracle runs cut at it.  "unknown" is allowed only under --budget: the budget
     # variant is the oracle's own node count, and one query may spend it on a
     # search and then on the depth-cut search.
     rng = random.Random(20240917)
@@ -701,9 +737,11 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
                 hit = oracle_shortest(aut, s, goal)
                 shortest = None if hit is None else hit[1]
                 for method, witness, max_len, budget in itertools.product(
-                        ("auto", "poly"), ((), ("--witness",)), (None, 0, 1, 2, 3),
+                        ("auto", "poly", "oracle"), ((), ("--witness",)), (None, 0, 1, 2, 3),
                         ((), ("--budget", reached))):
                     if budget and not (witness and max_len in (None, 2)):
+                        continue
+                    if method == "oracle" and max_len is None:
                         continue
                     bound = () if max_len is None else ("--max-len", str(max_len))
                     code, out, _ = run(capsys, "check", str(path), "--subset",

@@ -73,11 +73,11 @@ def test_extend_matches_oracle_decision_and_length():
         s = StateSet(n, rng.randrange(1 << n))
         w = shortest_extending_word_small(aut, s)
         res = backward_subset_bfs(aut, s)
-        hit = res.first_match(goal_predicate("extending", aut, s))
+        hit = next(filter(goal_predicate("extending", aut, s), res.reached), None)
         if hit is None:
             assert w is None
         else:
-            assert w is not None and len(w) == hit[1] and w == hit[0]
+            assert w == res.word_to(hit)
             assert preimage_word(aut, s, w).size > s.size
 
 
@@ -90,8 +90,9 @@ def test_extend_deep_instances_match_oracle():
         aut = Automaton([[(q + 1) % n, 0 if q == 1 else q] for q in range(n)])
         s = StateSet.from_states(n, [n - 1])
         w = shortest_extending_word_small(aut, s)
-        hit = backward_subset_bfs(aut, s).first_match(goal_predicate("extending", aut, s))
-        assert w is not None and len(w) == hit[1] == n
+        res = backward_subset_bfs(aut, s)
+        hit = next(filter(goal_predicate("extending", aut, s), res.reached))
+        assert w is not None and len(w) == len(res.word_to(hit)) == n
         assert preimage_word(aut, s, w).size > 1
 
 
@@ -113,8 +114,8 @@ def test_totally_extending_matches_oracle_decision():
         s = StateSet(n, rng.randrange(1 << n))
         w = totally_extending_word_small(aut, s)
         res = backward_subset_bfs(aut, s)
-        oracle_says = res.first_match(goal_predicate("totally-extending", aut, s))
-        assert (w is None) == (oracle_says is None)
+        oracle_says = any(map(goal_predicate("totally-extending", aut, s), res.reached))
+        assert (w is None) == (not oracle_says)
         if w is not None:
             assert preimage_word(aut, s, w).size == n
 

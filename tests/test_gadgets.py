@@ -14,8 +14,8 @@ from preimages.oracle import goal_predicate
 
 def oracle_ext_tot(aut, s, cap=64):
     res = backward_subset_bfs(aut, s, node_limit=5_000_000, state_cap=cap)
-    ext = res.first_match(goal_predicate("extending", aut, s)) is not None
-    tot = res.first_match(goal_predicate("totally-extending", aut, s)) is not None
+    ext = any(map(goal_predicate("extending", aut, s), res.reached))
+    tot = any(map(goal_predicate("totally-extending", aut, s), res.reached))
     return ext, tot
 
 

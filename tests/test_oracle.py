@@ -22,7 +22,6 @@ def test_backward_reachable_families(c4, p3, ch2):
 
     res = backward_subset_bfs(c4, c4.state_set([1, 2]))
     target = c4.state_set([0, 1, 3]).bits
-    assert res.reached[target][0] == 2
     assert res.word_to(target) == Word.from_text("ba")
 
     res = backward_subset_bfs(p3, p3.state_set([0]))
@@ -46,6 +45,7 @@ def test_oracle_shortest_matches_the_full_search(c4):
     # The early-stopped search answers exactly what the first match on the
     # full power-set search answers, and never generates more subsets.
     rng = random.Random(17)
+    singleton = lambda bits: bits.bit_count() == 1
     corpus = [(c4, c4.state_set([1, 2]))]
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -55,34 +55,52 @@ def test_oracle_shortest_matches_the_full_search(c4):
         full = backward_subset_bfs(aut, s)
         for goal in GOALS:
             want = goal_predicate(goal, aut, s)
-            hit = full.first_match(want)
-            expected = None if hit is None else hit[:2]
-            assert oracle_shortest(aut, s, goal) == expected
+            hit = next(filter(want, full.reached), None)
+            assert oracle_shortest(aut, s, goal) == _word_and_length(full, hit)
             stopped = backward_subset_bfs(aut, s, stop=want)
             assert len(stopped.reached) <= len(full.reached)
-            assert stopped.hit == (None if hit is None else hit[2])
+            assert stopped.hit == hit
         full = forward_subset_bfs(aut)
-        hit = full.first_match(lambda bits, depth: bits.bit_count() == 1)
-        assert oracle_shortest_reset(aut) == (None if hit is None else hit[:2])
-        stopped = forward_subset_bfs(aut, stop=lambda bits, depth: bits.bit_count() == 1)
+        hit = next(filter(singleton, full.reached), None)
+        assert oracle_shortest_reset(aut) == _word_and_length(full, hit)
+        stopped = forward_subset_bfs(aut, stop=singleton)
         assert len(stopped.reached) <= len(full.reached)
 
 
-def _reference_bfs(aut, start_bits, step):
-    """The per-state power-set BFS the chunk tables replace."""
-    reached = {start_bits: (0, -1, -1)}
-    frontier, depth = [start_bits], 0
+def _word_and_length(res, bits):
+    if bits is None:
+        return None
+    word = res.word_to(bits)
+    return word, len(word)
+
+
+def _reference_bfs(aut, start_bits, direction):
+    """The per-state power-set BFS the chunk tables replace: every reached
+    subset in generation order, with the word that reaches it."""
+    step = aut.preimage_bits if direction == "preimage" else aut.image_bits
+    reached = {start_bits: Word()}
+    frontier = [start_bits]
     while frontier:
-        depth += 1
         next_frontier = []
         for bits in frontier:
             for a in range(aut.k):
                 child = step(bits, a)
                 if child not in reached:
-                    reached[child] = (depth, a, bits)
+                    word = reached[bits]
+                    reached[child] = (Word([a]) + word if direction == "preimage"
+                                      else word + Word([a]))
                     next_frontier.append(child)
         frontier = next_frontier
     return reached
+
+
+def _assert_matches_reference(res, aut, start_bits):
+    """The kernel's generation order, and the word to every reached subset,
+    which fixes its depth, the letter of its step and its predecessor."""
+    expected = _reference_bfs(aut, start_bits, res.direction)
+    assert list(res.reached) == list(expected)
+    assert {bits: res.word_to(bits) for bits in res.reached} == expected
+    return expected
 
 
 def _table_step(tables, bits):
@@ -115,11 +133,9 @@ def test_chunk_table_step_matches_per_state_step(n):
     for _ in range(3):
         s = StateSet(n, rng.randrange(1 << n))
         back = backward_subset_bfs(aut, s, state_cap=cap)
-        assert list(back.reached.items()) == list(
-            _reference_bfs(aut, s.bits, aut.preimage_bits).items())
+        _assert_matches_reference(back, aut, s.bits)
         fwd = forward_subset_bfs(aut, s, state_cap=cap)
-        assert list(fwd.reached.items()) == list(
-            _reference_bfs(aut, s.bits, aut.image_bits).items())
+        _assert_matches_reference(fwd, aut, s.bits)
         assert back.hit is None and fwd.hit is None
 
 
@@ -170,14 +186,10 @@ def test_word_reconstruction_reproduces_stored_subsets():
         aut = random_automaton(n, rng.randint(1, 3), seed=rng.randrange(10**9))
         s = StateSet(n, rng.randrange(1 << n))
         back = backward_subset_bfs(aut, s)
-        for bits, (depth, _, _) in back.reached.items():
-            w = back.word_to(bits)
-            assert len(w) == depth
+        for bits, w in _assert_matches_reference(back, aut, s.bits).items():
             assert preimage_word(aut, s, w).bits == bits
         fwd = forward_subset_bfs(aut, s)
-        for bits, (depth, _, _) in fwd.reached.items():
-            w = fwd.word_to(bits)
-            assert len(w) == depth
+        for bits, w in _assert_matches_reference(fwd, aut, s.bits).items():
             assert apply_word(aut, s, w).bits == bits
         assert len(back.reached) <= 1 << n
         assert len(fwd.reached) <= 1 << n
@@ -201,7 +213,7 @@ def test_identical_letters_resolve_to_the_smaller_one(c4):
     doubled = Automaton([row + row[1:] for row in c4.rows])
     for s in (c4.state_set([1, 2]), c4.state_set([0])):
         plain, twin = backward_subset_bfs(c4, s), backward_subset_bfs(doubled, s)
-        assert list(twin.reached.items()) == list(plain.reached.items())
+        assert list(twin.reached) == list(plain.reached)
         assert all(twin.word_to(bits) == plain.word_to(bits) for bits in plain.reached)
         for goal in GOALS:
             assert oracle_shortest(doubled, s, goal) == oracle_shortest(c4, s, goal)
@@ -214,15 +226,13 @@ def test_reached_view(n, cap):
     start = (1 << n) - 1
     res = forward_subset_bfs(aut, state_cap=cap)
     reached = res.reached
-    expected = _reference_bfs(aut, start, aut.image_bits)
-    assert list(reached.items()) == list(expected.items())
+    expected = _assert_matches_reference(res, aut, start)
     assert len(reached) == len(expected) < 1 << n
-    assert reached[start] == (0, -1, -1)
     unreached = next(bits for bits in range(1 << n) if bits not in expected)
     for bits in (unreached, -1, 1 << n):
         assert bits not in reached
         with pytest.raises(KeyError):
-            reached[bits]
+            res.word_to(bits)
     # the node limit counts reached subsets: exactly that many is enough
     assert len(forward_subset_bfs(aut, node_limit=len(reached), state_cap=cap).reached) \
         == len(reached)

@@ -216,7 +216,7 @@ def test_pair_table_and_compression_words_match_the_reference_search():
         letters, bits = _reference_compression(aut, dist, word)
         rank = minimal_rank_word(aut)  # the table is built: every step reads it
         assert rank.word == letters and rank.image.bits == bits
-        assert aut._derived["rank_classes"] == word_map(Automaton(aut.rows), letters)
+        assert rank.classes == word_map(Automaton(aut.rows), letters)
         synchronizing = dist.count(-1) == n * (n + 1) // 2
         assert is_synchronizing(aut) == synchronizing
         assert greedy_reset_word(aut) == (letters if synchronizing else None)
@@ -243,7 +243,7 @@ def test_lazy_rank_word_matches_the_table_driven_compression():
         branches.add("pair_table" in aut._derived)
         letters, bits = _reference_compression(reference, *_reference_table(reference))
         assert (rank.word, rank.image.bits, rank.rank) == (letters, bits, bits.bit_count())
-        assert aut._derived["rank_classes"] == word_map(reference, letters)
+        assert rank.classes == word_map(reference, letters)
     assert branches == {True, False}
 
 

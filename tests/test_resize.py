@@ -261,11 +261,12 @@ def test_resize_matches_oracle_with_length_bound():
         bits = rng.randrange(1 << n)
         s = StateSet(n, bits)
         w = shortest_resizing_word(aut, s)
-        hit = backward_subset_bfs(aut, s).first_match(goal_predicate("resizing", aut, s))
+        res = backward_subset_bfs(aut, s)
+        hit = next(filter(goal_predicate("resizing", aut, s), res.reached), None)
         if hit is None:
             assert w is None
         else:
-            assert w is not None and len(w) == hit[1]
+            assert w is not None and len(w) == len(res.word_to(hit))
             assert len(w) <= n - 1
             assert preimage_word(aut, s, w).size != s.size
             assert len(w) >= 1
@@ -285,8 +286,9 @@ def test_resize_length_bound_is_tight():
         aut = _defect_cycle(n)
         s = StateSet.from_states(n, [n - 1])
         w = shortest_resizing_word(aut, s)
-        hit = backward_subset_bfs(aut, s).first_match(goal_predicate("resizing", aut, s))
-        assert w is not None and len(w) == hit[1] == n - 1
+        res = backward_subset_bfs(aut, s)
+        hit = next(filter(goal_predicate("resizing", aut, s), res.reached))
+        assert w is not None and len(w) == len(res.word_to(hit)) == n - 1
     for n in (60, 150):
         aut = _defect_cycle(n)
         s = StateSet.from_states(n, [n - 1])
