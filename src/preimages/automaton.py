@@ -38,7 +38,7 @@ def letter_name(a: int, k: int) -> str:
     return str(a)
 
 
-# bytes.translate table from letter indices to names; a zero byte marks a letter past z.
+# bytes.translate table from letter indices 0-25 to their names a-z.
 _LETTER_NAMES = bytes(range(ord("a"), ord("a") + 26)).ljust(256, b"\0")
 
 
@@ -71,18 +71,13 @@ class Word:
         return cls(ord(ch) - ord("a") for ch in text)
 
     def text(self, k: Optional[int] = None) -> str:
-        """Render with letter names for alphabets of at most 26 letters."""
+        """Render with letter names for alphabets of at most 26 letters.
+        Every letter must lie in the alphabet."""
         letters = self.letters
         if k is None:
             k = (max(letters) + 1) if letters else 1
         if k <= 26:
-            try:
-                names = bytes(letters).translate(_LETTER_NAMES)
-            except ValueError:  # a letter below 0 or above 255
-                names = b"\0"
-            if b"\0" not in names:
-                return names.decode()
-            return "".join(chr(ord("a") + a) for a in letters)
+            return bytes(letters).translate(_LETTER_NAMES).decode()
         return " ".join(map(str, letters))
 
     def __len__(self) -> int:

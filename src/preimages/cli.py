@@ -142,11 +142,12 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
     """Answer the whole query along one route, under one node budget.
     ``--method oracle`` asks the power-set oracle, capped at ``oracle_cap``
-    states, or under ``--max-len`` L cut at depth L with no cap.  Otherwise
-    (``auto``, or its synonym ``poly``) the permutation route answers, else a
-    fast path, else the ``_SEARCH`` function.  A shortest witness longer
-    than L turns "yes" into "no".  A longer witness that is not shortest is
-    settled by that same cut search, under what is left of the budget: its
+    states unless ``--max-len`` L cuts it at a depth whose 1 + k + ... + k^L
+    subsets fit in what the cap admits.  Otherwise (``auto``, or its synonym
+    ``poly``) the permutation route answers, else a fast path, else the
+    ``_SEARCH`` function.  A shortest witness longer than L turns "yes" into
+    "no".  A longer witness that is not shortest is settled by the oracle's
+    search cut at L, with no state cap, under what is left of the budget: its
     first hit is a shortest witness, and none means "no".
 
     The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
@@ -188,7 +189,7 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             from . import oracle
             kind = "oracle"
             hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget - stats.get("nodes", 0),
-                                         max_len=max_len, stats=stats)
+                                         aut.n, max_len, stats)  # the budget alone bounds it
             if hit is not None:
                 return Route(ANSWER_YES, hit[0], "oracle", True)
         return Route(ANSWER_NO, None, route.method if route.shortest else "oracle", True,

@@ -21,16 +21,26 @@ from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STA
 GOALS = ("extending", "totally-extending", "avoiding", "resizing")
 
 
+def _cut_fits(k: int, depth: int, cap: int) -> bool:
+    """Whether a search cut at ``depth`` >= 0, which holds at most
+    1 + k + ... + k^depth subsets, holds no more than 2^cap."""
+    if k < 2:
+        return depth * k + 1 <= 1 << cap
+    depth = min(depth, cap + 1)  # k^(cap + 1) alone exceeds 2^cap
+    return (k ** (depth + 1) - 1) // (k - 1) <= 1 << cap
+
+
 def backward_subset_bfs(aut: Automaton, s: StateSet, node_limit: int = DEFAULT_NODE_BUDGET,
                         state_cap: int = DEFAULT_ORACLE_STATE_CAP,
                         stop: Optional[Goal] = None, max_depth: int = -1,
                         stats: Optional[dict] = None) -> SubsetBfsResult:
     """Subsets reachable from S by iterated single-letter preimages: all of
     them, or those generated up to the first that meets ``stop``, and none
-    deeper than ``max_depth`` L >= 0.  A cut search holds at most
-    1 + k + ... + k^L subsets, so ``state_cap`` refuses only an uncut one."""
+    deeper than ``max_depth`` L >= 0.  Above ``state_cap`` states it is
+    refused unless it is cut and its bound 1 + k + ... + k^L is no larger
+    than the 2^state_cap subsets the cap admits uncut."""
     aut.check_set(s)
-    if max_depth < 0 and aut.n > state_cap:
+    if aut.n > state_cap and (max_depth < 0 or not _cut_fits(aut.k, max_depth, state_cap)):
         raise BudgetExceededError(f"power-set search refused: n={aut.n} exceeds cap {state_cap}")
     return subset_bfs(aut, [s.bits], "preimage", stop, node_limit, stats, max_depth)
 
@@ -80,7 +90,8 @@ def oracle_shortest(aut: Automaton, s: StateSet, goal: str,
     (preimage Q), "avoiding" (preimage of S shrinks to the empty set), or
     "resizing" (first preimage of a different size).  The search stops at
     the first subset that meets the goal.  With ``max_len`` it is cut at
-    that depth, so None means no word that short, and no state cap applies.
+    that depth, so None means no word that short, and ``state_cap`` binds
+    only when that cut may hold more than 2^state_cap subsets.
     """
     aut.check_set(s)
     want = goal_predicate(goal, aut, s)

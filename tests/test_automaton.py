@@ -69,8 +69,6 @@ def test_word_text_and_letter_check_at_the_26_letter_boundary():
     assert Word(range(27)).text() == " ".join(map(str, range(27)))
     assert Word([25, 0] * 5000).text(26) == "za" * 5000
     assert Word().text(26) == Word().text(27) == ""
-    # A letter outside the alphabet renders as it always did.
-    assert Word([26, -1, 300]).text(26) == "".join(chr(ord("a") + a) for a in (26, -1, 300))
     aut = Automaton([[0] * 26])
     aut.check_word(every)
     aut.check_word(Word())

@@ -119,8 +119,9 @@ def test_check_oracle_method(files, capsys):
 
 
 def test_oracle_method_cuts_at_the_length_bound_above_the_state_cap(tmp_path, capsys):
-    # Under --max-len the oracle runs its search cut at that depth, which no
-    # state cap binds: n = 30 is answered, where the uncut search is refused.
+    # Under --max-len the oracle runs its search cut at that depth: n = 30 is
+    # answered, where the uncut search is refused.  A cut whose bound
+    # 1 + 2 + ... + 2^L exceeds the 2^20 subsets the cap admits is refused too.
     path = tmp_path / "cerny30.aut"
     path.write_text(serialize_automaton(cerny_automaton(30)))
     query = ("check", str(path), "--subset", ",".join(map(str, range(0, 30, 2))),
@@ -132,8 +133,11 @@ def test_oracle_method_cuts_at_the_length_bound_above_the_state_cap(tmp_path, ca
     code, out, _ = run(capsys, *query, "--max-len", "0")
     report = json.loads(out)
     assert code == 1 and report["answer"] == "no" and "note" not in report
-    code, out, _ = run(capsys, *query)
-    assert code == 2 and json.loads(out)["note"] == "power-set search refused: n=30 exceeds cap 20"
+    for bound in ((), ("--max-len", "20"), ("--max-len", "30")):
+        code, out, _ = run(capsys, *query, *bound)
+        assert code == 2 and json.loads(out)["note"] == "power-set search refused: n=30 exceeds cap 20"
+    code, out, _ = run(capsys, *query, "--max-len", "19")
+    assert code == 0 and json.loads(out)["witness"] == "b"
 
 
 def test_witness_holds_matches_the_image_definition():

@@ -207,6 +207,20 @@ def test_state_cap_and_node_limit():
         forward_subset_bfs(aut, node_limit=3)
 
 
+def test_state_cap_admits_a_cut_only_within_two_to_the_cap_subsets():
+    # A cut at depth L holds at most 1 + k + ... + k^L subsets; above the cap
+    # it runs only when that bound is at most 2^cap.
+    for k, fits in ((1, 7), (2, 2), (3, 1)):
+        aut = random_automaton(5, k, seed=k)
+        s = aut.state_set([0, 1])
+        for depth in range(fits + 1):
+            res = backward_subset_bfs(aut, s, state_cap=3, max_depth=depth)
+            assert list(res.reached) == list(backward_subset_bfs(aut, s, max_depth=depth).reached)
+        for depth in (-1, fits + 1, 10 ** 6):
+            with pytest.raises(BudgetExceededError, match="n=5 exceeds cap 3"):
+                backward_subset_bfs(aut, s, state_cap=3, max_depth=depth)
+
+
 def test_identical_letters_resolve_to_the_smaller_one(c4):
     # Letters 1 and 2 act alike; the search records the smaller, so the
     # stored letters, words and witnesses are those without letter 2.
