@@ -10,7 +10,7 @@ A whole word acts through its transformation ``word_map``, read left to
 right: a block of letters moves only the image so far, one gather per letter
 (``move_states``); ``apply_word`` and ``preimage_word`` read the image and
 the preimage off it.  ``subset_bfs`` is the one breadth-first search over
-subsets: extend walks back from S by the single-letter steps
+subsets: extend and resize walk back from S by the single-letter steps
 ``preimage_bits``, extend-total and avoid walk forward by ``image_bits``,
 and the power-set oracle does both.
 
@@ -358,9 +358,10 @@ def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optio
 
 
 def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: int,
-                       levels: int) -> tuple[Optional[int], int]:
+                       levels: int, admit: Optional[Goal]) -> tuple[Optional[int], int]:
     """``_search_by_chunks`` from the sources, a step ORing one mask per member
-    state, for at most ``levels`` levels (-1: all); also where the next level starts."""
+    state, for at most ``levels`` levels (-1: all), keeping only the children
+    that meet ``goal`` or pass ``admit``; also where the next level starts."""
     depth = lo = 0
     while lo < len(order) and depth != levels:
         depth += 1
@@ -369,18 +370,21 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: 
             for a in range(k):
                 child = step(bits, a)
                 if pred[child] < 0:
-                    pred[child] = bits
-                    order.append(child)
-                    if len(order) > budget:
-                        raise BudgetExceededError(
-                            f"subset BFS exceeded node limit {budget}", len(order))
-                    if goal is not None and goal(child):
-                        return child, lo
+                    met = goal is not None and goal(child)
+                    if met or admit is None or admit(child):
+                        pred[child] = bits
+                        order.append(child)
+                        if len(order) > budget:
+                            raise BudgetExceededError(
+                                f"subset BFS exceeded node limit {budget}", len(order))
+                        if met:
+                            return child, lo
     return None, lo
 
 
 def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
-               budget: int, stats: Optional[dict] = None, max_depth: int = -1) -> SubsetBfsResult:
+               budget: int, stats: Optional[dict] = None, max_depth: int = -1,
+               admit: Optional[Goal] = None) -> SubsetBfsResult:
     """Multi-source FIFO BFS over subsets held as bit patterns.
 
     ``sources`` yields distinct bit patterns.  ``direction`` "preimage" steps
@@ -388,16 +392,19 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     Every discovered subset, sources first and in order, is tested by
     ``goal(bits)``; the first that meets it is ``hit``.  Without a
     goal the search is exhaustive; ``max_depth`` L >= 0 cuts it after depth
-    L.  More than ``budget`` discovered subsets raise BudgetExceededError;
-    ``stats["nodes"]`` adds them up when the search returns.
+    L.  ``admit(bits)``, if given, is asked about each unstored child that
+    does not meet the goal; one it rejects is neither stored, expanded nor
+    counted, and is asked about again if it recurs.  More than ``budget`` discovered subsets raise
+    BudgetExceededError; ``stats["nodes"]`` adds them up when the search
+    returns.
 
     A subset stores only its predecessor, and a source is its own.  The
     sources and the first level sit in a dict, and a step ORs one mask per
     member state.  Once a second level is needed, up to
     ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors move to an int
     array indexed by subset bits (4 MiB at n = 20, whatever the budget) and
-    a step is ceil(n/8) chunk-table lookups; above it the dict keeps them,
-    bounded by the budget.
+    a step is ceil(n/8) chunk-table lookups; above it, or with ``admit``,
+    the dict keeps them, bounded by the budget.
     """
     pred, order = _Sparse(), []
     step = aut.preimage_bits if direction == "preimage" else aut.image_bits
@@ -410,8 +417,9 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
-        flat = aut.n <= DEFAULT_ORACLE_STATE_CAP and max_depth not in (0, 1)
-        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget, 1 if flat else max_depth)
+        flat = aut.n <= DEFAULT_ORACLE_STATE_CAP and max_depth not in (0, 1) and admit is None
+        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget,
+                                     1 if flat else max_depth, admit)
         if flat and hit is None and lo < len(order):  # a second level is needed
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:

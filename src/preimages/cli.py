@@ -159,7 +159,8 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     try:
         if method == "oracle":
             from . import oracle
-            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap, max_len)
+            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap, max_len,
+                                         stats)
             route = Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
         elif is_permutation_automaton(aut):
             if problem == "extend-total" or (problem == "resize" and not need_word):

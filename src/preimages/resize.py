@@ -10,7 +10,10 @@ contribute a new size discrepancy, because the discrepancy functional
 h(z) = sum(z[0..n-1]) - |S| * z[n] is linear and vanishes on everything
 inserted so far.  The basis therefore closes after at most n insertions (the
 kernel of h has dimension n), and the first vector with h != 0, taken in BFS
-order, belongs to a shortest resizing word.
+order, belongs to a shortest resizing word.  The search is
+``automaton.subset_bfs`` back from S with the basis as its ``admit`` test:
+a size-keeping child is kept, expanded and counted only if it enlarges the
+basis, so the search holds at most n + 1 subsets.
 
 The span is taken over F_p, p = 2**31 - 1, not over Q, and the answer stays
 exact because p > n.  Each child's size is tested on its integer bit
@@ -25,11 +28,10 @@ an integer minor that decides independence; it is still a shortest word.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word
-from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, NotSynchronizingError
+from .automaton import Automaton, StateSet, Word, subset_bfs
+from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
 from .pairs import is_synchronizing
 
 P = (1 << 31) - 1
@@ -127,40 +129,19 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
     closes, at which point every reachable preimage provably has size |S|.
     The empty and full subsets are never resizable (their preimages are
     themselves).  Raises BudgetExceededError once more than ``budget``
-    nodes have been expanded.
+    subsets have been discovered, S and the resized preimage included.
     """
     aut.check_set(s)
-    n, k = aut.n, aut.k
-    target = s.size
-
+    n, size = aut.n, s.size
     basis = RationalBasis(n)
     basis.insert(s.bits)
-    queue: deque[tuple[int, tuple[int, ...]]] = deque([(s.bits, ())])
-    expanded = 0
-
-    while queue:
-        bits, letters = queue.popleft()
-        expanded += 1
-        if expanded > budget:
-            raise BudgetExceededError(f"resize search exceeded budget {budget}", expanded)
-        for a in range(k):
-            child_bits = aut.preimage_bits(bits, a)
-            child_letters = (a,) + letters
-            if child_bits.bit_count() != target:
-                if stats is not None:
-                    stats["nodes"] = expanded
-                    stats["basis_size"] = len(basis)
-                return Word(child_letters)
-            # Every vector inserted so far lies in the n-dimensional kernel of
-            # h, so a basis of n rows already spans every size-keeping child.
-            if (len(basis) < n
-                    and basis.insert(child_bits) is not None):
-                queue.append((child_bits, child_letters))
-
+    # Every vector inserted so far lies in the n-dimensional kernel of h, so
+    # a basis of n rows already spans every size-keeping child.
+    res = subset_bfs(aut, [s.bits], "preimage", lambda bits: bits.bit_count() != size, budget,
+                     stats, admit=lambda bits: len(basis) < n and basis.insert(bits) is not None)
     if stats is not None:
-        stats["nodes"] = expanded
         stats["basis_size"] = len(basis)
-    return None
+    return None if res.hit is None else res.word_to(res.hit)
 
 
 def resizable_decision_fast(aut: Automaton, s: StateSet) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        cerny_automaton, is_permutation_automaton, is_strongly_connected,
                        minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
-from preimages.automaton import subset_bfs, word_map
+from preimages.automaton import _Sparse, subset_bfs, word_map
 
 
 @st.composite
@@ -117,6 +118,31 @@ def test_subset_bfs_kernel(c4, p3, n):
     res = subset_bfs(p3, [0b001], "image", lambda bits: bits == 0, 10, stats)
     assert res.hit is None and stats == {"nodes": 3}
     assert len(subset_bfs(p3, [0b001], "image", None, 10).reached) == 3
+
+
+def test_subset_bfs_admit_filters_the_children_that_miss_the_goal(c4):
+    # From Q, a keeps Q and b gives {0,1,2}: a rejected child is dropped.
+    stats = {}
+    res = subset_bfs(c4, [0b1111], "image", None, 10, stats, admit=lambda bits: bits != 0b0111)
+    assert list(res.reached) == [0b1111] and stats == {"nodes": 1}
+    with pytest.raises(KeyError):
+        res.word_to(0b0111)
+    # From {1,2,3}, a gives {0,2,3} and b the goal {0,1,2}, returned unasked.
+    asked = []
+    res = subset_bfs(c4, [0b1110], "image", lambda bits: bits == 0b0111, 10,
+                     admit=lambda bits: asked.append(bits))
+    assert res.hit == 0b0111 and res.word_to(res.hit) == Word.from_text("b")
+    assert list(res.reached) == [0b1110, 0b0111] and asked == [0b1101]
+    # A search with admit keeps the dict store below the oracle cap, at any depth.
+    n = 20
+    cycle = Automaton([[(q + 1) % n, 0 if q == 1 else q] for q in range(n)])
+    resized = lambda bits: bits.bit_count() != 1
+    stats = {}
+    res = subset_bfs(cycle, [1 << n - 1], "preimage", resized, 100, stats, admit=lambda bits: True)
+    plain = subset_bfs(cycle, [1 << n - 1], "preimage", resized, 100)
+    assert type(res._pred) is _Sparse and isinstance(plain._pred, array)
+    assert res.word_to(res.hit) == plain.word_to(plain.hit) == Word([1] + [0] * (n - 2))
+    assert stats == {"nodes": n + 1} and list(res.reached) == list(plain.reached)
 
 
 def test_subset_bfs_allocates_the_flat_store_only_for_a_step():

@@ -325,7 +325,12 @@ def test_resize_budget_is_honoured():
     aut, s = _defect_cycle(n), StateSet.from_states(n, [n - 1])
     with pytest.raises(BudgetExceededError):
         shortest_resizing_word(aut, s, budget=5)
-    assert len(shortest_resizing_word(aut, s, budget=n - 1)) == n - 1
+    # The search discovers the n singletons, S first, then the empty preimage.
+    with pytest.raises(BudgetExceededError):
+        shortest_resizing_word(aut, s, budget=n)
+    stats = {}
+    assert len(shortest_resizing_word(aut, s, budget=n + 1, stats=stats)) == n - 1
+    assert stats["nodes"] == n + 1
 
 
 def test_resize_stats_report_basis_size(p3):
