@@ -23,9 +23,9 @@ out = intersection_gadget([d, d])
 print("intersection gadget over two copies of the chain:",
       out.automaton.n, "states,", out.automaton.k, "letters")
 print("  strongly connected:", is_strongly_connected(out.automaton))
-hit = oracle_shortest(out.automaton, out.subset, "extending",
-                      node_limit=10**6, state_cap=64)
-print("  subset extensible:", hit is not None,
+word = oracle_shortest(out.automaton, out.subset, "extend",
+                       node_limit=10**6, state_cap=64)
+print("  subset extensible:", word is not None,
       "| languages intersect:", languages_intersect([d, d]))
 
 # --- binarization ----------------------------------------------------------
@@ -45,8 +45,8 @@ print("  synchronizing:", is_synchronizing(out.automaton),
 # --- large-extend gadget ---------------------------------------------------
 ch = chain2()
 out = large_extend_gadget(ch, ch.state_set([1]), 0)
-ext = oracle_shortest(out.automaton, out.subset, "extending") is not None
-tot = oracle_shortest(ch, ch.state_set([1]), "totally-extending") is not None
+ext = oracle_shortest(out.automaton, out.subset, "extend") is not None
+tot = oracle_shortest(ch, ch.state_set([1]), "extend-total") is not None
 print("\nlarge-extend gadget on the chain: subset extensible:", ext,
       "| input totally extensible:", tot)
 
@@ -61,7 +61,7 @@ for _ in range(50):
         continue
     trials += 1
     out = intersection_gadget([d1])
-    ext = oracle_shortest(out.automaton, out.subset, "extending",
+    ext = oracle_shortest(out.automaton, out.subset, "extend",
                           node_limit=10**6, state_cap=64) is not None
     agree += ext == languages_intersect([d1])
 print("\nrandom single-input gadgets where oracle and product check agree:",

@@ -12,7 +12,8 @@ right: a block of letters moves only the image so far, one gather per letter
 the preimage off it.  ``subset_bfs`` is the one breadth-first search over
 subsets: extend and resize walk back from S by the single-letter steps
 ``preimage_bits``, extend-total and avoid walk forward by ``image_bits``,
-and the power-set oracle does both.
+and the power-set oracle does both.  ``problem_goal`` states each of the
+four problems as one test on the preimage S·w⁻¹.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -265,6 +266,24 @@ class Automaton:
 
 
 Goal = Callable[[int], bool]  # subset bits -> met
+
+PROBLEMS = ("extend", "extend-total", "avoid", "resize")
+
+
+def problem_goal(problem: str, n: int, size: int) -> Goal:
+    """When the preimage S·w⁻¹ answers ``problem`` for a set S of ``size`` of
+    ``n`` states: it is larger than S (extend), Q (extend-total), empty
+    (avoid: Q·w misses S) or of another size (resize)."""
+    if problem == "extend":
+        return lambda bits: bits.bit_count() > size
+    if problem == "extend-total":
+        full = (1 << n) - 1
+        return lambda bits: bits == full
+    if problem == "avoid":
+        return lambda bits: bits == 0
+    if problem == "resize":
+        return lambda bits: bits.bit_count() != size
+    raise ValueError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
 
 
 class _Sparse(dict):

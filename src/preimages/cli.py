@@ -24,8 +24,9 @@ import sys
 import time
 from typing import NamedTuple, Optional
 
-from .automaton import (CONSTRAINTS, Automaton, StateSet, Word, apply_word, preimage_word,
-                        is_permutation_automaton, is_strongly_connected, sink_state)
+from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
+                        preimage_word, problem_goal, is_permutation_automaton,
+                        is_strongly_connected, sink_state)
 from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
                      NotSynchronizingError)
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
@@ -40,13 +41,8 @@ EXIT_USAGE = 3
 EXIT_DATA = 4
 EXIT_INTERNAL = 5
 
-_GOAL_OF = {
-    "extend": "extending",
-    "extend-total": "totally-extending",
-    "avoid": "avoiding",
-    "resize": "resizing",
-}
-_PROBLEM_OF = {goal: problem for problem, goal in _GOAL_OF.items()}
+_PROBLEM_OF = {"extending": "extend", "totally-extending": "extend-total", "avoiding": "avoid",
+               "resizing": "resize"}  # ``oracle --goal`` name -> problem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,18 +110,18 @@ def _classification(aut: Automaton, want_sync: bool) -> dict:
 
 
 class Route(NamedTuple):
-    """The answer one method gave, and whether its witnesses are shortest."""
+    """The answer one method gave, and why it is unknown."""
 
     answer: str
     word: Optional[Word]
     method: str
-    shortest: bool
     note: Optional[str] = None
 
 
-# problem -> (module, search function, whether its witnesses are shortest).
-# Modules load on first use, and route functions are looked up on them at call
-# time, so a wrapper installed on a module (bench/spans.py) sees the call.
+# problem -> (module, search function, whether it is shortest and so takes a
+# ``max_len`` cut).  Modules load on first use, and route functions are looked
+# up on them at call time, so a wrapper installed on a module (bench/spans.py)
+# sees the call.
 _SEARCH = {
     "extend": ("extend", "shortest_extending_word_small", True),
     "extend-total": ("extend", "totally_extending_word_small", False),
@@ -145,58 +141,54 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     states unless ``--max-len`` L cuts it at a depth whose 1 + k + ... + k^L
     subsets fit in what the cap admits.  Otherwise (``auto``, or its synonym
     ``poly``) the permutation route answers, else a fast path, else the
-    ``_SEARCH`` function.  A shortest witness longer than L turns "yes" into
-    "no".  A longer witness that is not shortest is settled by the oracle's
-    search cut at L, with no state cap, under what is left of the budget: its
-    first hit is a shortest witness, and none means "no".
+    ``_SEARCH`` function, cut at L when its witnesses are shortest.  A
+    witness longer than L, which only extend-total and avoid give, is
+    settled by the oracle's search cut at L, with no state cap, under what is
+    left of the budget: its first hit is a shortest witness, and none means
+    "no".
 
     The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
-    for every word w, so extend and resize are "no", and extend-total (S = Q)
-    and avoid (S = ∅) are "yes" by the empty word or not at all.  It runs in
+    for every word w, so only the empty word can answer.  It runs in
     O(nk), searches nothing and ignores the budget."""
     need_word = want_witness or max_len is not None
     kind = "oracle" if method == "oracle" else "poly"  # the route a budget failure names
     try:
         if method == "oracle":
             from . import oracle
-            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget, oracle_cap, max_len,
-                                         stats)
-            route = Route(_yes_no(hit is not None), hit[0] if hit else None, "oracle", True)
+            word = oracle.oracle_shortest(aut, s, problem, budget, oracle_cap, max_len, stats)
+            route = Route(_yes_no(word is not None), word, "oracle")
         elif is_permutation_automaton(aut):
             if problem == "extend-total" or (problem == "resize" and not need_word):
                 is_synchronizing(aut)  # O(nk) here; sets the report's flag as the fast paths do
-            hit = s.size == {"extend-total": aut.n, "avoid": 0}.get(problem)
-            route = Route(_yes_no(hit), Word() if hit else None, "fast-path", True)
+            hit = problem_goal(problem, aut.n, s.size)(s.bits)
+            route = Route(_yes_no(hit), Word() if hit else None, "fast-path")
         elif problem == "resize" and not need_word and is_synchronizing(aut):
             from . import resize
-            route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path", True)
+            route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path")
         elif problem == "extend-total" and is_synchronizing(aut):
             from . import extend
             kind = "fast-path"
             decision = extend.totally_extensible_synchronizing(aut, s)
             word = (extend.totally_extending_word_small(aut, s, budget=budget, stats=stats)
                     if decision and need_word else None)
-            route = Route(_yes_no(decision), word, "fast-path", not decision)
+            route = Route(_yes_no(decision), word, "fast-path")
         elif problem == "avoid" and s.size == 1 and not need_word:
-            route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly", False)
+            route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly")
         else:
             module, name, shortest = _SEARCH[problem]
             search = getattr(importlib.import_module(f".{module}", __package__), name)
-            word = search(aut, s, budget=budget, stats=stats)
-            route = Route(_yes_no(word is not None), word, "poly", shortest or word is None)
+            cut = {"max_len": max_len} if shortest else {}
+            word = search(aut, s, budget=budget, stats=stats, **cut)
+            route = Route(_yes_no(word is not None), word, "poly")
         if max_len is None or route.word is None or len(route.word) <= max_len:
             return route
-        if not route.shortest:
-            from . import oracle
-            kind = "oracle"
-            hit = oracle.oracle_shortest(aut, s, _GOAL_OF[problem], budget - stats.get("nodes", 0),
-                                         aut.n, max_len, stats)  # the budget alone bounds it
-            if hit is not None:
-                return Route(ANSWER_YES, hit[0], "oracle", True)
-        return Route(ANSWER_NO, None, route.method if route.shortest else "oracle", True,
-                     "shortest witness exceeds the length bound")
+        from . import oracle
+        kind = "oracle"
+        word = oracle.oracle_shortest(aut, s, problem, budget - stats.get("nodes", 0), aut.n,
+                                      max_len, stats)  # the budget alone bounds it
+        return Route(_yes_no(word is not None), word, "oracle")
     except BudgetExceededError as exc:
-        return Route(ANSWER_UNKNOWN, None, kind, False,
+        return Route(ANSWER_UNKNOWN, None, kind,
                      str(exc) if method == "oracle" else "node budget exceeded")
 
 
@@ -296,9 +288,8 @@ def _cmd_reset(args) -> int:
         word = greedy_reset_word(aut)
     else:
         from . import oracle
-        hit = oracle.oracle_shortest_reset(aut, node_limit=_limit(args, "budget"),
-                                           state_cap=_limit(args, "oracle_cap"))
-        word = hit[0] if hit else None
+        word = oracle.oracle_shortest_reset(aut, node_limit=_limit(args, "budget"),
+                                            state_cap=_limit(args, "oracle_cap"))
     if word is None:
         sys.stdout.write("answer: no (not synchronizing)\n")
         return EXIT_NO
@@ -318,8 +309,9 @@ def _cmd_gadget(args) -> int:
         dfas = []
         for path, initial, accepting in args.dfa:
             aut = parse_automaton_file(path)
-            acc = _parse_subset(aut, accepting)
-            dfas.append(gadgets.DfaWithAcceptance(aut, int(initial), acc))
+            if not initial.strip().isdecimal():
+                raise ValueError(f"bad initial state {initial!r}")
+            dfas.append(gadgets.DfaWithAcceptance(aut, int(initial), _parse_subset(aut, accepting)))
         out = gadgets.intersection_gadget(dfas)
     elif args.kind == "binarize":
         aut = parse_automaton_file(args.file)
@@ -355,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide extend / extend-total / avoid / resize")
     check.add_argument("file")
     check.add_argument("--subset", required=True, help="comma-separated state indices")
-    check.add_argument("--problem", required=True, choices=tuple(_GOAL_OF))
+    check.add_argument("--problem", required=True, choices=PROBLEMS)
     check.add_argument("--method", default="auto", choices=("auto", "poly", "oracle"))
     check.set_defaults(func=_cmd_check)
 

@@ -7,7 +7,7 @@ preimage ``S . v^-1`` and its children prepend one letter,
 larger than S, and the word is the path's letters read from that node back
 to S.  Every proper suffix v of a shortest extending word has
 ``|S . v^-1| <= |S|``, so no stored node is larger than S.  This is the
-oracle's "extending" search itself, from the same subset with the same
+oracle's extend search itself, from the same subset with the same
 stop, so it generates the same subsets and finds the same witness.
 
 ``totally_extending_word_small`` first drives Q to an incompressible image
@@ -22,26 +22,27 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, scc, subset_bfs
+from .automaton import Automaton, StateSet, Word, problem_goal, scc, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
 from .pairs import is_synchronizing, minimal_rank_word
 
 
 def shortest_extending_word_small(aut: Automaton, s: StateSet,
                                   budget: int = DEFAULT_NODE_BUDGET,
-                                  stats: Optional[dict] = None) -> Optional[Word]:
-    """A shortest word w with |S . w^-1| > |S|, or None if S is not extensible.
+                                  stats: Optional[dict] = None,
+                                  max_len: Optional[int] = None) -> Optional[Word]:
+    """A shortest word w with |S . w^-1| > |S|, or None if S is not extensible
+    (by a word of at most ``max_len`` letters, when given).
 
     Cost grows like O(|Sigma| n^|S|) in the worst case, but only preimages
     reachable from S are visited; the node budget turns runaway searches
     into a BudgetExceededError rather than a wrong answer.
     """
     aut.check_set(s)
-    size = s.size
-    if size == 0 or size == aut.n:
+    if s.size == 0 or s.size == aut.n:
         return None
-    res = subset_bfs(aut, [s.bits], "preimage", lambda bits: bits.bit_count() > size,
-                     budget, stats)
+    res = subset_bfs(aut, [s.bits], "preimage", problem_goal("extend", aut.n, s.size), budget,
+                     stats, -1 if max_len is None else max_len)
     return None if res.hit is None else res.word_to(res.hit)
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Automaton, Goal, StateSet, SubsetBfsResult, Word, subset_bfs
+from .automaton import (Automaton, Goal, StateSet, SubsetBfsResult, Word, problem_goal,
+                        subset_bfs)
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP
-
-GOALS = ("extending", "totally-extending", "avoiding", "resizing")
 
 
 def _cut_fits(k: int, depth: int, cap: int) -> bool:
@@ -59,52 +58,29 @@ def forward_subset_bfs(aut: Automaton, t0: Optional[StateSet] = None,
     return subset_bfs(aut, [t0.bits], "image", stop, node_limit)
 
 
-def goal_predicate(goal: str, aut: Automaton, s: StateSet) -> Goal:
-    size = s.size
-    full = (1 << aut.n) - 1
-    if goal == "extending":
-        return lambda bits: bits.bit_count() > size
-    if goal == "totally-extending":
-        return lambda bits: bits == full
-    if goal == "avoiding":
-        return lambda bits: bits == 0
-    if goal == "resizing":  # S itself, the only source, has |S| states
-        return lambda bits: bits.bit_count() != size
-    raise ValueError(f"unknown goal {goal!r}; expected one of {GOALS}")
-
-
-def _word_and_length(result: SubsetBfsResult) -> Optional[tuple[Word, int]]:
-    if result.hit is None:
-        return None
-    word = result.word_to(result.hit)
-    return word, len(word)
-
-
-def oracle_shortest(aut: Automaton, s: StateSet, goal: str,
+def oracle_shortest(aut: Automaton, s: StateSet, problem: str,
                     node_limit: int = DEFAULT_NODE_BUDGET,
                     state_cap: int = DEFAULT_ORACLE_STATE_CAP, max_len: Optional[int] = None,
-                    stats: Optional[dict] = None) -> Optional[tuple[Word, int]]:
-    """Shortest word for one of the preimage goals, or None.
+                    stats: Optional[dict] = None) -> Optional[Word]:
+    """A shortest word answering ``problem`` (one of ``PROBLEMS``) for S, or None.
 
-    goal: "extending" (first preimage larger than S), "totally-extending"
-    (preimage Q), "avoiding" (preimage of S shrinks to the empty set), or
-    "resizing" (first preimage of a different size).  The search stops at
-    the first subset that meets the goal.  With ``max_len`` it is cut at
-    that depth, so None means no word that short, and ``state_cap`` binds
-    only when that cut may hold more than 2^state_cap subsets.
+    The search stops at the first subset that meets ``problem_goal``.  With
+    ``max_len`` it is cut at that depth, so None means no word that short,
+    and ``state_cap`` binds only when that cut may hold more than
+    2^state_cap subsets.
     """
-    aut.check_set(s)
-    want = goal_predicate(goal, aut, s)
-    return _word_and_length(backward_subset_bfs(
-        aut, s, node_limit, state_cap, want, -1 if max_len is None else max_len, stats))
+    res = backward_subset_bfs(aut, s, node_limit, state_cap, problem_goal(problem, aut.n, s.size),
+                              -1 if max_len is None else max_len, stats)
+    return None if res.hit is None else res.word_to(res.hit)
 
 
 def oracle_shortest_reset(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,
-                          state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> Optional[tuple[Word, int]]:
+                          state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> Optional[Word]:
     """Exact shortest reset word via forward power-set BFS, stopping at the
     first singleton image."""
-    return _word_and_length(forward_subset_bfs(
-        aut, None, node_limit, state_cap, stop=lambda bits: bits.bit_count() == 1))
+    res = forward_subset_bfs(aut, None, node_limit, state_cap,
+                             stop=lambda bits: bits.bit_count() == 1)
+    return None if res.hit is None else res.word_to(res.hit)
 
 
 def oracle_min_rank(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,

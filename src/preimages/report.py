@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, preimage_word
+from .automaton import Automaton, StateSet, Word, preimage_word, problem_goal
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
@@ -74,13 +74,4 @@ def validate_report(d: dict) -> None:
 def witness_holds(aut: Automaton, s: StateSet, problem: str, w: Word) -> bool:
     """Re-verify a claimed witness from its preimage ``S . w^-1``: Q . w
     misses S exactly when no state maps into S, so avoid reads it too."""
-    size = preimage_word(aut, s, w).size
-    if problem == "extend":
-        return size > s.size
-    if problem == "extend-total":
-        return size == aut.n
-    if problem == "avoid":
-        return size == 0
-    if problem == "resize":
-        return size != s.size
-    raise ValueError(f"unknown problem {problem!r}")
+    return problem_goal(problem, aut.n, s.size)(preimage_word(aut, s, w).bits)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, subset_bfs
+from .automaton import Automaton, StateSet, Word, problem_goal, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
 from .pairs import is_synchronizing
 
@@ -122,8 +122,10 @@ class RationalBasis:
 
 
 def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET,
-                           stats: Optional[dict] = None) -> Optional[Word]:
-    """A shortest word w with |S . w^-1| != |S|, or None when impossible.
+                           stats: Optional[dict] = None,
+                           max_len: Optional[int] = None) -> Optional[Word]:
+    """A shortest word w with |S . w^-1| != |S|, or None when impossible (by a
+    word of at most ``max_len`` letters, when given).
 
     Always terminates: at most n vectors can be inserted before the basis
     closes, at which point every reachable preimage provably has size |S|.
@@ -132,13 +134,14 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
     subsets have been discovered, S and the resized preimage included.
     """
     aut.check_set(s)
-    n, size = aut.n, s.size
+    n = aut.n
     basis = RationalBasis(n)
     basis.insert(s.bits)
     # Every vector inserted so far lies in the n-dimensional kernel of h, so
     # a basis of n rows already spans every size-keeping child.
-    res = subset_bfs(aut, [s.bits], "preimage", lambda bits: bits.bit_count() != size, budget,
-                     stats, admit=lambda bits: len(basis) < n and basis.insert(bits) is not None)
+    res = subset_bfs(aut, [s.bits], "preimage", problem_goal("resize", n, s.size), budget, stats,
+                     -1 if max_len is None else max_len,
+                     admit=lambda bits: len(basis) < n and basis.insert(bits) is not None)
     if stats is not None:
         stats["basis_size"] = len(basis)
     return None if res.hit is None else res.word_to(res.hit)

@@ -27,7 +27,7 @@ from preimages import (StateSet, Word, apply_word, avoidable_state, avoiding_wor
                        DfaWithAcceptance, NotSynchronizingError, binarize, intersection_gadget,
                        languages_intersect, large_extend_gadget, sink_binarize)
 from preimages.gadgets import trim_reachable
-from preimages.oracle import goal_predicate
+from preimages.automaton import PROBLEMS, problem_goal
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -56,39 +56,39 @@ def _run_instance(aut, bits, result: SweepResult):
     s = StateSet(n, bits)
     back = backward_subset_bfs(aut, s)
     truth = {}
-    for goal in ("extending", "totally-extending", "avoiding", "resizing"):
-        hit = next(filter(goal_predicate(goal, aut, s), back.reached), None)
-        truth[goal] = None if hit is None else len(back.word_to(hit))
+    for problem in PROBLEMS:
+        hit = next(filter(problem_goal(problem, n, s.size), back.reached), None)
+        truth[problem] = None if hit is None else len(back.word_to(hit))
 
     key = (aut.rows, bits)
     result.instances += 1
 
     w = shortest_extending_word_small(aut, s)
-    if (w is None) != (truth["extending"] is None):
+    if (w is None) != (truth["extend"] is None):
         result.mismatches.append(("extend-decision",) + key)
     elif w is not None:
-        if len(w) != truth["extending"]:
+        if len(w) != truth["extend"]:
             result.mismatches.append(("extend-length",) + key)
         if preimage_word(aut, s, w).size <= s.size:
             result.mismatches.append(("extend-verify",) + key)
 
     w = totally_extending_word_small(aut, s)
-    if (w is None) != (truth["totally-extending"] is None):
+    if (w is None) != (truth["extend-total"] is None):
         result.mismatches.append(("totally-extend-decision",) + key)
     elif w is not None and preimage_word(aut, s, w).size != n:
         result.mismatches.append(("totally-extend-verify",) + key)
 
     w = avoiding_word(aut, s)
-    if (w is None) != (truth["avoiding"] is None):
+    if (w is None) != (truth["avoid"] is None):
         result.mismatches.append(("avoid-decision",) + key)
     elif w is not None and apply_word(aut, StateSet.full(n), w).bits & bits:
         result.mismatches.append(("avoid-verify",) + key)
 
     w = shortest_resizing_word(aut, s)
-    if (w is None) != (truth["resizing"] is None):
+    if (w is None) != (truth["resize"] is None):
         result.mismatches.append(("resize-decision",) + key)
     elif w is not None:
-        if len(w) != truth["resizing"]:
+        if len(w) != truth["resize"]:
             result.mismatches.append(("resize-length",) + key)
         if preimage_word(aut, s, w).size == s.size:
             result.mismatches.append(("resize-verify",) + key)
@@ -120,11 +120,11 @@ def _run_sync_checks(aut, bits, truth, sync: bool, result: SweepResult):
     sink_members = set(scc(aut).components[sink_ids[0]]) if len(sink_ids) == 1 else set()
     meets_sink = any(((bits >> q) & 1) for q in sink_members)
     fast_tot = totally_extensible_synchronizing(aut, s)
-    if fast_tot != (truth["totally-extending"] is not None) or fast_tot != meets_sink:
+    if fast_tot != (truth["extend-total"] is not None) or fast_tot != meets_sink:
         result.fastpath_mismatches.append(("totally-extend",) + key)
 
     fast_resize = resizable_decision_fast(aut, s)
-    if fast_resize != (truth["resizing"] is not None) or fast_resize != (0 < s.size < n):
+    if fast_resize != (truth["resize"] is not None) or fast_resize != (0 < s.size < n):
         result.fastpath_mismatches.append(("resize",) + key)
 
 
@@ -253,8 +253,8 @@ def test_criterion_5_gadget_equivalences():
 
     def ext_tot(aut, s, cap=64):
         res = backward_subset_bfs(aut, s, node_limit=5_000_000, state_cap=cap)
-        return (any(map(goal_predicate("extending", aut, s), res.reached)),
-                any(map(goal_predicate("totally-extending", aut, s), res.reached)))
+        return (any(map(problem_goal("extend", aut.n, s.size), res.reached)),
+                any(map(problem_goal("extend-total", aut.n, s.size), res.reached)))
 
     cases = 0
     for _ in range(200):
@@ -330,11 +330,11 @@ def test_criterion_6_synchronizing_fast_paths(sweep_exhaustive, sweep_random):
 
 
 def test_criterion_7_reset_sanity(c4, sweep_exhaustive, sweep_random):
-    hit = oracle_shortest_reset(c4)
-    ok = hit is not None and hit[1] == 9 == (4 - 1) ** 2
+    word = oracle_shortest_reset(c4)
+    ok = word is not None and len(word) == 9 == (4 - 1) ** 2
     greedy_bad = sweep_exhaustive.greedy_failures + sweep_random.greedy_failures
     _report(7, "reset sanity", ok and not greedy_bad,
-            f"oracle shortest reset length {hit[1] if hit else None}, "
+            f"oracle shortest reset length {None if word is None else len(word)}, "
             f"{len(greedy_bad)} greedy failures")
 
 

@@ -7,7 +7,7 @@ from math import comb
 from preimages import (StateSet, Word, apply_word, avoidable_state, avoiding_word,
                        backward_subset_bfs, minimal_rank_word, preimage_word,
                        random_automaton, rank_partition)
-from preimages.oracle import goal_predicate
+from preimages.automaton import problem_goal
 
 
 def test_rank_partition_reference(c4, p3, ch2):
@@ -68,7 +68,7 @@ def test_avoiding_matches_oracle_and_verifies():
         s = StateSet(n, bits)
         w = avoiding_word(aut, s)
         res = backward_subset_bfs(aut, s)
-        oracle_says = any(map(goal_predicate("avoiding", aut, s), res.reached))
+        oracle_says = any(map(problem_goal("avoid", aut.n, s.size), res.reached))
         assert (w is None) == (not oracle_says)
         if w is not None:
             assert apply_word(aut, StateSet.full(n), w).bits & bits == 0

@@ -18,6 +18,7 @@ from preimages import (Automaton, BudgetExceededError, StateSet, backward_subset
                        serialize_automaton, validate_report)
 from preimages import (automaton as automaton_mod, avoid as avoid_mod, extend as extend_mod,
                        oracle as oracle_mod)
+from preimages.automaton import PROBLEMS
 from preimages.cli import main
 
 
@@ -94,6 +95,60 @@ def test_check_max_len_with_non_shortest_method_uses_oracle(files, capsys):
     assert report["answer"] == "yes"
 
 
+def _permutations_and_cerny(m: int, n: int, seed: int) -> Automaton:
+    """Two uniform permutations of m states, redrawn until they act
+    2-transitively (as ``bench/workloads.py`` draws them), next to the Černý
+    automaton on states m..m+n-1."""
+    rng = random.Random(seed)
+    while True:
+        perms = []
+        for _ in range(2):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            perms.append(perm)
+        rows = [[perms[0][q], perms[1][q]] for q in range(m)]
+        pairs, todo = {(0, 1)}, [(0, 1)]
+        while todo:
+            p, q = todo.pop()
+            for a in range(2):
+                pair = (rows[p][a], rows[q][a])
+                if pair not in pairs:
+                    pairs.add(pair)
+                    todo.append(pair)
+        if len(pairs) == m * (m - 1):
+            return Automaton(rows + [[x + m for x in row] for row in cerny_automaton(n).rows])
+
+
+def test_max_len_cuts_the_extend_and_resize_searches(tmp_path, capsys):
+    # Extend and resize give shortest witnesses, so --max-len L cuts their own
+    # searches at depth L: a "no" costs the subsets within L letters of S, not
+    # the whole search, and carries no note.
+    path = tmp_path / "perm40-cerny20.aut"
+    path.write_text(serialize_automaton(_permutations_and_cerny(40, 20, 3)))
+    query = ("check", str(path), "--subset", "0,1,59", "--problem", "extend", "--json")
+    code, out, _ = run(capsys, *query, "--witness")
+    uncut = json.loads(out)
+    assert code == 0 and uncut["witness_length"] == 20 and uncut["stats"]["nodes"] > 10_000
+    code, out, _ = run(capsys, *query, "--max-len", "3")
+    report = json.loads(out)
+    assert code == 1 and report["answer"] == "no" and report["method"] == "poly"
+    assert report["stats"]["nodes"] <= 15 and "note" not in report
+
+    # S meets the Cerny part in its state 10, which 11 letters resize.
+    query = ("check", str(path), "--subset", "0,1,50", "--problem", "resize", "--witness",
+             "--json")
+    code, out, _ = run(capsys, *query)
+    uncut = json.loads(out)
+    assert code == 0 and uncut["witness_length"] == 11
+    for max_len in (3, 10):
+        code, out, _ = run(capsys, *query, "--max-len", str(max_len))
+        report = json.loads(out)
+        assert code == 1 and report["answer"] == "no" and "note" not in report, max_len
+        assert report["stats"]["nodes"] < uncut["stats"]["nodes"], max_len
+    code, out, _ = run(capsys, *query, "--max-len", "11")
+    assert code == 0 and json.loads(out)["witness"] == uncut["witness"]
+
+
 def test_check_max_len_poly_is_auto(files, capsys):
     # --method poly is a synonym of auto: it, too, settles a bound that a
     # non-shortest witness exceeds by the depth-cut search, and never answers
@@ -107,7 +162,7 @@ def test_check_max_len_poly_is_auto(files, capsys):
     assert reports[0] == reports[1]
     report = json.loads(reports[0][1])
     assert reports[0][0] == 1 and report["answer"] == "no" and report["method"] == "oracle"
-    assert report["note"] == "shortest witness exceeds the length bound"
+    assert "note" not in report
 
 
 def test_check_oracle_method(files, capsys):
@@ -150,7 +205,7 @@ def test_witness_holds_matches_the_image_definition():
         s_bits = rng.randrange(1 << n)
         s = StateSet(n, s_bits)
         word = preimages.Word(rng.randrange(k) for _ in range(rng.randint(0, 6)))
-        for problem in _GOAL:
+        for problem in PROBLEMS:
             assert preimages.witness_holds(aut, s, problem, word) == _witness_ok(
                 rows, s_bits, problem, word.text(k)), (rows, s_bits, problem, word)
     with pytest.raises(ValueError):
@@ -297,6 +352,15 @@ def test_gadget_commands(files, capsys, tmp_path):
 
     code, _, err = run(capsys, "gadget", "intersection")
     assert code == 3
+
+
+def test_gadget_intersection_names_a_bad_initial_state(files, capsys):
+    for initial in ("x", "-1", "1.5"):
+        code, out, err = run(capsys, "gadget", "intersection", "--dfa", files["chain2"], initial,
+                             "1")
+        assert code == 3 and out == "" and err == f"error: bad initial state {initial!r}\n"
+    code, _, err = run(capsys, "gadget", "intersection", "--dfa", files["chain2"], "2", "1")
+    assert code == 3 and "initial state 2 out of range" in err
 
 
 def test_random_command_is_deterministic(capsys):
@@ -713,10 +777,6 @@ def _witness_ok(rows, s_bits, problem, word):
     return {"extend": pre > size, "extend-total": pre == n, "resize": pre != size}[problem]
 
 
-_GOAL = {"extend": "extending", "extend-total": "totally-extending", "avoid": "avoiding",
-         "resize": "resizing"}
-
-
 def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
     # The CLI router (fast paths, searches, the depth-cut search behind
     # --max-len) against the power-set oracle, under --method auto and its
@@ -737,9 +797,9 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
             s_bits = rng.randrange(1 << n)
             s = StateSet(n, s_bits)
             reached = str(len(backward_subset_bfs(aut, s).reached))
-            for problem, goal in _GOAL.items():
-                hit = oracle_shortest(aut, s, goal)
-                shortest = None if hit is None else hit[1]
+            for problem in PROBLEMS:
+                hit = oracle_shortest(aut, s, problem)
+                shortest = None if hit is None else len(hit)
                 for method, witness, max_len, budget in itertools.product(
                         ("auto", "poly", "oracle"), ((), ("--witness",)), (None, 0, 1, 2, 3),
                         ((), ("--budget", reached))):
@@ -809,7 +869,7 @@ def test_permutation_route_matches_oracle_on_every_subset(tmp_path, capsys):
             letters[rng.randrange(k)] = list(range(n))  # an identity letter
         path = tmp_path / f"p{n}_{k}.aut"
         path.write_text(serialize_automaton(Automaton([list(r) for r in zip(*letters)])))
-        for s_bits, problem in itertools.product(range(1 << n), _GOAL):
+        for s_bits, problem in itertools.product(range(1 << n), PROBLEMS):
             query = ("check", str(path), "--subset", ",".join(map(str, StateSet(n, s_bits))),
                      "--problem", problem, "--json")
             code, out, _ = run(capsys, *query, "--witness", "--method", "oracle")

@@ -12,7 +12,7 @@ from preimages import (BudgetExceededError, NotSynchronizingError, StateSet, Wor
                        is_strongly_connected, is_synchronizing, preimage_word, random_automaton,
                        shortest_extending_word_small, totally_extending_word_small,
                        totally_extensible_synchronizing)
-from preimages.oracle import goal_predicate
+from preimages.automaton import problem_goal
 
 
 def test_extend_worked_example(c4):
@@ -73,7 +73,7 @@ def test_extend_matches_oracle_decision_and_length():
         s = StateSet(n, rng.randrange(1 << n))
         w = shortest_extending_word_small(aut, s)
         res = backward_subset_bfs(aut, s)
-        hit = next(filter(goal_predicate("extending", aut, s), res.reached), None)
+        hit = next(filter(problem_goal("extend", aut.n, s.size), res.reached), None)
         if hit is None:
             assert w is None
         else:
@@ -91,7 +91,7 @@ def test_extend_deep_instances_match_oracle():
         s = StateSet.from_states(n, [n - 1])
         w = shortest_extending_word_small(aut, s)
         res = backward_subset_bfs(aut, s)
-        hit = next(filter(goal_predicate("extending", aut, s), res.reached))
+        hit = next(filter(problem_goal("extend", aut.n, s.size), res.reached))
         assert w is not None and len(w) == len(res.word_to(hit)) == n
         assert preimage_word(aut, s, w).size > 1
 
@@ -114,7 +114,7 @@ def test_totally_extending_matches_oracle_decision():
         s = StateSet(n, rng.randrange(1 << n))
         w = totally_extending_word_small(aut, s)
         res = backward_subset_bfs(aut, s)
-        oracle_says = any(map(goal_predicate("totally-extending", aut, s), res.reached))
+        oracle_says = any(map(problem_goal("extend-total", aut.n, s.size), res.reached))
         assert (w is None) == (not oracle_says)
         if w is not None:
             assert preimage_word(aut, s, w).size == n

@@ -9,13 +9,13 @@ from preimages import (Automaton, DfaWithAcceptance, StateSet, backward_subset_b
                        is_synchronizing, languages_intersect, large_extend_gadget,
                        perm3, chain2, random_automaton, sink_binarize, sink_state)
 from preimages.gadgets import trim_reachable
-from preimages.oracle import goal_predicate
+from preimages.automaton import problem_goal
 
 
 def oracle_ext_tot(aut, s, cap=64):
     res = backward_subset_bfs(aut, s, node_limit=5_000_000, state_cap=cap)
-    ext = any(map(goal_predicate("extending", aut, s), res.reached))
-    tot = any(map(goal_predicate("totally-extending", aut, s), res.reached))
+    ext = any(map(problem_goal("extend", aut.n, s.size), res.reached))
+    tot = any(map(problem_goal("extend-total", aut.n, s.size), res.reached))
     return ext, tot
 
 

@@ -20,7 +20,24 @@ report its nodes: 71 resize entries change ``stats.nodes`` only (resize
 counts the subsets it discovers, as extend does, not the ones it expands),
 the 8 resize ``--budget=2``/``--budget=3`` entries on ``cerny4`` and
 ``random40_rank2`` that answered "yes" now run out of budget, and 64
-``--method=oracle`` entries change ``stats`` only.  A later change that alters an answer, a witness, a preimage size or a ``stats``
+``--method=oracle`` entries change ``stats`` only.  68 more, all
+``--max-len`` entries, were re-recorded when extend and resize began to
+cut their own searches at L and the note "shortest witness exceeds the
+length bound" went; no answer, witness, exit code or ``method`` changed.
+Each group counts every entry with and without ``|decision``.  32 change
+``note`` and ``stats`` (the cut search answers "no" after fewer
+subsets): the extend and resize ``--max-len=0`` entries on ``cerny4``
+(``0``, ``1,2``, ``0,1,2``) and ``random40_rank2`` (``0``, ``3,17``,
+``5,21,38``), ``chain2|0|resize``, ``chain2|1|extend`` and
+``chain2|1|resize`` at ``--max-len=0``, and
+``random40_rank2|3,17|extend|--max-len=2``.  34 extend-total and avoid
+entries change ``note`` only: their witness exceeds L and the cut search
+finds none, on ``cerny4`` (``0`` extend-total 0 and 2, avoid 0; ``1,2``
+extend-total 0 and 2, avoid 0 and 2; ``0,1,2`` extend-total 0, avoid 0 and
+2), ``chain2`` (``0`` avoid 0; ``1`` extend-total 0) and ``random40_rank2``
+(``0`` avoid 0; ``3,17`` and ``5,21,38`` avoid 0 and 2), where "extend-total
+0" means ``extend-total|--max-len=0``.  2 change ``stats`` only:
+``chain2|0|extend|--max-len=0`` counts 1 subset instead of 2.  A later change that alters an answer, a witness, a preimage size or a ``stats``
 value fails here, so "same answers and witnesses" is checked on every run.
 The automata are committed as files next to it, so the cases do not depend
 on the random generator: ``random40_sync`` is ``random_automaton(40, 3,

@@ -13,7 +13,7 @@ from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_wor
 from preimages import oracle as oracle_mod
 from preimages.cli import main
 from preimages.automaton import _step_tables
-from preimages.oracle import GOALS, goal_predicate
+from preimages.automaton import PROBLEMS, problem_goal
 
 
 def test_backward_reachable_families(c4, p3, ch2):
@@ -29,16 +29,17 @@ def test_backward_reachable_families(c4, p3, ch2):
 
 
 def test_oracle_shortest_goals(c4, p3, ch2):
-    assert oracle_shortest(c4, c4.state_set([1, 2]), "extending") == (Word.from_text("ba"), 2)
-    assert oracle_shortest(p3, p3.state_set([0, 1]), "resizing") is None
-    assert oracle_shortest(ch2, ch2.state_set([1]), "avoiding") is None
-    w, length = oracle_shortest(ch2, ch2.state_set([0]), "avoiding")
-    assert (w, length) == (Word.from_text("a"), 1)
+    assert oracle_shortest(c4, c4.state_set([1, 2]), "extend") == Word.from_text("ba")
+    assert oracle_shortest(p3, p3.state_set([0, 1]), "resize") is None
+    assert oracle_shortest(ch2, ch2.state_set([1]), "avoid") is None
+    assert oracle_shortest(ch2, ch2.state_set([0]), "avoid") == Word.from_text("a")
 
 
 def test_oracle_goal_validation(c4):
     with pytest.raises(ValueError):
         oracle_shortest(c4, c4.state_set([0]), "compressing")
+    with pytest.raises(ValueError):
+        oracle_shortest(c4, c4.state_set([0]), "extending")
 
 
 def test_oracle_shortest_matches_the_full_search(c4):
@@ -53,25 +54,22 @@ def test_oracle_shortest_matches_the_full_search(c4):
         corpus.append((aut, StateSet(n, rng.randrange(1 << n))))
     for aut, s in corpus:
         full = backward_subset_bfs(aut, s)
-        for goal in GOALS:
-            want = goal_predicate(goal, aut, s)
+        for problem in PROBLEMS:
+            want = problem_goal(problem, aut.n, s.size)
             hit = next(filter(want, full.reached), None)
-            assert oracle_shortest(aut, s, goal) == _word_and_length(full, hit)
+            assert oracle_shortest(aut, s, problem) == _word_to(full, hit)
             stopped = backward_subset_bfs(aut, s, stop=want)
             assert len(stopped.reached) <= len(full.reached)
             assert stopped.hit == hit
         full = forward_subset_bfs(aut)
         hit = next(filter(singleton, full.reached), None)
-        assert oracle_shortest_reset(aut) == _word_and_length(full, hit)
+        assert oracle_shortest_reset(aut) == _word_to(full, hit)
         stopped = forward_subset_bfs(aut, stop=singleton)
         assert len(stopped.reached) <= len(full.reached)
 
 
-def _word_and_length(res, bits):
-    if bits is None:
-        return None
-    word = res.word_to(bits)
-    return word, len(word)
+def _word_to(res, bits):
+    return None if bits is None else res.word_to(bits)
 
 
 def _reference_bfs(aut, start_bits, direction):
@@ -155,10 +153,10 @@ def test_oracle_searches_go_through_module_functions(c4, monkeypatch, tmp_path, 
     for name in ("backward_subset_bfs", "forward_subset_bfs"):
         monkeypatch.setattr(oracle_mod, name, counting(name))
     s = c4.state_set([1, 2])
-    for goal in GOALS:
-        oracle_shortest(c4, s, goal)
+    for problem in PROBLEMS:
+        oracle_shortest(c4, s, problem)
     oracle_shortest_reset(c4)
-    assert calls == ["backward_subset_bfs"] * len(GOALS) + ["forward_subset_bfs"]
+    assert calls == ["backward_subset_bfs"] * len(PROBLEMS) + ["forward_subset_bfs"]
 
     path = tmp_path / "cerny4.aut"
     path.write_text(serialize_automaton(c4))
@@ -171,9 +169,9 @@ def test_oracle_searches_go_through_module_functions(c4, monkeypatch, tmp_path, 
 
 
 def test_oracle_reset_and_min_rank(c4, p3, ch2):
-    w, length = oracle_shortest_reset(c4)
-    assert length == 9 and apply_word(c4, StateSet.full(4), w).size == 1
-    assert oracle_shortest_reset(ch2) == (Word.from_text("a"), 1)
+    w = oracle_shortest_reset(c4)
+    assert len(w) == 9 and apply_word(c4, StateSet.full(4), w).size == 1
+    assert oracle_shortest_reset(ch2) == Word.from_text("a")
     assert oracle_shortest_reset(p3) is None
     assert oracle_min_rank(p3) == 3
     assert oracle_min_rank(c4) == 1
@@ -229,8 +227,8 @@ def test_identical_letters_resolve_to_the_smaller_one(c4):
         plain, twin = backward_subset_bfs(c4, s), backward_subset_bfs(doubled, s)
         assert list(twin.reached) == list(plain.reached)
         assert all(twin.word_to(bits) == plain.word_to(bits) for bits in plain.reached)
-        for goal in GOALS:
-            assert oracle_shortest(doubled, s, goal) == oracle_shortest(c4, s, goal)
+        for problem in PROBLEMS:
+            assert oracle_shortest(doubled, s, problem) == oracle_shortest(c4, s, problem)
     assert forward_subset_bfs(doubled).word_to(0b1000) == forward_subset_bfs(c4).word_to(0b1000)
 
 
@@ -261,7 +259,7 @@ def test_budget_of_exactly_the_reached_subsets_answers(n, cap, tmp_path, capsys)
     path.write_text(serialize_automaton(aut))
     # the budget counts the subsets generated up to and including the hit
     s = aut.state_set([0, 1])
-    stop = goal_predicate("avoiding", aut, s)
+    stop = problem_goal("avoid", aut.n, s.size)
     nodes = len(backward_subset_bfs(aut, s, state_cap=cap, stop=stop).reached)
     argv = ["check", str(path), "--subset", "0,1", "--problem", "avoid",
             "--method", "oracle", "--oracle-cap", str(cap), "--json"]

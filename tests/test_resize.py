@@ -10,7 +10,7 @@ from preimages import (Automaton, BudgetExceededError, NotSynchronizingError, Ra
                        StateSet, Word, backward_subset_bfs, is_synchronizing, preimage_word,
                        random_automaton, resizable_decision_fast, shortest_resizing_word)
 from preimages import resize as resize_mod
-from preimages.oracle import goal_predicate
+from preimages.automaton import problem_goal
 
 P = (1 << 31) - 1
 
@@ -262,7 +262,7 @@ def test_resize_matches_oracle_with_length_bound():
         s = StateSet(n, bits)
         w = shortest_resizing_word(aut, s)
         res = backward_subset_bfs(aut, s)
-        hit = next(filter(goal_predicate("resizing", aut, s), res.reached), None)
+        hit = next(filter(problem_goal("resize", aut.n, s.size), res.reached), None)
         if hit is None:
             assert w is None
         else:
@@ -287,7 +287,7 @@ def test_resize_length_bound_is_tight():
         s = StateSet.from_states(n, [n - 1])
         w = shortest_resizing_word(aut, s)
         res = backward_subset_bfs(aut, s)
-        hit = next(filter(goal_predicate("resizing", aut, s), res.reached))
+        hit = next(filter(problem_goal("resize", aut.n, s.size), res.reached))
         assert w is not None and len(w) == len(res.word_to(hit)) == n - 1
     for n in (60, 150):
         aut = _defect_cycle(n)
