@@ -27,11 +27,9 @@ from typing import NamedTuple, Optional
 from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
                         preimage_word, problem_goal, is_permutation_automaton,
                         is_strongly_connected, sink_state)
-from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
-                     NotSynchronizingError)
+from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
-from .pairs import (avoidable_state, greedy_reset_word, is_synchronizing, known_synchronizing,
-                    minimal_rank_word)
+from .pairs import greedy_reset_word, is_synchronizing, known_synchronizing, minimal_rank_word
 from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
 
 EXIT_YES = 0
@@ -137,20 +135,24 @@ def _yes_no(decision: bool) -> str:
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
     """Answer the whole query along one route, under one node budget.
-    ``--method oracle`` asks the power-set oracle, capped at ``oracle_cap``
-    states unless ``--max-len`` L cuts it at a depth whose 1 + k + ... + k^L
-    subsets fit in what the cap admits.  Otherwise (``auto``, or its synonym
-    ``poly``) the permutation route answers, else a fast path, else the
-    ``_SEARCH`` function, cut at L when its witnesses are shortest.  A
-    witness longer than L, which only extend-total and avoid give, is
-    settled by the oracle's search cut at L, with no state cap, under what is
-    left of the budget: its first hit is a shortest witness, and none means
-    "no".
+    Only extend-total's route depends on ``--witness``: without it and
+    without ``--max-len`` no word is needed.  The routes, in order:
 
-    The permutation route: when every letter is a bijection, |S·w⁻¹| = |S|
-    for every word w, so only the empty word can answer.  It runs in
-    O(nk), searches nothing and ignores the budget."""
-    need_word = want_witness or max_len is not None
+    - ``--method oracle``: the power-set oracle, capped at ``oracle_cap``
+      states unless L = ``--max-len`` cuts it at a depth whose 1 + k + ... +
+      k^L subsets fit in what the cap admits.
+    - Permutation automata: |S·w⁻¹| = |S| for every word w, so only the
+      empty word can answer.  O(nk), no search, no budget; without it the
+      ``subset-search`` workload's six extend and avoid queries on 3-subsets
+      of permutation automata (n = 50-80) would each search ~C(n, 3) subsets.
+    - Extend-total on a synchronizing automaton, no word asked for: S is
+      totally extensible iff it meets the sink component: 2.1-3.4 ms against
+      11-13 ms for the search on the ``pair-table`` workload's three.
+    - Else (``auto``, or its synonym ``poly``) the ``_SEARCH`` function, cut
+      at L when its witnesses are shortest.  A witness longer than L (only
+      extend-total and avoid give one) is settled by the oracle's search cut
+      at L, with no state cap, under what is left of the budget: its first
+      hit is a shortest witness, and none means "no"."""
     kind = "oracle" if method == "oracle" else "poly"  # the route a budget failure names
     try:
         if method == "oracle":
@@ -158,22 +160,13 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             word = oracle.oracle_shortest(aut, s, problem, budget, oracle_cap, max_len, stats)
             route = Route(_yes_no(word is not None), word, "oracle")
         elif is_permutation_automaton(aut):
-            if problem == "extend-total" or (problem == "resize" and not need_word):
-                is_synchronizing(aut)  # O(nk) here; sets the report's flag as the fast paths do
             hit = problem_goal(problem, aut.n, s.size)(s.bits)
             route = Route(_yes_no(hit), Word() if hit else None, "fast-path")
-        elif problem == "resize" and not need_word and is_synchronizing(aut):
-            from . import resize
-            route = Route(_yes_no(resize.resizable_decision_fast(aut, s)), None, "fast-path")
-        elif problem == "extend-total" and is_synchronizing(aut):
+        elif (problem == "extend-total" and not want_witness and max_len is None
+              and is_synchronizing(aut)):
             from . import extend
-            kind = "fast-path"
-            decision = extend.totally_extensible_synchronizing(aut, s)
-            word = (extend.totally_extending_word_small(aut, s, budget=budget, stats=stats)
-                    if decision and need_word else None)
-            route = Route(_yes_no(decision), word, "fast-path")
-        elif problem == "avoid" and s.size == 1 and not need_word:
-            route = Route(_yes_no(avoidable_state(aut, next(iter(s)))), None, "poly")
+            route = Route(_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
+                          "fast-path")
         else:
             module, name, shortest = _SEARCH[problem]
             search = getattr(importlib.import_module(f".{module}", __package__), name)
@@ -412,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except (ValueError, NotSynchronizingError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

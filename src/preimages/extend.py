@@ -10,12 +10,13 @@ to S.  Every proper suffix v of a shortest extending word has
 oracle's extend search itself, from the same subset with the same
 stop, so it generates the same subsets and finds the same witness.
 
-``totally_extending_word_small`` first drives Q to an incompressible image
-via a minimal-rank word u, then searches forward over the fixed-size images
-of Q.u for a subset of S; the result ``u . path`` is correct but not
-necessarily shortest.  On a synchronizing automaton u is the greedy reset
-word and the search walks singletons into S, so the same function gives
-the witness of the synchronizing fast path.
+``totally_extending_word_small`` answers S = Q with the empty word, else
+drives Q to an incompressible image via a minimal-rank word u, then
+searches forward over the fixed-size images of Q.u for a subset of S; the
+result ``u . path`` is correct but not necessarily shortest.  It gives every
+extend-total witness the oracle does not.
+``totally_extensible_synchronizing`` decides the synchronizing case from
+the sink component alone, without a word.
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
                                  stats: Optional[dict] = None) -> Optional[Word]:
     """A word w with S . w^-1 = Q, or None; not guaranteed shortest.
 
-    None is definitive: the minimal rank exceeding |S| rules a totally
-    extending word out, and otherwise the search space (images of the
-    incompressible minimal image, all of the same size) is explored fully.
+    S = Q is totally extended by the empty word.  None is definitive: the
+    minimal rank exceeding |S| rules a totally extending word out, and
+    otherwise the search space (images of the incompressible minimal image,
+    all of the same size) is explored fully.
     """
     aut.check_set(s)
+    if s.size == aut.n:
+        return Word()
     rank = minimal_rank_word(aut)
     if rank.rank > s.size:
         return None

@@ -66,11 +66,14 @@ def test_check_avoid_witness(files, capsys):
     assert report["answer"] == "yes" and report["witness"] == "a"
 
 
-def test_check_resize_fast_path_on_synchronizing(files, capsys):
+def test_check_resize_decision_runs_the_search(files, capsys):
+    # Without --witness, resize on a synchronizing automaton runs the same
+    # search as with it: 4 subsets discovered, S and the resized one included.
     code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
                        "--problem", "resize", "--json")
     assert code == 0
-    assert json.loads(out)["method"] == "fast-path"
+    report = json.loads(out)
+    assert report["method"] == "poly" and report["stats"]["nodes"] == 4
 
 
 def test_check_max_len_with_shortest_method(files, capsys):
@@ -86,8 +89,8 @@ def test_check_max_len_with_shortest_method(files, capsys):
 
 
 def test_check_max_len_with_non_shortest_method_uses_oracle(files, capsys):
-    # extend-total on a synchronizing automaton routes through the fast path,
-    # whose witness is not shortest; the oracle resolves the bound exactly.
+    # extend-total's witness search does not give shortest words; the
+    # oracle's cut search resolves the bound exactly.
     code, out, _ = run(capsys, "check", files["chain2"], "--subset", "1",
                        "--problem", "extend-total", "--max-len", "1", "--json")
     assert code == 0
@@ -221,7 +224,7 @@ def test_check_budget_exhaustion_reports_unknown(files, capsys):
 
 
 def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
-    # The fast-path witness is too long for --max-len 1, and the depth-cut
+    # The extend-total witness is too long for --max-len 1, and the depth-cut
     # search that would settle the bound runs out of what is left of the
     # query's node budget after the witness search took one node.
     code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0",
@@ -829,6 +832,36 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
                             assert len(word) == shortest, where
                     checked += 1
     assert checked > 2000
+
+
+def test_witness_flag_never_picks_the_route(tmp_path, capsys):
+    # --witness only adds the word to the report: the answer, method, stats,
+    # preimage size, note and exit code are those of the same check without
+    # it.  Singletons on synchronizing automata are where resize and avoid
+    # have decisions that need no search; extend-total is asked under
+    # --max-len only, since without a bound its decision needs no word.
+    rng = random.Random(20261019)
+    checked = 0
+    for i in range(24):
+        n = rng.randint(2, 8)
+        constraint = "synchronizing" if i % 4 else "none"
+        aut = random_automaton(n, rng.randint(1, 3), seed=rng.randrange(10**9),
+                               constraint=constraint)
+        path = tmp_path / f"w{i}.aut"
+        path.write_text(serialize_automaton(aut))
+        for q, problem, bound in itertools.product(range(n), PROBLEMS, ((), ("--max-len", "1"))):
+            if problem == "extend-total" and not bound:
+                continue
+            query = ("check", str(path), "--subset", str(q), "--problem", problem, *bound,
+                     "--json")
+            code, out, _ = run(capsys, *query)
+            wcode, wout, _ = run(capsys, *query, "--witness")
+            report, with_word = json.loads(out), json.loads(wout)
+            assert (with_word.pop("witness") is None) == (with_word.pop("witness_length") is None)
+            del report["witness"], report["witness_length"]
+            assert (code, report) == (wcode, with_word), (i, q, problem, bound)
+            checked += 1
+    assert checked > 500
 
 
 def test_length_bound_is_decided_far_above_the_oracle_cap(tmp_path, capsys):

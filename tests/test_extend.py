@@ -125,13 +125,18 @@ def test_totally_extensible_synchronizing(c4, ch2, p3):
     assert not totally_extensible_synchronizing(ch2, ch2.state_set([0]))
     assert totally_extensible_synchronizing(ch2, ch2.state_set([1]))
     assert totally_extending_word_small(ch2, ch2.state_set([1])) == Word.from_text("a")
+    assert totally_extending_word_small(c4, StateSet.full(4)) == Word()
+    assert totally_extending_word_small(p3, StateSet.full(3)) == Word()
     with pytest.raises(NotSynchronizingError):
         totally_extensible_synchronizing(p3, p3.state_set([0]))
 
 
 def _reset_then_nearest_state(aut, s):
-    """The greedy reset word, then a shortest path (FIFO, letters ascending)
-    from its single image state to the nearest state of S."""
+    """The empty word for S = Q; otherwise the greedy reset word, then a
+    shortest path (FIFO, letters ascending) from its single image state to
+    the nearest state of S."""
+    if s.size == aut.n:
+        return Word()
     reset = greedy_reset_word(aut)
     start = next(iter(apply_word(aut, StateSet.full(aut.n), reset)))
     back, frontier = {start: None}, [start]
@@ -153,7 +158,8 @@ def _reset_then_nearest_state(aut, s):
 
 def test_totally_extensible_synchronizing_witnesses_verify():
     # On a synchronizing automaton the minimal-rank search is the greedy reset
-    # word followed by a shortest walk from its image state into S.
+    # word followed by a shortest walk from its image state into S; S = Q
+    # needs no letter.
     rng = random.Random(13)
     done = 0
     while done < 60:

@@ -4,7 +4,7 @@
 below.  The ``--witness`` cases were recorded before the pair table and the
 word actions were rewritten for speed; the decision-only cases (key suffix
 ``|decision``: ``extend-total`` and ``resize`` without ``--witness``, the
-routes that take the synchronizing fast paths) were recorded before
+routes that once took the synchronizing fast paths) were recorded before
 synchronization was first proved by a reset-word certificate; the option
 cases (key suffix ``|--max-len=0`` and the like, each with and without
 ``--witness``) pin the ``--max-len``, ``--method`` and ``--budget`` routes.
@@ -37,7 +37,31 @@ extend-total 0 and 2, avoid 0 and 2; ``0,1,2`` extend-total 0, avoid 0 and
 2), ``chain2`` (``0`` avoid 0; ``1`` extend-total 0) and ``random40_rank2``
 (``0`` avoid 0; ``3,17`` and ``5,21,38`` avoid 0 and 2), where "extend-total
 0" means ``extend-total|--max-len=0``.  2 change ``stats`` only:
-``chain2|0|extend|--max-len=0`` counts 1 subset instead of 2.  A later change that alters an answer, a witness, a preimage size or a ``stats``
+``chain2|0|extend|--max-len=0`` counts 1 subset instead of 2.  158 more
+were re-recorded when resize and single-state avoid lost their
+decision-only routes and the extend-total witness began to come from its
+search alone; no witness changed.  4 ``cerny4`` resize ``|decision``
+entries answer ``unknown-budget`` instead of "yes", since the search
+respects the budget: ``0`` and ``0,1,2`` at ``--budget=2``, ``1,2`` at
+``--budget=2`` and ``--budget=3``.  23 more resize ``|decision`` entries
+change ``method`` to ``poly`` and gain ``stats`` (19 also
+``preimage_size``): those on ``cerny4`` and ``chain2`` with no option,
+``--method=poly``, ``--budget=2`` or ``--budget=3``, and the three on
+``random40_sync``.  37 extend-total entries that ask for a word change
+``method`` from ``fast-path`` to ``poly`` (8 also ``stats``): the
+``--witness`` entries on ``cerny4``, ``chain2`` and ``random40_sync`` with
+no option, ``--method=poly``, ``--budget=2`` or ``--budget=3``, and the
+``--max-len`` entries that the oracle's cut search does not settle
+(``cerny4||…`` at 0 and 2, ``chain2|0`` at 0 and 2, ``chain2|1`` at 2).  12 single-state avoid
+``|decision`` entries (``--method=poly``, ``--budget=2``, ``--budget=3`` on
+``cerny4|0``, ``chain2|0``, ``chain2|1`` and ``random40_rank2|0``) gain
+``stats``, 9 of them also ``preimage_size``.  82 change only
+``classification.synchronizing``, to null, since no route computes it any
+more: every ``perm3`` extend-total entry, the ``random40_rank2``
+extend-total entries that ask for a word, the ``perm3`` and
+``random40_rank2`` resize ``|decision`` entries without ``--max-len``, and
+the extend-total ``--max-len`` entries that the oracle's cut search
+settles (``cerny4`` ``0``, ``1,2``, ``0,1,2``; ``chain2|1`` at 0).  A later change that alters an answer, a witness, a preimage size or a ``stats``
 value fails here, so "same answers and witnesses" is checked on every run.
 The automata are committed as files next to it, so the cases do not depend
 on the random generator: ``random40_sync`` is ``random_automaton(40, 3,

@@ -339,14 +339,16 @@ def test_decision_only_routes_build_no_pair_table(monkeypatch, capsys):
     aut = Automaton(rows)
     assert is_synchronizing(aut) and "pair_table" not in aut._derived
     assert random.getstate() == state  # no shared random state consumed
-    for problem in ("extend-total", "resize"):
+    # extend-total decides by the sink component; resize runs its search.
+    for problem, method in (("extend-total", "fast-path"), ("resize", "poly")):
         aut = Automaton(rows)
         monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
         code = cli.main(["check", "unused.aut", "--subset", "5,70", "--problem", problem,
                          "--json"])
         report = json.loads(capsys.readouterr().out)
-        assert code in (0, 1) and report["method"] == "fast-path"
-        assert report["classification"]["synchronizing"] is True
+        assert code in (0, 1) and report["method"] == method
+        if problem == "extend-total":
+            assert report["classification"]["synchronizing"] is True
         assert "pair_table" not in aut._derived
 
 
