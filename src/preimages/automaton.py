@@ -331,40 +331,42 @@ class SubsetBfsResult:
 
 
 def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per letter, the tables of one preimage or image step: for each 8-bit
-    chunk of the state range, entry x is the union of the one-letter
-    preimages (or images) of the states x selects.  The last chunk's table
-    has 2^r entries for its r states."""
+    """Per letter, the two half tables of one preimage or image step.  With
+    the states split at h = ceil(n/2), entry x of the low table is the union
+    of the one-letter preimages (or images) of the states among 0..h-1 that
+    x selects, and entry x of the high table that of the states h + i for
+    the bits i of x: 2^h and 2^(n-h) entries."""
     if direction == "preimage":
         per_letter = [aut.preimage_masks(a) for a in range(aut.k)]
     else:
         per_letter = [[1 << q for q in succ] for succ in aut.by_letter]
+    h = (aut.n + 1) // 2
     steps = []
     for per_state in per_letter:
-        tables = []
-        for base in range(0, aut.n, 8):
+        halves = []
+        for masks in (per_state[:h], per_state[h:]):
             table = [0]
-            for mask in per_state[base:base + 8]:
+            for mask in masks:
                 table += [entry | mask for entry in table]
-            tables.append(tuple(table))
-        steps.append(tuple(tables))
+            halves.append(tuple(table))
+        steps.append(tuple(halves))
     return tuple(steps)
 
 
-def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optional[Goal],
+def _search_by_halves(step_tables, pred, order, lo: int, depth: int, goal: Optional[Goal],
                       budget: int, max_depth: int) -> Optional[int]:
     """Continue the search from the subsets ``order[lo:]`` at ``depth`` to ``max_depth``
-    (-1: no cut), a step costing one table lookup per 8-bit chunk; the first
-    child that meets ``goal``, or None."""
+    (-1: no cut), a step costing two lookups in ``_step_tables``' halves; the
+    first child that meets ``goal``, or None."""
+    mask = len(step_tables[0][0]) - 1  # the low half's 2^h entries
+    h = mask.bit_length()
     while lo < len(order) and depth != max_depth:
         depth += 1
         frontier, lo = order[lo:], len(order)
         for bits in frontier:
-            for tables in step_tables:
-                child, rest = 0, bits
-                for table in tables:
-                    child |= table[rest & 0xFF]
-                    rest >>= 8
+            low_bits, high_bits = bits & mask, bits >> h
+            for low, high in step_tables:
+                child = low[low_bits] | high[high_bits]
                 if pred[child] < 0:
                     pred[child] = bits
                     order.append(child)
@@ -378,7 +380,7 @@ def _search_by_chunks(step_tables, pred, order, lo: int, depth: int, goal: Optio
 
 def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: int,
                        levels: int, admit: Optional[Goal]) -> tuple[Optional[int], int]:
-    """``_search_by_chunks`` from the sources, a step ORing one mask per member
+    """``_search_by_halves`` from the sources, a step ORing one mask per member
     state, for at most ``levels`` levels (-1: all), keeping only the children
     that meet ``goal`` or pass ``admit``; also where the next level starts."""
     depth = lo = 0
@@ -422,8 +424,9 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     member state.  Once a second level is needed, up to
     ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors move to an int
     array indexed by subset bits (4 MiB at n = 20, whatever the budget) and
-    a step is ceil(n/8) chunk-table lookups; above it, or with ``admit``,
-    the dict keeps them, bounded by the budget.
+    a step is two half-table lookups, one per half of the states (two
+    tables of at most 2^10 entries per letter); above it, or with
+    ``admit``, the dict keeps them, bounded by the budget.
     """
     pred, order = _Sparse(), []
     step = aut.preimage_bits if direction == "preimage" else aut.image_bits
@@ -443,7 +446,7 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
                 pred[bits] = sparse[bits]
-            hit = _search_by_chunks(_step_tables(aut, direction), pred, order, lo, 1, goal,
+            hit = _search_by_halves(_step_tables(aut, direction), pred, order, lo, 1, goal,
                                     budget, max_depth)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + len(order)
@@ -585,6 +588,12 @@ def is_strongly_connected(aut: Automaton) -> bool:
 def is_permutation_automaton(aut: Automaton) -> bool:
     """True iff every letter acts as a bijection on the states."""
     return all(len(set(images)) == aut.n for images in aut.by_letter)
+
+
+def known_synchronizing(aut: Automaton) -> Optional[bool]:
+    """The synchronization flag ``pairs.is_synchronizing`` cached, or None
+    when it has not run."""
+    return aut._derived.get("synchronizing")
 
 
 def sink_state(aut: Automaton) -> Optional[int]:

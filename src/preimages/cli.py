@@ -9,8 +9,9 @@ synonym of ``auto``, and the oracle state cap binds only ``--method
 oracle`` and ``reset --method oracle``.  The budget and the cap honor the
 environment variables PREIMAGES_BUDGET and PREIMAGES_ORACLE_CAP unless
 flags override them.  A process imports only the modules its route runs:
-``extend``, ``avoid``, ``resize``, ``oracle`` and ``gadgets`` are imported
-on first use.
+``pairs``, ``extend``, ``avoid``, ``resize``, ``oracle`` and ``gadgets`` are
+imported on first use, so the extend and resize searches, the oracle and
+the permutation route load no ``pairs``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import NamedTuple, Optional
 
 from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
                         preimage_word, problem_goal, is_permutation_automaton,
-                        is_strongly_connected, sink_state)
+                        is_strongly_connected, known_synchronizing, sink_state)
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
-from .pairs import greedy_reset_word, is_synchronizing, known_synchronizing, minimal_rank_word
 from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
 
 EXIT_YES = 0
@@ -95,10 +95,16 @@ def _parse_subset(aut: Automaton, text: str) -> StateSet:
     return aut.state_set(states)
 
 
+def _is_synchronizing(aut: Automaton) -> bool:
+    """``pairs.is_synchronizing``, importing ``pairs`` on first use."""
+    from .pairs import is_synchronizing
+    return is_synchronizing(aut)
+
+
 def _classification(aut: Automaton, want_sync: bool) -> dict:
     sync = known_synchronizing(aut)
     if sync is None and want_sync:
-        sync = is_synchronizing(aut)
+        sync = _is_synchronizing(aut)
     return {
         "strongly_connected": is_strongly_connected(aut),
         "synchronizing": sync,
@@ -163,7 +169,7 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
             hit = problem_goal(problem, aut.n, s.size)(s.bits)
             route = Route(_yes_no(hit), Word() if hit else None, "fast-path")
         elif (problem == "extend-total" and not want_witness and max_len is None
-              and is_synchronizing(aut)):
+              and _is_synchronizing(aut)):
             from . import extend
             route = Route(_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
                           "fast-path")
@@ -259,6 +265,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .pairs import minimal_rank_word
     aut = parse_automaton_file(args.file)
     result = minimal_rank_word(aut)
     if args.json:
@@ -278,6 +285,7 @@ def _cmd_rank(args) -> int:
 def _cmd_reset(args) -> int:
     aut = parse_automaton_file(args.file)
     if args.method == "greedy":
+        from .pairs import greedy_reset_word
         word = greedy_reset_word(aut)
     else:
         from . import oracle

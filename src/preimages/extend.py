@@ -16,7 +16,8 @@ searches forward over the fixed-size images of Q.u for a subset of S; the
 result ``u . path`` is correct but not necessarily shortest.  It gives every
 extend-total witness the oracle does not.
 ``totally_extensible_synchronizing`` decides the synchronizing case from
-the sink component alone, without a word.
+the sink component alone, without a word.  Only these two import ``pairs``,
+when called, so an extend search loads none of it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, problem_goal, scc, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
-from .pairs import is_synchronizing, minimal_rank_word
 
 
 def shortest_extending_word_small(aut: Automaton, s: StateSet,
@@ -60,6 +60,7 @@ def totally_extending_word_small(aut: Automaton, s: StateSet,
     aut.check_set(s)
     if s.size == aut.n:
         return Word()
+    from .pairs import minimal_rank_word
     rank = minimal_rank_word(aut)
     if rank.rank > s.size:
         return None
@@ -83,6 +84,7 @@ def totally_extensible_synchronizing(aut: Automaton, s: StateSet) -> bool:
     followed by a path into S inside the sink component, comes from
     ``totally_extending_word_small``.
     """
+    from .pairs import is_synchronizing
     aut.check_set(s)
     if not is_synchronizing(aut):
         raise NotSynchronizingError("totally_extensible_synchronizing needs a synchronizing automaton")

@@ -184,11 +184,6 @@ def is_synchronizing(aut: Automaton) -> bool:
     return cached
 
 
-def known_synchronizing(aut: Automaton) -> Optional[bool]:
-    """The cached synchronization flag, or None when not yet computed."""
-    return aut._derived.get("synchronizing")
-
-
 def _closest_pair_in(image: list[int], table: PairTable,
                      partners: dict) -> Optional[tuple[int, int]]:
     """Compressible pair of the ascending ``image`` with the shortest merging

@@ -24,6 +24,9 @@ whose absolute value is at most n < p, so h vanishes mod p exactly when it
 vanishes.  Hence the answer and the shortest length are those of the search
 over Q.  The returned word could differ from that search's only if p divides
 an integer minor that decides independence; it is still a shortest word.
+
+Only ``resizable_decision_fast`` imports ``pairs``, when called, so the
+search loads none of it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, problem_goal, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
-from .pairs import is_synchronizing
 
 P = (1 << 31) - 1
 
@@ -153,6 +155,7 @@ def resizable_decision_fast(aut: Automaton, s: StateSet) -> bool:
 
     Raises NotSynchronizingError otherwise.
     """
+    from .pairs import is_synchronizing
     aut.check_set(s)
     if not is_synchronizing(aut):
         raise NotSynchronizingError("resizable_decision_fast needs a synchronizing automaton")

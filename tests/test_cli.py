@@ -414,14 +414,14 @@ def test_error_exit_codes(files, capsys, tmp_path):
 
 
 def test_failed_reverification_is_an_internal_error(files, capsys, monkeypatch):
-    from preimages import Word, cli, extend
+    from preimages import Word, extend, pairs
 
     monkeypatch.setattr(extend, "shortest_extending_word_small", lambda *a, **kw: Word([0]))
     code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0", "--problem", "extend")
     assert code == 5 and out == ""
     assert err == "internal error: witness 'a' failed re-verification\n"
 
-    monkeypatch.setattr(cli, "greedy_reset_word", lambda aut: Word([]))
+    monkeypatch.setattr(pairs, "greedy_reset_word", lambda aut: Word([]))
     code, out, err = run(capsys, "reset", files["cerny4"])
     assert code == 5 and out == ""
     assert err == "internal error: reset word failed re-verification\n"
@@ -608,21 +608,35 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
                           "--problem", "resize", "--witness")
     assert found["package"] == []
     assert found["cli"] == ["preimages." + m for m in
-                            ("automaton", "cli", "errors", "fileformat", "pairs", "report")]
+                            ("automaton", "cli", "errors", "fileformat", "report")]
     assert found["cli_heavy"] == found["startup"]  # no dataclasses, no inspect
     assert found["code"] == 1
     assert "preimages.resize" in found["query"]
-    for unused in ("oracle", "gadgets", "avoid", "extend"):
+    for unused in ("oracle", "gadgets", "avoid", "extend", "pairs"):
         assert "preimages." + unused not in found["query"]
     # Extend and avoid run the subset BFS kernel of automaton, never the
     # oracle's searches, which bench/spans.py times by name; nor does extend
-    # fall back to the oracle when it runs out of budget.
+    # fall back to the oracle when it runs out of budget.  Only avoid needs
+    # a minimal-rank word, and so the pair machinery.
     for problem, subset, budget, code in (("extend", "1,2", "50", 0), ("extend", "1,2", "3", 2),
-                                          ("avoid", "0,1,2", "50", 0)):
+                                          ("avoid", "0,1,2", "50", 0),
+                                          ("resize", "1,2", "50", 0)):
         found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", subset,
                               "--problem", problem, "--witness", "--budget", budget)
         assert found["code"] == code and "preimages." + problem in found["query"]
         assert "preimages.oracle" not in found["query"], (problem, budget)
+        assert ("preimages.pairs" in found["query"]) == (problem == "avoid"), (problem, budget)
+    # Both extend-total routes, the decision and the search for a witness,
+    # need the pair machinery; the oracle does not.
+    for flags in ((), ("--witness",)):
+        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "0",
+                              "--problem", "extend-total", *flags)
+        assert found["code"] == 0 and "preimages.pairs" in found["query"], flags
+    for problem in PROBLEMS:
+        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "1,2",
+                              "--problem", problem, "--method", "oracle", "--witness")
+        assert "preimages.oracle" in found["query"], problem
+        assert "preimages.pairs" not in found["query"], problem
     # The permutation route answers every problem without a search module.
     for problem in ("extend", "extend-total", "avoid", "resize"):
         found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",

@@ -101,11 +101,9 @@ def _assert_matches_reference(res, aut, start_bits):
     return expected
 
 
-def _table_step(tables, bits):
-    out = 0
-    for c, table in enumerate(tables):
-        out |= table[(bits >> 8 * c) & 0xFF]
-    return out
+def _table_step(tables, bits, h):
+    low, high = tables
+    return low[bits & (1 << h) - 1] | high[bits >> h]
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20, 21])
@@ -120,12 +118,13 @@ def test_chunk_table_step_matches_per_state_step(n):
     for direction, per_state in (("preimage", aut.preimage_bits), ("image", aut.image_bits)):
         tables = _step_tables(aut, direction)
         assert len(tables) == aut.k
-        for a, chunks in enumerate(tables):
-            # Fixed 8-bit chunks: ceil(n/8) tables of at most 256 entries.
-            assert len(chunks) == (n + 7) // 8
-            assert all(len(table) <= 256 for table in chunks)
+        h = (n + 1) // 2
+        for a, halves in enumerate(tables):
+            # Two chunks, the states split at ceil(n/2): 2^ceil(n/2) and
+            # 2^floor(n/2) entries.
+            assert [len(table) for table in halves] == [1 << h, 1 << n // 2]
             for bits in patterns:
-                assert _table_step(chunks, bits) == per_state(bits, a)
+                assert _table_step(halves, bits, h) == per_state(bits, a)
 
     cap = 25 if n > 20 else 20
     for _ in range(3):
