@@ -7,13 +7,15 @@ left to right: ``q . uv == (q . u) . v``, which fixes the composition order
 of preimages as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
 
 A whole word acts through its transformation ``word_map``, read left to
-right: a block of letters moves only the image so far, one gather per letter
-(``move_states``); ``apply_word`` and ``preimage_word`` read the image and
-the preimage off it.  ``subset_bfs`` is the one breadth-first search over
-subsets: extend and resize walk back from S by the single-letter steps
-``preimage_bits``, extend-total and avoid walk forward by ``image_bits``,
-and the power-set oracle does both.  ``problem_goal`` states each of the
-four problems as one test on the preimage S·w⁻¹.
+right one letter at a time (``move_states``): on at most 256 states the map
+is an n-byte string and a letter is one ``bytes.translate``; above that a
+block of letters moves only the image so far, one gather per letter.
+``apply_word`` and ``preimage_word`` read the image and the preimage off
+it.  ``subset_bfs`` is the one breadth-first search over subsets: extend
+and resize walk back from S by the single-letter steps ``preimage_bits``,
+extend-total and avoid walk forward by ``image_bits``, and the power-set
+oracle does both.  ``problem_goal`` states each of the four problems as
+one test on the preimage S·w⁻¹.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -453,9 +455,26 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     return SubsetBfsResult(direction, order, hit, pred, step, aut.k)
 
 
+def _byte_tables(aut: Automaton) -> tuple[bytes, ...]:
+    """Per letter, the ``bytes.translate`` table of its action: byte q holds
+    q.a (only for automata of at most 256 states)."""
+    tables = aut._derived.get("byte_tables")
+    if tables is None:
+        tables = tuple(bytes(succ).ljust(256, b"\0") for succ in aut.by_letter)
+        aut._derived["byte_tables"] = tables
+    return tables
+
+
 def move_states(aut: Automaton, states: Sequence[int], letters: Iterable[int]) -> Sequence[int]:
     """``states[i] . letters`` for each of at least two states (itemgetter
-    returns a scalar for one index), one C-level gather per letter."""
+    returns a scalar for one index).  On at most 256 states the states move
+    as bytes, one ``bytes.translate`` per letter; above that, one C-level
+    gather per letter."""
+    if aut.n <= 256:
+        tables, states = _byte_tables(aut), bytes(states)
+        for a in letters:
+            states = states.translate(tables[a])
+        return states
     for a in letters:
         states = itemgetter(*states)(aut.by_letter[a])
     return states
@@ -464,23 +483,28 @@ def move_states(aut: Automaton, states: Sequence[int], letters: Iterable[int]) -
 def word_map(aut: Automaton, w: Word) -> tuple[int, ...]:
     """The transformation of ``w``: ``f[q] == q . w`` for every state ``q``.
 
-    Read left to right, 32 letters at a time: a block moves only the distinct
-    states of the image Q.u of the prefix u so far, then the n-wide map is
-    composed once.  Along a merging word the image shrinks fast.  The letters
-    are not range-checked here.  The map of the last word is kept on the
-    automaton, so checking a witness and then measuring its preimage walks
-    the word once.
+    Read left to right.  On at most 256 states all n states move together,
+    one ``bytes.translate`` of the n-byte map per letter.  Above that, 32
+    letters at a time: a block moves only the distinct states of the image
+    Q.u of the prefix u so far, then the n-wide map is composed once; along
+    a merging word the image shrinks fast.  The letters are not
+    range-checked here.  The map of the last word is kept on the automaton,
+    so checking a witness and then measuring its preimage walks the word
+    once.
     """
     last = aut._derived.get("word_map")
     if last is not None and last[0] is w.letters:
         return last[1]
-    f = image = tuple(range(aut.n))
-    step = list(f)  # step[p] == p . block for p in the image
-    for i in range(0, len(w.letters) if aut.n > 1 else 0, 32):  # n == 1: f is (0,)
-        moved = move_states(aut, image, w.letters[i:i + 32])
-        for p, q in zip(image, moved):
-            step[p] = q
-        f, image = itemgetter(*f)(step), (*set(moved), moved[0])  # a repeat keeps two states
+    if aut.n <= 256:
+        f = tuple(move_states(aut, range(aut.n), w.letters))
+    else:
+        f = image = tuple(range(aut.n))
+        step = list(f)  # step[p] == p . block for p in the image
+        for i in range(0, len(w.letters), 32):
+            moved = move_states(aut, image, w.letters[i:i + 32])
+            for p, q in zip(image, moved):
+                step[p] = q
+            f, image = itemgetter(*f)(step), (*set(moved), moved[0])  # a repeat keeps two states
     aut._derived["word_map"] = (w.letters, f)
     return f
 

@@ -308,8 +308,9 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     to the first one in the image, which costs about n² pair reads over the
     run.
 
-    A step's word moves the image only, by ``automaton.move_states``: one
-    gather per letter over |image| states.  The image's moves update the
+    A step's word moves the image only, by ``automaton.move_states``: per
+    letter one ``bytes.translate`` of |image| bytes on at most 256 states,
+    one gather over |image| states above that.  The image's moves update the
     classes ``q ↦ q·u`` of all n states once per step.
 
     The resulting image size equals the minimal rank over all words: any

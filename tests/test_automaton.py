@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        cerny_automaton, is_permutation_automaton, is_strongly_connected,
                        minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
-from preimages.automaton import _Sparse, subset_bfs, word_map
+from preimages.automaton import _Sparse, move_states, subset_bfs, word_map
 
 
 @st.composite
@@ -317,6 +317,26 @@ def test_word_map_of_long_rank_words_matches_the_fold():
         f = _fold(Automaton(rows), word)
         assert word_map(aut, word) == word_map(Automaton(rows), word) == f
         assert len(set(f)) == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_word_actions_match_the_fold_on_both_sides_of_the_byte_tables(n, k):
+    # Up to 256 states a word moves states by bytes.translate, above that by
+    # gathers; both must agree with the letter-by-letter fold, on collapsing
+    # and permutation automata, around word_map's 32-letter block length.
+    rng = random.Random(n * 10 + k)
+    for constraint in ("none", "permutation"):
+        aut = random_automaton(n, k, seed=rng.randrange(10**9), constraint=constraint)
+        for length in (0, 1, 31, 32, 33, 1000):
+            word = Word(rng.randrange(k) for _ in range(length))
+            f = _fold(aut, word)
+            assert word_map(aut, word) == f
+            s = StateSet(n, rng.getrandbits(n))
+            assert apply_word(aut, s, word).bits == sum({1 << f[q] for q in s})
+            assert preimage_word(aut, s, word).bits == sum(1 << q for q in range(n) if f[q] in s)
+            states = [rng.randrange(n) for _ in range(rng.randint(2, n + 1))]
+            assert list(move_states(aut, states, word.letters)) == [f[q] for q in states]
 
 
 @given(automaton_set_word())

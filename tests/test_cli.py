@@ -237,21 +237,39 @@ def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
     assert report["method"] == "oracle" and report["note"] == "node budget exceeded"
 
 
-def test_check_walks_the_witness_once(files, capsys, monkeypatch):
+def test_check_walks_the_witness_once(tmp_path, capsys, monkeypatch):
     # Re-verifying the witness and measuring its preimage share one word_map
-    # walk: the runs of letters it moves the image by spell the witness once.
-    runs, move_states = [], automaton_mod.move_states
+    # walk: the first call computes the map of the witness, and every later
+    # call returns the very map kept on the automaton.  Defect cycles of 256
+    # and 257 states put the walk on each side of the byte-table switch; the
+    # shortest resizing word of {n-1} has n-1 letters.
+    calls, word_map = [], automaton_mod.word_map
 
-    def recording(aut, states, letters):
-        runs.append(letters)
-        return move_states(aut, states, letters)
+    def recording(aut, w):
+        last = aut._derived.get("word_map")
+        f = word_map(aut, w)
+        calls.append((w.letters, last is not None and last[1] is f))
+        assert f == tuple(_fold_letters(aut, q, w.letters) for q in range(aut.n))
+        return f
 
-    monkeypatch.setattr(automaton_mod, "move_states", recording)
-    code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
-                       "--problem", "extend-total", "--method", "oracle", "--witness", "--json")
-    report = json.loads(out)
-    assert code == 0 and report["preimage_size"] == 4 and report["witness_length"] > 0
-    assert "".join("ab"[a] for run in runs for a in run) == report["witness"]
+    monkeypatch.setattr(automaton_mod, "word_map", recording)
+    for n in (256, 257):
+        path = tmp_path / f"defect{n}.aut"
+        path.write_text(serialize_automaton(
+            Automaton([[(q + 1) % n, 0 if q == 1 else q] for q in range(n)])))
+        calls.clear()
+        code, out, _ = run(capsys, "check", str(path), "--subset", str(n - 1),
+                           "--problem", "resize", "--witness", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["witness_length"] == n - 1
+        assert len(calls) >= 2 and [hit for _, hit in calls] == [False] + [True] * (len(calls) - 1)
+        assert all("".join("ab"[a] for a in letters) == report["witness"] for letters, _ in calls)
+
+
+def _fold_letters(aut, q, letters):
+    for a in letters:
+        q = aut.rows[q][a]
+    return q
 
 
 def test_check_resize_honours_budget(tmp_path, capsys, monkeypatch):
