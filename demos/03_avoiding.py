@@ -2,12 +2,12 @@
 
 Avoiding S is the mirror of totally extending its complement.  Single
 states have a crisp characterization (membership in a compressible pair,
-inside the right sink component); general subsets go through the rank
-partition and a fixed-size subset search.
+inside the right sink component); general subsets go through the classes
+of a minimal-rank word and fixed-size subset searches.
 """
 
 from preimages import (StateSet, apply_word, avoidable_state, avoiding_word,
-                       cerny_automaton, chain2, perm3, rank_partition)
+                       cerny_automaton, chain2, minimal_rank_word, perm3)
 
 aut = cerny_automaton(4)
 
@@ -27,10 +27,12 @@ p = perm3()
 print("permutation automaton, avoid {0}:", avoiding_word(p, p.state_set([0])))
 
 # The general algorithm works class by class.  States are grouped by where
-# a minimal-rank word u sends them; S is avoidable iff some |S/~|-subset of
-# the minimal image can be steered to hit every S-touching class outside S.
+# a minimal-rank word u sends them; S is avoidable iff some z-subset of the
+# minimal image, z the number of classes meeting S, can be steered to hit
+# every S-touching class outside S.
 s = aut.state_set([0, 1])
-part = rank_partition(aut, s)
-print("\nS =", s, " classes:", [str(c) for c in part.classes], " z =", part.z)
+classes = minimal_rank_word(aut).classes  # classes[q] == q.u
+touched = {classes[q] for q in s}
+print("\nS =", s, " class of each state:", classes, " z =", len(touched))
 w = avoiding_word(aut, s)
 print("avoiding word:", w.text(aut.k), "-> Q.w =", apply_word(aut, StateSet.full(4), w))

@@ -22,7 +22,7 @@ _EXPORTS = {  # submodule -> the public names it provides
               "minimal_rank_word", "avoidable_state"),
     "extend": ("shortest_extending_word_small", "totally_extending_word_small",
                "totally_extensible_synchronizing"),
-    "avoid": ("RankPartition", "rank_partition", "avoiding_word"),
+    "avoid": ("avoiding_word",),
     "resize": ("RationalBasis", "shortest_resizing_word", "resizable_decision_fast"),
     "oracle": ("backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
                "oracle_shortest_reset", "oracle_min_rank"),

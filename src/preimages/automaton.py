@@ -11,11 +11,12 @@ right one letter at a time (``move_states``): on at most 256 states the map
 is an n-byte string and a letter is one ``bytes.translate``; above that a
 block of letters moves only the image so far, one gather per letter.
 ``apply_word`` and ``preimage_word`` read the image and the preimage off
-it.  ``subset_bfs`` is the one breadth-first search over subsets: extend
+it.  ``subset_search`` is the one breadth-first search over subsets: extend
 and resize walk back from S by the single-letter steps ``preimage_bits``,
-extend-total and avoid walk forward by ``image_bits``, and the power-set
-oracle does both.  ``problem_goal`` states each of the four problems as
-one test on the preimage S·w⁻¹.
+avoid walks forward by ``image_bits`` and back, and the power-set oracle
+does both.  ``race`` runs such searches in lock-step under one node
+budget.  ``problem_goal`` states each of the four problems as one test on
+the preimage S·w⁻¹.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -356,10 +357,10 @@ def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...],
 
 
 def _search_by_halves(step_tables, pred, order, lo: int, depth: int, goal: Optional[Goal],
-                      budget: int, max_depth: int) -> Optional[int]:
+                      allowance: int, max_depth: int):
     """Continue the search from the subsets ``order[lo:]`` at ``depth`` to ``max_depth``
     (-1: no cut), a step costing two lookups in ``_step_tables``' halves; the
-    first child that meets ``goal``, or None."""
+    first child that meets ``goal``, or None.  It pauses as ``subset_search`` does."""
     mask = len(step_tables[0][0]) - 1  # the low half's 2^h entries
     h = mask.bit_length()
     while lo < len(order) and depth != max_depth:
@@ -372,19 +373,19 @@ def _search_by_halves(step_tables, pred, order, lo: int, depth: int, goal: Optio
                 if pred[child] < 0:
                     pred[child] = bits
                     order.append(child)
-                    if len(order) > budget:
-                        raise BudgetExceededError(
-                            f"subset BFS exceeded node limit {budget}", len(order))
+                    if len(order) > allowance:
+                        allowance = yield len(order)
                     if goal is not None and goal(child):
                         return child
     return None
 
 
-def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: int,
-                       levels: int, admit: Optional[Goal]) -> tuple[Optional[int], int]:
+def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], allowance: int,
+                       levels: int, admit: Optional[Goal]):
     """``_search_by_halves`` from the sources, a step ORing one mask per member
     state, for at most ``levels`` levels (-1: all), keeping only the children
-    that meet ``goal`` or pass ``admit``; also where the next level starts."""
+    that meet ``goal`` or pass ``admit``; returns the hit or None, where the
+    next level starts, and the allowance in force."""
     depth = lo = 0
     while lo < len(order) and depth != levels:
         depth += 1
@@ -397,18 +398,17 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], budget: 
                     if met or admit is None or admit(child):
                         pred[child] = bits
                         order.append(child)
-                        if len(order) > budget:
-                            raise BudgetExceededError(
-                                f"subset BFS exceeded node limit {budget}", len(order))
+                        if len(order) > allowance:
+                            allowance = yield len(order)
                         if met:
-                            return child, lo
-    return None, lo
+                            return child, lo, allowance
+    return None, lo, allowance
 
 
-def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
-               budget: int, stats: Optional[dict] = None, max_depth: int = -1,
-               admit: Optional[Goal] = None) -> SubsetBfsResult:
-    """Multi-source FIFO BFS over subsets held as bit patterns.
+def subset_search(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
+                  max_depth: int = -1, admit: Optional[Goal] = None):
+    """Multi-source FIFO BFS over subsets held as bit patterns, as a generator
+    that ``race`` drives.
 
     ``sources`` yields distinct bit patterns.  ``direction`` "preimage" steps
     a subset T to ``T . a^-1`` and "image" to ``T . a``, letters ascending.
@@ -417,9 +417,10 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     goal the search is exhaustive; ``max_depth`` L >= 0 cuts it after depth
     L.  ``admit(bits)``, if given, is asked about each unstored child that
     does not meet the goal; one it rejects is neither stored, expanded nor
-    counted, and is asked about again if it recurs.  More than ``budget`` discovered subsets raise
-    BudgetExceededError; ``stats["nodes"]`` adds them up when the search
-    returns.
+    counted, and is asked about again if it recurs.  The search yields 0,
+    then, whenever it holds more subsets than the allowance sent to it, how
+    many it holds, before it tests the last; it returns the
+    ``SubsetBfsResult``.
 
     A subset stores only its predecessor, and a source is its own.  The
     sources and the first level sit in a dict, and a step ORs one mask per
@@ -432,27 +433,66 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     """
     pred, order = _Sparse(), []
     step = aut.preimage_bits if direction == "preimage" else aut.image_bits
+    allowance = yield 0  # the first allowance comes before any subset is stored
     for bits in sources:
         pred[bits] = bits
         order.append(bits)
-        if len(order) > budget:
-            raise BudgetExceededError(f"subset BFS exceeded node limit {budget}", len(order))
+        if len(order) > allowance:
+            allowance = yield len(order)
         if goal is not None and goal(bits):
             hit = bits
             break
     else:  # no source is a goal: only now is a step needed
         flat = aut.n <= DEFAULT_ORACLE_STATE_CAP and max_depth not in (0, 1) and admit is None
-        hit, lo = _search_by_members(step, aut.k, pred, order, goal, budget,
-                                     1 if flat else max_depth, admit)
+        hit, lo, allowance = yield from _search_by_members(
+            step, aut.k, pred, order, goal, allowance, 1 if flat else max_depth, admit)
         if flat and hit is None and lo < len(order):  # a second level is needed
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
                 pred[bits] = sparse[bits]
-            hit = _search_by_halves(_step_tables(aut, direction), pred, order, lo, 1, goal,
-                                    budget, max_depth)
-    if stats is not None:
-        stats["nodes"] = stats.get("nodes", 0) + len(order)
+            hit = yield from _search_by_halves(_step_tables(aut, direction), pred, order, lo, 1,
+                                               goal, allowance, max_depth)
     return SubsetBfsResult(direction, order, hit, pred, step, aut.k)
+
+
+def race(searches: Iterable, budget: int,
+         stats: Optional[dict] = None) -> Iterator[tuple[int, SubsetBfsResult]]:
+    """Run ``subset_search`` generators in lock-step, yielding ``(index,
+    result)`` for each as it finishes.  Round r allows each 2^r subsets, so
+    one that finishes with N has let no other hold more than about 2N.  All
+    the subsets they hold count against ``budget``; more raise
+    BudgetExceededError.  At each yield ``stats["nodes"]`` counts them."""
+    searches = list(searches)
+    for search in searches:
+        next(search)  # to where it waits for its first allowance
+    counts, live, allowance = [0] * len(searches), list(range(len(searches))), 1
+    base = 0 if stats is None else stats.get("nodes", 0)
+    while live:
+        for i in live[:]:
+            others = sum(counts) - counts[i]
+            try:
+                counts[i] = searches[i].send(min(allowance, budget - others))
+            except StopIteration as done:
+                counts[i] = len(done.value.reached)
+                live.remove(i)
+                if stats is not None:
+                    stats["nodes"] = base + sum(counts)
+                yield i, done.value
+                continue
+            if others + counts[i] > budget:
+                raise BudgetExceededError(f"subset BFS exceeded node limit {budget}",
+                                          others + counts[i])
+        allowance *= 2
+
+
+def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
+               budget: int, stats: Optional[dict] = None, max_depth: int = -1,
+               admit: Optional[Goal] = None) -> SubsetBfsResult:
+    """One ``subset_search`` run to its end: more than ``budget`` discovered
+    subsets raise BudgetExceededError, and ``stats["nodes"]`` adds them up
+    when the search returns."""
+    search = subset_search(aut, sources, direction, goal, max_depth, admit)
+    return next(race([search], budget, stats))[1]
 
 
 def _byte_tables(aut: Automaton) -> tuple[bytes, ...]:

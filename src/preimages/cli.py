@@ -122,15 +122,14 @@ class Route(NamedTuple):
     note: Optional[str] = None
 
 
-# problem -> (module, search function, whether it is shortest and so takes a
-# ``max_len`` cut).  Modules load on first use, and route functions are looked
-# up on them at call time, so a wrapper installed on a module (bench/spans.py)
-# sees the call.
+# problem -> (module, search function).  Modules load on first use, and
+# route functions are looked up on them at call time, so a wrapper installed
+# on a module (bench/spans.py) sees the call.
 _SEARCH = {
-    "extend": ("extend", "shortest_extending_word_small", True),
-    "extend-total": ("extend", "totally_extending_word_small", False),
-    "avoid": ("avoid", "avoiding_word", False),
-    "resize": ("resize", "shortest_resizing_word", True),
+    "extend": ("extend", "shortest_extending_word_small"),
+    "extend-total": ("extend", "totally_extending_word_small"),
+    "avoid": ("avoid", "avoiding_word"),
+    "resize": ("resize", "shortest_resizing_word"),
 }
 
 
@@ -154,41 +153,31 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
     - Extend-total on a synchronizing automaton, no word asked for: S is
       totally extensible iff it meets the sink component: 2.1-3.4 ms against
       11-13 ms for the search on the ``pair-table`` workload's three.
-    - Else (``auto``, or its synonym ``poly``) the ``_SEARCH`` function, cut
-      at L when its witnesses are shortest.  A witness longer than L (only
-      extend-total and avoid give one) is settled by the oracle's search cut
-      at L, with no state cap, under what is left of the budget: its first
-      hit is a shortest witness, and none means "no"."""
-    kind = "oracle" if method == "oracle" else "poly"  # the route a budget failure names
+    - Else (``auto``, or its synonym ``poly``) the ``_SEARCH`` function, which
+      answers for words of at most L letters: extend and resize cut their
+      shortest-word searches at L, and avoid and extend-total race a search
+      cut at L against their unbounded ones."""
     try:
         if method == "oracle":
             from . import oracle
             word = oracle.oracle_shortest(aut, s, problem, budget, oracle_cap, max_len, stats)
-            route = Route(_yes_no(word is not None), word, "oracle")
-        elif is_permutation_automaton(aut):
+            return Route(_yes_no(word is not None), word, "oracle")
+        if is_permutation_automaton(aut):
             hit = problem_goal(problem, aut.n, s.size)(s.bits)
-            route = Route(_yes_no(hit), Word() if hit else None, "fast-path")
-        elif (problem == "extend-total" and not want_witness and max_len is None
-              and _is_synchronizing(aut)):
+            return Route(_yes_no(hit), Word() if hit else None, "fast-path")
+        if (problem == "extend-total" and not want_witness and max_len is None
+                and _is_synchronizing(aut)):
             from . import extend
-            route = Route(_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
-                          "fast-path")
-        else:
-            module, name, shortest = _SEARCH[problem]
-            search = getattr(importlib.import_module(f".{module}", __package__), name)
-            cut = {"max_len": max_len} if shortest else {}
-            word = search(aut, s, budget=budget, stats=stats, **cut)
-            route = Route(_yes_no(word is not None), word, "poly")
-        if max_len is None or route.word is None or len(route.word) <= max_len:
-            return route
-        from . import oracle
-        kind = "oracle"
-        word = oracle.oracle_shortest(aut, s, problem, budget - stats.get("nodes", 0), aut.n,
-                                      max_len, stats)  # the budget alone bounds it
-        return Route(_yes_no(word is not None), word, "oracle")
+            return Route(_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
+                         "fast-path")
+        module, name = _SEARCH[problem]
+        search = getattr(importlib.import_module(f".{module}", __package__), name)
+        word = search(aut, s, budget=budget, stats=stats, max_len=max_len)
+        return Route(_yes_no(word is not None), word, "poly")
     except BudgetExceededError as exc:
-        return Route(ANSWER_UNKNOWN, None, kind,
-                     str(exc) if method == "oracle" else "node budget exceeded")
+        if method == "oracle":
+            return Route(ANSWER_UNKNOWN, None, "oracle", str(exc))
+        return Route(ANSWER_UNKNOWN, None, "poly", "node budget exceeded")
 
 
 def _emit(report: WitnessReport, as_json: bool) -> None:

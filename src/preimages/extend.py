@@ -1,7 +1,7 @@
 """Extending and totally extending words for small subsets.
 
-Both run ``automaton.subset_bfs``, the kernel the power-set oracle runs.
-``shortest_extending_word_small`` searches backward from S: a node is a
+``shortest_extending_word_small`` runs ``automaton.subset_bfs``, the
+kernel the power-set oracle runs, backward from S: a node is a
 preimage ``S . v^-1`` and its children prepend one letter,
 ``(S . v^-1) . a^-1 == S . (av)^-1``.  The search stops at the first node
 larger than S, and the word is the path's letters read from that node back
@@ -10,14 +10,12 @@ to S.  Every proper suffix v of a shortest extending word has
 oracle's extend search itself, from the same subset with the same
 stop, so it generates the same subsets and finds the same witness.
 
-``totally_extending_word_small`` answers S = Q with the empty word, else
-drives Q to an incompressible image via a minimal-rank word u, then
-searches forward over the fixed-size images of Q.u for a subset of S; the
-result ``u . path`` is correct but not necessarily shortest.  It gives every
-extend-total witness the oracle does not.
+``totally_extending_word_small`` is avoid on Q minus S: S·w⁻¹ = Q exactly
+when (Q∖S)·w⁻¹ = ∅, so ``avoid.avoiding_word`` gives its word, correct but
+not necessarily shortest.
 ``totally_extensible_synchronizing`` decides the synchronizing case from
-the sink component alone, without a word.  Only these two import ``pairs``,
-when called, so an extend search loads none of it.
+the sink component alone, without a word.  Only these two import ``avoid``
+or ``pairs``, when called, so an extend search loads neither.
 """
 
 from __future__ import annotations
@@ -49,31 +47,16 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
 
 def totally_extending_word_small(aut: Automaton, s: StateSet,
                                  budget: int = DEFAULT_NODE_BUDGET,
-                                 stats: Optional[dict] = None) -> Optional[Word]:
-    """A word w with S . w^-1 = Q, or None; not guaranteed shortest.
+                                 stats: Optional[dict] = None,
+                                 max_len: Optional[int] = None) -> Optional[Word]:
+    """A word w with S . w^-1 = Q, or None (by a word of at most ``max_len``
+    letters, when given); not guaranteed shortest.
 
-    S = Q is totally extended by the empty word.  None is definitive: the
-    minimal rank exceeding |S| rules a totally extending word out, and
-    otherwise the search space (images of the incompressible minimal image,
-    all of the same size) is explored fully.
+    It is ``avoid.avoiding_word`` on Q minus S, so None is definitive, and S
+    = Q is totally extended by the empty word.
     """
-    aut.check_set(s)
-    if s.size == aut.n:
-        return Word()
-    from .pairs import minimal_rank_word
-    rank = minimal_rank_word(aut)
-    if rank.rank > s.size:
-        return None
-
-    s_bits = s.bits
-    r = rank.rank
-
-    def is_goal(bits: int) -> bool:
-        assert bits.bit_count() == r, "image of an incompressible set changed size"
-        return bits & ~s_bits == 0
-
-    res = subset_bfs(aut, [rank.image.bits], "image", is_goal, budget, stats)
-    return None if res.hit is None else rank.word + res.word_to(res.hit)
+    from .avoid import avoiding_word
+    return avoiding_word(aut, s.complement(), budget, stats, max_len)
 
 
 def totally_extensible_synchronizing(aut: Automaton, s: StateSet) -> bool:

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        cerny_automaton, is_permutation_automaton, is_strongly_connected,
                        minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
-from preimages.automaton import _Sparse, move_states, subset_bfs, word_map
+from preimages.automaton import _Sparse, move_states, race, subset_bfs, subset_search, word_map
 
 
 @st.composite
@@ -207,6 +207,82 @@ def test_subset_bfs_shallow_cut_allocates_no_flat_store():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def _run_paused(search, allowances):
+    """Drive a ``subset_search`` to its end, sending the allowances in turn
+    (the last one again and again); its result and the counts it paused at."""
+    assert next(search) == 0
+    paused = []
+    try:
+        for allowance in allowances:
+            paused.append(search.send(allowance))
+            assert paused[-1] == allowance + 1  # it stored one subset past the allowance
+        while True:
+            paused.append(search.send(allowance))
+    except StopIteration as done:
+        return done.value, paused
+
+
+def _pausing_cases():
+    """(name, search arguments): a flat-store search of at least two levels,
+    the same on the dict store above 20 states, and a search with admit."""
+    flat = random_automaton(10, 2, seed=5)
+    yield "flat", (flat, [0b11, 0b1100], "preimage", None)
+    yield "flat-goal", (random_automaton(14, 2, seed=3), [0b111], "image",
+                        lambda bits: bits.bit_count() == 1)
+    yield "dict", (_padded(cerny_automaton(6), 24), [0b111111], "image",
+                   lambda bits: bits.bit_count() == 1)
+    n = 12
+    cycle = Automaton([[(q + 1) % n, 0 if q == 1 else q] for q in range(n)])
+    yield "admit", (cycle, [1 << n - 1], "preimage", lambda bits: bits.bit_count() != 1,
+                    -1, lambda bits: bits & 1 == 0)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _pausing_cases()])
+def test_a_search_paused_at_any_allowance_ends_as_one_run(case):
+    # Pausing a search once after any number of subsets from 1 to its full
+    # size, or after every subset, leaves the order, the hit and its word
+    # those of one uninterrupted run.
+    args = dict(_pausing_cases())[case]
+    whole = subset_bfs(*args[:4], 10**6, None, *args[4:])
+    size = len(whole.reached)
+    assert size > 2 and (case != "admit" or type(whole._pred) is _Sparse)
+    if case.startswith("flat"):
+        assert isinstance(whole._pred, array)  # it reached the second level
+    runs = [_run_paused(subset_search(*args), [allowance, size])
+            for allowance in range(1, size)]
+    runs.append(_run_paused(subset_search(*args), range(1, size)))
+    for res, paused in runs:
+        assert list(res.reached) == list(whole.reached) and res.hit == whole.hit
+        if whole.hit is not None:
+            assert res.word_to(res.hit) == whole.word_to(whole.hit)
+        assert _words(res) == _words(whole)
+    assert runs[-1][1] == list(range(2, size + 1))  # paused at every subset after the first
+
+
+def test_race_charges_every_search_to_one_budget():
+    # Two searches that each finish alone: a 3-subset exhaustive image search
+    # of a 3-state permutation automaton, and a deep one on Cerny(6).  The
+    # race yields the short one first, and the budget binds their sum.
+    perm = random_automaton(3, 2, seed=1, constraint="permutation")
+    deep = lambda: subset_search(cerny_automaton(6), [0b111111], "image",
+                                 lambda bits: bits.bit_count() == 1)
+    alone = subset_bfs(cerny_automaton(6), [0b111111], "image",
+                       lambda bits: bits.bit_count() == 1, 10**6)
+    stats = {"nodes": 5}
+    done = race([deep(), subset_search(perm, [0b1], "image", None)], 10**6, stats)
+    first, res = next(done)
+    assert first == 1 and len(res.reached) == 3
+    assert 5 + 3 < stats["nodes"] <= 5 + 3 + 2 * 3  # the deep search held at most 2 * 3
+    second, res = next(done)
+    assert second == 0 and list(res.reached) == list(alone.reached)
+    assert stats["nodes"] == 5 + 3 + len(alone.reached)
+    total = 3 + len(alone.reached)
+    assert len(list(race([deep(), subset_search(perm, [0b1], "image", None)], total))) == 2
+    with pytest.raises(BudgetExceededError) as exc:
+        list(race([deep(), subset_search(perm, [0b1], "image", None)], total - 1))
+    assert exc.value.nodes == total
 
 
 def test_image_worked_example(c4):

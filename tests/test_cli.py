@@ -153,9 +153,9 @@ def test_max_len_cuts_the_extend_and_resize_searches(tmp_path, capsys):
 
 
 def test_check_max_len_poly_is_auto(files, capsys):
-    # --method poly is a synonym of auto: it, too, settles a bound that a
-    # non-shortest witness exceeds by the depth-cut search, and never answers
-    # "length bound undecided".
+    # --method poly is a synonym of auto: it, too, races the depth-cut search
+    # against the extend-total search, which finds only a witness longer than
+    # the bound, and never answers "length bound undecided".
     reports = []
     for method in ("auto", "poly"):
         code, out, _ = run(capsys, "check", files["cerny4"], "--subset", "0",
@@ -164,7 +164,7 @@ def test_check_max_len_poly_is_auto(files, capsys):
         reports.append((code, out))
     assert reports[0] == reports[1]
     report = json.loads(reports[0][1])
-    assert reports[0][0] == 1 and report["answer"] == "no" and report["method"] == "oracle"
+    assert reports[0][0] == 1 and report["answer"] == "no" and report["method"] == "poly"
     assert "note" not in report
 
 
@@ -225,8 +225,8 @@ def test_check_budget_exhaustion_reports_unknown(files, capsys):
 
 def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
     # The extend-total witness is too long for --max-len 1, and the depth-cut
-    # search that would settle the bound runs out of what is left of the
-    # query's node budget after the witness search took one node.
+    # search that would settle the bound runs out of the query's node budget,
+    # of which the witness search took one node.
     code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0",
                          "--problem", "extend-total", "--max-len", "1", "--budget", "2",
                          "--json")
@@ -234,7 +234,7 @@ def test_budget_limited_length_bound_still_prints_a_report(files, capsys):
     report = json.loads(out)
     validate_report(report)
     assert report["answer"] == "unknown-budget" and report["max_len"] == 1
-    assert report["method"] == "oracle" and report["note"] == "node budget exceeded"
+    assert report["method"] == "poly" and report["note"] == "node budget exceeded"
 
 
 def test_check_walks_the_witness_once(tmp_path, capsys, monkeypatch):
@@ -514,42 +514,43 @@ def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
 
 
 def test_one_query_generates_at_most_its_budget(files, capsys, monkeypatch):
-    # Every subset search of a query runs the kernel, and each run gets what
-    # the earlier runs left of --budget: the witness search, then the
-    # depth-cut search that settles --max-len.  No query generates more
+    # Every subset search of a query runs under automaton.race, the one place
+    # that charges nodes, and a query runs one race with the whole of
+    # --budget: the avoid and extend-total searches, and the depth-cut search
+    # behind --max-len, race each other in it.  No query generates more
     # subsets than --budget, and stats.nodes counts those it generated.
     runs = []
 
-    def counting(*args, **kwargs):
-        budget = args[4]
+    def counting(searches, budget, stats=None):
+        searches = list(searches)
+        before = stats.get("nodes", 0)
+        runs.append([budget, len(searches), 0])
         try:
-            res = subset_bfs(*args, **kwargs)
+            for item in race(searches, budget, stats):
+                runs[-1][2] = stats["nodes"] - before
+                yield item
         except BudgetExceededError as exc:
-            runs.append((budget, exc.nodes - 1))  # the subset past the budget is refused
+            runs[-1][2] = exc.nodes - 1  # the subset past the budget is refused
             raise
-        runs.append((budget, len(res.reached)))
-        return res
 
-    subset_bfs = automaton_mod.subset_bfs
-    for module in (extend_mod, avoid_mod, oracle_mod):
-        monkeypatch.setattr(module, "subset_bfs", counting)
-    two_searches = 0
+    race = automaton_mod.race
+    for module in (automaton_mod, avoid_mod):
+        monkeypatch.setattr(module, "race", counting)
+    raced = 0
     for name, subset, problem in (("cerny4", "0", "extend-total"), ("cerny4", "1,2", "avoid"),
                                   ("cerny4", "0,1,2", "avoid"), ("chain2", "0", "avoid")):
         for budget, max_len in itertools.product(range(1, 13), (None, 0, 1, 2, 3)):
             del runs[:]
             bound = () if max_len is None else ("--max-len", str(max_len))
             code, out, _ = run(capsys, "check", files[name], "--subset", subset, "--problem",
-                               problem, "--budget", str(budget), *bound, "--json")
+                               problem, "--budget", str(budget), *bound, "--witness", "--json")
             report = json.loads(out)
             where = (name, subset, problem, budget, max_len, runs, report)
-            assert sum(nodes for _, nodes in runs) <= budget, where
-            assert [b for b, _ in runs] == [budget - sum(n for _, n in runs[:i])
-                                            for i in range(len(runs))], where
+            assert len(runs) == 1 and runs[0][0] == budget and runs[0][2] <= budget, where
             if code != 2:
-                assert report["stats"].get("nodes", 0) == sum(nodes for _, nodes in runs), where
-            two_searches += len(runs) == 2
-    assert two_searches > 20
+                assert report["stats"]["nodes"] == runs[0][2], where
+            raced += runs[0][1] > 1
+    assert raced > 100
 
 
 def test_extend_out_of_budget_runs_one_search(files, capsys, monkeypatch):
@@ -667,8 +668,8 @@ _PUBLIC_NAMES = {
     "is_strongly_connected", "is_permutation_automaton", "sink_state", "letter_name",
     "PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
     "minimal_rank_word", "avoidable_state", "shortest_extending_word_small",
-    "totally_extending_word_small", "totally_extensible_synchronizing", "RankPartition",
-    "rank_partition", "avoiding_word", "RationalBasis", "shortest_resizing_word",
+    "totally_extending_word_small", "totally_extensible_synchronizing", "avoiding_word",
+    "RationalBasis", "shortest_resizing_word",
     "resizable_decision_fast", "SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs",
     "oracle_shortest", "oracle_shortest_reset", "oracle_min_rank", "DfaWithAcceptance",
     "GadgetOutput", "intersection_gadget", "binarize", "sink_binarize", "large_extend_gadget",
@@ -680,7 +681,7 @@ _PUBLIC_NAMES = {
 
 
 def test_package_namespace_is_lazy_and_complete():
-    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 56
+    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 54
     assert set(preimages.__all__) == _PUBLIC_NAMES
     submodules = [importlib.import_module("preimages." + m) for m in (
         "automaton", "avoid", "errors", "extend", "fileformat", "gadgets", "oracle", "pairs",
@@ -703,9 +704,7 @@ def test_package_namespace_is_lazy_and_complete():
 def test_records_keep_value_semantics():
     for make, fields in (
             (preimages.minimal_rank_word, ("word", "image", "rank", "classes")),
-            (preimages.scc, ("component_of", "components", "sink_flags")),
-            (lambda aut: preimages.rank_partition(aut, aut.state_set([1, 2])),
-             ("word", "image", "classes", "representatives", "z"))):
+            (preimages.scc, ("component_of", "components", "sink_flags"))):
         one, two = make(cerny_automaton(4)), make(cerny_automaton(4))
         assert one is not two and one == two and hash(one) == hash(two)
         assert repr(one) == (type(one).__name__ + "("
@@ -817,8 +816,8 @@ def test_router_matches_oracle_on_seeded_corpus(tmp_path, capsys):
     # --max-len) against the power-set oracle, under --method auto and its
     # synonym poly, and under --method oracle with a length bound, where the
     # oracle runs cut at it.  "unknown" is allowed only under --budget: the budget
-    # variant is the oracle's own node count, and one query may spend it on a
-    # search and then on the depth-cut search.
+    # variant is the oracle's own node count, and one query may share it
+    # among searches that race.
     rng = random.Random(20240917)
     checked = 0
     for i in range(18):
@@ -898,9 +897,9 @@ def test_witness_flag_never_picks_the_route(tmp_path, capsys):
 
 def test_length_bound_is_decided_far_above_the_oracle_cap(tmp_path, capsys):
     # n = 300: the avoid search's witness starts with a long minimal-rank
-    # word, so --max-len L is settled by the depth-cut search, which no
-    # state cap binds.  Its first hit is a shortest witness: the smallest L
-    # that answers "yes" has a witness of exactly L letters.
+    # word, so under --max-len L the depth-cut search it races answers, and
+    # no state cap binds it.  Its first hit is a shortest witness: the
+    # smallest L that answers "yes" has a witness of exactly L letters.
     aut = random_automaton(300, 2, seed=4)
     path = tmp_path / "random300.aut"
     path.write_text(serialize_automaton(aut))
@@ -916,8 +915,8 @@ def test_length_bound_is_decided_far_above_the_oracle_cap(tmp_path, capsys):
         answers.append((code, report["answer"], report["method"], report["witness"]))
         assert report["stats"]["nodes"] < 50, report
     witness = answers[-1][3]
-    assert answers == [(1, "no", "oracle", None)] * len(witness) + [
-        (0, "yes", "oracle", witness)] * (5 - len(witness))
+    assert answers == [(1, "no", "poly", None)] * len(witness) + [
+        (0, "yes", "poly", witness)] * (5 - len(witness))
     assert witness == "bba" and _witness_ok(rows, 0b101000, "avoid", witness)
 
 

@@ -61,8 +61,27 @@ more: every ``perm3`` extend-total entry, the ``random40_rank2``
 extend-total entries that ask for a word, the ``perm3`` and
 ``random40_rank2`` resize ``|decision`` entries without ``--max-len``, and
 the extend-total ``--max-len`` entries that the oracle's cut search
-settles (``cerny4`` ``0``, ``1,2``, ``0,1,2``; ``chain2|1`` at 0).  A later change that alters an answer, a witness, a preimage size or a ``stats``
-value fails here, so "same answers and witnesses" is checked on every run.
+settles (``cerny4`` ``0``, ``1,2``, ``0,1,2``; ``chain2|1`` at 0).  65
+more were re-recorded when avoid became the one search for S·w⁻¹ = ∅,
+which extend-total runs on Q∖S and which races its strategies and the
+depth-cut search under one budget, and the ``--max-len`` settle step went;
+no answer, witness, exit code, ``note`` or ``preimage_size`` changed.  28
+change ``method`` from ``oracle`` to ``poly`` only: extend-total and avoid
+at ``--max-len=0`` and ``2`` on ``cerny4`` ``0`` and ``1,2``, extend-total
+at both and avoid at 2 on ``cerny4|0,1,2``, and avoid at 0 on
+``chain2|0`` and ``random40_rank2|5,21,38``, extend-total at 0 on
+``chain2|1``.  12 change ``method`` the same way and ``stats``: avoid at
+``--max-len=0`` on ``cerny4|0,1,2`` (5 subsets to 3) and on
+``random40_rank2`` ``0`` (3 to 4) and ``3,17`` (3 to 4), and at
+``--max-len=2`` on ``random40_rank2`` ``0`` (7 to 8), ``3,17`` (9 to 10)
+and ``5,21,38`` (11 to 14).  25 change ``stats`` only, all on
+``random40_rank2``: avoid on ``0`` and ``3,17`` with no option,
+``--method=poly``, ``--budget=2`` and ``--budget=3`` (2 subsets to 1:
+the search from Q·u alone answers), avoid on ``5,21,38`` with no option
+and ``--method=poly`` (4 to 6), and extend-total on ``3,17`` and
+``5,21,38`` at ``--max-len=0`` (32 to 3) and ``--max-len=2`` (32 to 16).
+A later change that alters an answer, a witness, a preimage size or a
+``stats`` value fails here, so "same answers and witnesses" is checked on every run.
 The automata are committed as files next to it, so the cases do not depend
 on the random generator: ``random40_sync`` is ``random_automaton(40, 3,
 seed=4012)``, a synchronizing automaton, and ``random40_rank2`` is

@@ -13,7 +13,7 @@ import preimages
 from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
                        cerny_automaton, forward_subset_bfs, greedy_reset_word,
                        is_permutation_automaton, is_synchronizing, minimal_rank_word,
-                       oracle_min_rank, pair_table, random_automaton, rank_partition)
+                       oracle_min_rank, pair_table, random_automaton)
 from preimages import cli, pairs, report
 from preimages.automaton import word_map
 
@@ -247,8 +247,9 @@ def test_lazy_rank_word_matches_the_table_driven_compression():
     assert branches == {True, False}
 
 
-def test_rank_partition_maps_no_word_over_all_states(monkeypatch):
-    """The classes come with the rank word: no module maps that word over Q."""
+def test_avoiding_word_maps_no_word_over_all_states(monkeypatch):
+    """Avoid reads the classes that come with the rank word: no module maps
+    that word over Q."""
     words = []
 
     def recording(aut, w):
@@ -260,19 +261,17 @@ def test_rank_partition_maps_no_word_over_all_states(monkeypatch):
         if getattr(module, "word_map", None) is word_map:
             monkeypatch.setattr(module, "word_map", recording)
     aut = Automaton(_union(cerny_automaton(12), cerny_automaton(13)))
-    part = rank_partition(aut, aut.state_set(range(6)))
+    w = avoiding_word(aut, aut.state_set(range(6)))
     rank = minimal_rank_word(aut)
-    assert "pair_table" in aut._derived and part.word == rank.word and len(rank.word) > 100
+    assert "pair_table" in aut._derived and len(rank.word) > 100
+    assert w is not None and w.letters[:len(rank.word)] == rank.word.letters
     assert all(letters != rank.word.letters for letters in words)
-    f = word_map(Automaton(aut.rows), rank.word)
-    assert part.classes == tuple(aut.state_set([q for q in range(aut.n) if f[q] == p])
-                                 for p in part.representatives)
+    assert rank.classes == word_map(Automaton(aut.rows), rank.word)
 
 
 def test_avoid_witness_is_reverified_from_its_own_letters(monkeypatch, capsys):
     rows = _union(cerny_automaton(12), cerny_automaton(13))
     aut = Automaton(rows)
-    rank_partition(aut, aut.state_set(range(6)))
     rank = minimal_rank_word(aut)
     assert "pair_table" in aut._derived
     last = aut._derived.get("word_map")
