@@ -1,17 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 = yes, 1 = no, 2 = unknown (budget- or method-limited),
-3 = usage error, 4 = input/file error, 5 = internal error.  Every witness is
-re-verified before it is printed; a verification failure is an internal
-error.  ``check`` takes one route per query (see ``_decide``), and one node
-budget bounds all of the query's searches together; ``--method poly`` is a
-synonym of ``auto``, and the oracle state cap binds only ``--method
-oracle`` and ``reset --method oracle``.  The budget and the cap honor the
-environment variables PREIMAGES_BUDGET and PREIMAGES_ORACLE_CAP unless
-flags override them.  A process imports only the modules its route runs:
-``pairs``, ``extend``, ``avoid``, ``resize``, ``oracle`` and ``gadgets`` are
-imported on first use, so the extend and resize searches, the oracle and
-the permutation route load no ``pairs``.
+3 = usage error, 4 = input/file error, 5 = internal error: a failed
+re-verification or any other exception.  Every witness and rank word is
+re-verified before it is printed.  ``check`` takes one route per query (see
+``_decide``), and one node budget bounds all of the query's searches
+together; ``--method poly`` is a synonym of ``auto``, and the oracle state
+cap binds only ``--method oracle`` and ``reset --method oracle``.  The
+budget and the cap honor the environment variables PREIMAGES_BUDGET and
+PREIMAGES_ORACLE_CAP unless flags override them.  A process imports only the
+modules its route runs: ``pairs``, ``extend``, ``avoid``, ``resize``,
+``oracle`` and ``gadgets`` are imported on first use, so the extend and
+resize searches, the oracle and the permutation route load no ``pairs``.
 """
 
 from __future__ import annotations
@@ -257,6 +257,9 @@ def _cmd_rank(args) -> int:
     from .pairs import minimal_rank_word
     aut = parse_automaton_file(args.file)
     result = minimal_rank_word(aut)
+    image = apply_word(aut, StateSet.full(aut.n), result.word)
+    if image != result.image or image.size != result.rank:
+        raise RuntimeError("rank word failed re-verification")
     if args.json:
         payload = {
             "rank": result.rank,
@@ -408,8 +411,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNKNOWN
-    except RuntimeError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:  # a fault, never an answer: exit 1 would read "no"
+        sys.stderr.write(f"internal error: {str(exc) or type(exc).__name__}\n")
         return EXIT_INTERNAL
 
 

@@ -18,12 +18,13 @@ of pair indices and boxes nothing per pair.
 
 The minimal-rank word builds the table only when a greedy step cannot be
 found lazily, by one letter that merges a pair of the image or, while the
-image is small, by a BFS from its pairs.  On random automata every step is
-found that way and no table is built; on Černý automata it is built.  With
-the table, a step reads each image state's partners in (distance, state)
-order, sorted once per state, so a run costs about n² pair reads instead of
-n³/6.  Every step moves only the image, one gather per letter, and the map
-q ↦ q·u of the whole word u is kept per step for the rank partition.
+image is small, by one BFS from its pairs that returns the step's word.  On
+random automata every step is found that way and no table is built; on
+Černý automata it is built.  With the table, a step reads each image
+state's partners in (distance, state) order, sorted once per state, so a
+run costs about n² pair reads instead of n³/6.  Every step moves only the
+image (``automaton.move_states``), and the map q ↦ q·u of the whole word u
+is kept per step as the result's ``classes``, which avoid reads.
 """
 
 from __future__ import annotations
@@ -229,59 +230,34 @@ def _one_letter_word(succ, image: list[int]) -> Optional[list[int]]:
     return None if best is None else [best[2]]
 
 
-def _closest_pair(succ, n: int, image: list[int], limit: int) -> tuple[Optional[int], int]:
-    """Forward BFS from every pair of the ascending ``image`` at once, a pair
-    ``p * n + q`` labelled with the smallest source that reaches it at its
-    depth.  The smallest label at the first depth where a pair merges is the
-    smallest source with the shortest merging word: each pair on a shortest
-    path from it lies at exactly its depth on that path.  Returns (source,
-    pairs visited): source -1 when no pair of the image merges, None once
-    more than ``limit`` pairs are visited."""
-    level = {p * n + q: p * n + q for i, p in enumerate(image) for q in image[i + 1:]}
-    seen = set(level)
-    while level and len(seen) <= limit:
-        best, nxt = -1, {}
-        for node, src in level.items():
-            p, q = divmod(node, n)
-            for row in succ:
-                x, y = row[p], row[q]
-                if x == y:
-                    if best < 0 or src < best:
-                        best = src
-                elif best < 0:
-                    j = x * n + y if x < y else y * n + x
-                    if j not in seen:
-                        seen.add(j)
-                        nxt[j] = src
-                    elif src < nxt.get(j, src):
-                        nxt[j] = src
-        if best >= 0:
-            return best, len(seen)
-        level = nxt
-    return (None if level else -1), len(seen)
-
-
-def _merging_word(succ, n: int, p: int, q: int) -> list[int]:
-    """The lexicographically smallest shortest word merging the compressible
-    pair p < q: a FIFO BFS with letters ascending meets the pairs in that
-    order of their words."""
-    parent = {p * n + q: None}
-    queue = [p * n + q]
+def _merging_step(succ, n: int, image: list[int],
+                  limit: int) -> tuple[list[int] | int | None, int]:
+    """A FIFO BFS over pairs ``p * n + q``, from every pair of the ascending
+    ``image`` in ascending order, letters ascending; each pair is stored the
+    first time it is reached, with its parent and letter.  The queue runs in
+    (depth, source, word) order, so the first merge met is the smallest pair
+    with the shortest merging word, by that pair's lexicographically smallest
+    shortest word.  Returns (word, pairs visited): word -1 when no pair of
+    the image merges, None once more than ``limit`` pairs are visited."""
+    parent = dict.fromkeys(p * n + q for i, p in enumerate(image) for q in image[i + 1:])
+    queue = list(parent)
     for node in queue:
-        u, v = divmod(node, n)
+        if len(parent) > limit:
+            return None, len(parent)
+        p, q = divmod(node, n)
         for a, row in enumerate(succ):
-            x, y = row[u], row[v]
+            x, y = row[p], row[q]
             if x == y:
                 letters = [a]
                 while parent[node] is not None:
                     node, a = parent[node]
                     letters.append(a)
-                return letters[::-1]
+                return letters[::-1], len(parent)
             j = x * n + y if x < y else y * n + x
             if j not in parent:
                 parent[j] = (node, a)
                 queue.append(j)
-    raise ValueError(f"pair ({p}, {q}) is not compressible")
+    return -1, len(parent)
 
 
 class RankResult(NamedTuple):
@@ -300,13 +276,13 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
     Each step merges the pair of the image with the shortest merging word,
     ties going to the smallest (p, q), by its lexicographically smallest
     shortest merging word.  A step is found lazily: one letter first, then,
-    while |image|² ≤ 4n, a BFS from the image's pairs.  The pair table is
-    built only when neither finishes, or once the searches have visited as
-    many pairs as it holds; Černý automata take that route.  Once the table
-    is built, every later step reads it alone: each image state's partners,
-    sorted by (distance, state) when the state is first scanned, are walked
-    to the first one in the image, which costs about n² pair reads over the
-    run.
+    while |image|² ≤ 4n, ``_merging_step``'s BFS from the image's pairs.
+    The pair table is built only when neither finishes, or once the searches
+    have visited as many pairs as it holds; Černý automata take that route.
+    Once the table is built, every later step reads it alone: each image
+    state's partners, sorted by (distance, state) when the state is first
+    scanned, are walked to the first one in the image, which costs about n²
+    pair reads over the run.
 
     A step's word moves the image only, by ``automaton.move_states``: per
     letter one ``bytes.translate`` of |image| bytes on at most 256 states,
@@ -326,12 +302,10 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
         while len(image) > 1:
             word = None if table is not None else _one_letter_word(succ, image)
             if word is None and table is None and len(image) ** 2 <= 4 * n:
-                src, seen = _closest_pair(succ, n, image, left)
+                word, seen = _merging_step(succ, n, image, left)
                 left -= seen
-                if src == -1:
+                if word == -1:
                     break
-                if src is not None:
-                    word = _merging_word(succ, n, *divmod(src, n))
             if word is None:
                 if table is None:
                     table = pair_table(aut)

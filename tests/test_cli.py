@@ -444,6 +444,24 @@ def test_failed_reverification_is_an_internal_error(files, capsys, monkeypatch):
     assert code == 5 and out == ""
     assert err == "internal error: reset word failed re-verification\n"
 
+    rank = pairs.minimal_rank_word(cerny_automaton(4))
+    for wrong in (rank._replace(word=Word([0])), rank._replace(rank=2)):
+        monkeypatch.setattr(pairs, "minimal_rank_word", lambda aut, wrong=wrong: wrong)
+        code, out, err = run(capsys, "rank", files["cerny4"], "--json")
+        assert code == 5 and out == ""
+        assert err == "internal error: rank word failed re-verification\n"
+
+    # Any other exception is a fault too, never a "no" (exit 1); one with no
+    # text is named by its type.
+    for fault, text in ((AssertionError(), "AssertionError"), (KeyError(7), "7")):
+        def failing(*args, fault=fault, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(extend, "shortest_extending_word_small", failing)
+        code, out, err = run(capsys, "check", files["cerny4"], "--subset", "0", "--problem", "extend")
+        assert code == 5 and out == ""
+        assert err == f"internal error: {text}\n"
+
 
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "binary.aut"

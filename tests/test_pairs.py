@@ -235,8 +235,16 @@ def _rank_corpus():
     yield _union(cerny_automaton(12), cerny_automaton(13))
 
 
-def test_lazy_rank_word_matches_the_table_driven_compression():
-    branches = set()
+def test_lazy_rank_word_matches_the_table_driven_compression(monkeypatch):
+    branches, outcomes = set(), set()
+    search = pairs._merging_step
+
+    def recording(*args):
+        word, seen = search(*args)
+        outcomes.add("word" if isinstance(word, list) else word)
+        return word, seen
+
+    monkeypatch.setattr(pairs, "_merging_step", recording)
     for rows in _rank_corpus():
         aut, reference = Automaton(rows), Automaton(rows)
         rank = minimal_rank_word(aut)
@@ -245,6 +253,7 @@ def test_lazy_rank_word_matches_the_table_driven_compression():
         assert (rank.word, rank.image.bits, rank.rank) == (letters, bits, bits.bit_count())
         assert rank.classes == word_map(reference, letters)
     assert branches == {True, False}
+    assert outcomes == {"word", -1, None}  # a merge, no merge, gave up at the limit
 
 
 def test_avoiding_word_maps_no_word_over_all_states(monkeypatch):
