@@ -12,9 +12,11 @@ is an n-byte string and a letter is one ``bytes.translate``; above that a
 block of letters moves only the image so far, one gather per letter.
 ``apply_word`` and ``preimage_word`` read the image and the preimage off
 it.  ``subset_search`` is the one breadth-first search over subsets: extend
-and resize walk back from S by the single-letter steps ``preimage_bits``,
-avoid walks forward by ``image_bits`` and back, and the power-set oracle
-does both.  ``race`` runs such searches in lock-step under one node
+and resize walk back from S by one-letter preimage steps, avoid walks
+forward by image steps and back, and the power-set oracle does both.  A
+step by a letter is the union of one mask per member state, from a table
+per letter and direction (``Automaton.step_masks``) built once per
+automaton.  ``race`` runs such searches in lock-step under one node
 budget.  ``problem_goal`` states each of the four problems as one test on
 the preimage S·w⁻¹.
 
@@ -185,8 +187,8 @@ class Automaton:
 
     ``rows[q][a]`` is the successor of state ``q`` under letter ``a``; the
     table is total and every entry must lie in ``[0, n)``.  The instance is
-    immutable; expensive derived analyses (preimage masks, SCCs, the pair
-    table, ...) are memoized in ``_derived``.
+    immutable; expensive derived analyses (the step masks of each
+    direction, SCCs, the pair table, ...) are memoized in ``_derived``.
     """
 
     __slots__ = ("n", "k", "rows", "by_letter", "_derived")
@@ -213,19 +215,20 @@ class Automaton:
         self.by_letter = tuple(tuple(table[q][a] for q in range(n)) for a in range(k))
         self._derived: dict = {}
 
-    def preimage_masks(self, a: int) -> tuple[int, ...]:
-        """For letter ``a``: bit mask of ``{p : p.a == q}`` per target state ``q``."""
-        masks = self._derived.get("pre_masks")
+    def step_masks(self, direction: str) -> tuple[tuple[int, ...], ...]:
+        """Per letter ``a``, the mask each state ``q`` adds to a one-letter
+        step: ``{p : p.a == q}`` for "preimage", ``{q.a}`` for "image"."""
+        masks = self._derived.get(("step_masks", direction))
         if masks is None:
-            masks = []
-            for letter in range(self.k):
-                row = [0] * self.n
-                for p, q in enumerate(self.by_letter[letter]):
-                    row[q] |= 1 << p
-                masks.append(tuple(row))
-            masks = tuple(masks)
-            self._derived["pre_masks"] = masks
-        return masks[a]
+            if direction == "preimage":
+                masks = [[0] * self.n for _ in self.by_letter]
+                for row, succ in zip(masks, self.by_letter):
+                    for p, q in enumerate(succ):
+                        row[q] |= 1 << p
+            else:
+                masks = [[1 << q for q in succ] for succ in self.by_letter]
+            masks = self._derived["step_masks", direction] = tuple(map(tuple, masks))
+        return masks
 
     def check_word(self, w: Word) -> None:
         distinct = set(w.letters)  # at most k letters when the word is valid
@@ -238,22 +241,10 @@ class Automaton:
             raise ValueError(f"state set bound to n={s.n}, automaton has n={self.n}")
 
     def image_bits(self, bits: int, a: int) -> int:
-        out = 0
-        succ = self.by_letter[a]
-        while bits:
-            low = bits & -bits
-            out |= 1 << succ[low.bit_length() - 1]
-            bits ^= low
-        return out
+        return _step(self.step_masks("image")[a], bits)
 
     def preimage_bits(self, bits: int, a: int) -> int:
-        out = 0
-        masks = self.preimage_masks(a)
-        while bits:
-            low = bits & -bits
-            out |= masks[low.bit_length() - 1]
-            bits ^= low
-        return out
+        return _step(self.step_masks("preimage")[a], bits)
 
     def state_set(self, states: Iterable[int]) -> StateSet:
         return StateSet.from_states(self.n, states)
@@ -266,6 +257,17 @@ class Automaton:
 
     def __repr__(self) -> str:
         return f"Automaton(n={self.n}, k={self.k})"
+
+
+def _step(masks: Sequence[int], bits: int) -> int:
+    """The union of the masks of the member states of ``bits``: one letter's
+    step in the direction of ``masks`` (``Automaton.step_masks``)."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 Goal = Callable[[int], bool]  # subset bits -> met
@@ -289,13 +291,6 @@ def problem_goal(problem: str, n: int, size: int) -> Goal:
     raise ValueError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
 
 
-class _Sparse(dict):
-    """The predecessor store above the flat-array limit."""
-
-    def __missing__(self, bits: int) -> int:
-        return -1
-
-
 class SubsetBfsResult:
     """The subsets a search reached, and the one that stopped it.
 
@@ -306,44 +301,40 @@ class SubsetBfsResult:
     subset does).
     """
 
-    __slots__ = ("direction", "reached", "hit", "_pred", "_step", "_k")
+    __slots__ = ("direction", "reached", "hit", "_pred", "_masks")
 
     def __init__(self, direction: str, reached: Sequence[int], hit: Optional[int], pred,
-                 step: Callable[[int, int], int], k: int):
+                 masks: Sequence[Sequence[int]]):
         self.direction, self.reached, self.hit = direction, reached, hit
-        self._pred = pred  # bits -> predecessor bits, a source's own bits, or -1
-        self._step, self._k = step, k  # (bits, letter) -> child bits; letter count
+        self._pred = pred  # bits -> predecessor bits or a source's own bits; -1 in the array
+        self._masks = masks  # the direction's ``Automaton.step_masks``
 
     def word_to(self, bits: int) -> Word:
         """The word whose action takes a source to the given subset, each
         letter the smallest that makes its step, which is the one the search
         recorded.  KeyError if the search did not reach the subset."""
-        pred, letters = self._pred, []
+        pred, per_letter, letters = self._pred, self._masks, []
         try:
             parent = pred[bits] if bits >= 0 else -1
-        except IndexError:  # past the end of a flat store
+        except (IndexError, KeyError):  # not in the dict, or past the end of the array
             parent = -1
         if parent < 0:
             raise KeyError(bits)
         while parent != bits:
-            letters.append(next(a for a in range(self._k) if self._step(parent, a) == bits))
+            letters.append(next(a for a, m in enumerate(per_letter) if _step(m, parent) == bits))
             bits, parent = parent, pred[parent]
         if self.direction == "image":
             letters.reverse()
         return Word(letters)
 
 
-def _step_tables(aut: Automaton, direction: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per letter, the two half tables of one preimage or image step.  With
-    the states split at h = ceil(n/2), entry x of the low table is the union
-    of the one-letter preimages (or images) of the states among 0..h-1 that
-    x selects, and entry x of the high table that of the states h + i for
-    the bits i of x: 2^h and 2^(n-h) entries."""
-    if direction == "preimage":
-        per_letter = [aut.preimage_masks(a) for a in range(aut.k)]
-    else:
-        per_letter = [[1 << q for q in succ] for succ in aut.by_letter]
-    h = (aut.n + 1) // 2
+def _step_tables(per_letter, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per letter, the two half tables of the step whose per-state masks
+    ``per_letter`` holds (``Automaton.step_masks``).  With the n states split
+    at h = ceil(n/2), entry x of the low table is the union of the masks of
+    the states among 0..h-1 that x selects, and entry x of the high table
+    that of the states h + i for the bits i of x: 2^h and 2^(n-h) entries."""
+    h = (n + 1) // 2
     steps = []
     for per_state in per_letter:
         halves = []
@@ -380,7 +371,7 @@ def _search_by_halves(step_tables, pred, order, lo: int, depth: int, goal: Optio
     return None
 
 
-def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], allowance: int,
+def _search_by_members(per_letter, pred: dict, order, goal: Optional[Goal], allowance: int,
                        levels: int, admit: Optional[Goal]):
     """``_search_by_halves`` from the sources, a step ORing one mask per member
     state, for at most ``levels`` levels (-1: all), keeping only the children
@@ -391,9 +382,9 @@ def _search_by_members(step, k: int, pred, order, goal: Optional[Goal], allowanc
         depth += 1
         frontier, lo = order[lo:], len(order)
         for bits in frontier:
-            for a in range(k):
-                child = step(bits, a)
-                if pred[child] < 0:
+            for masks in per_letter:
+                child = _step(masks, bits)
+                if child not in pred:
                     met = goal is not None and goal(child)
                     if met or admit is None or admit(child):
                         pred[child] = bits
@@ -423,16 +414,16 @@ def subset_search(aut: Automaton, sources: Iterable[int], direction: str, goal: 
     ``SubsetBfsResult``.
 
     A subset stores only its predecessor, and a source is its own.  The
-    sources and the first level sit in a dict, and a step ORs one mask per
-    member state.  Once a second level is needed, up to
+    sources and the first level sit in a plain dict, and a step ORs one mask
+    per member state.  Once a second level is needed, up to
     ``DEFAULT_ORACLE_STATE_CAP`` states the predecessors move to an int
-    array indexed by subset bits (4 MiB at n = 20, whatever the budget) and
-    a step is two half-table lookups, one per half of the states (two
-    tables of at most 2^10 entries per letter); above it, or with
+    array indexed by subset bits (-1: none; 4 MiB at n = 20, whatever the
+    budget) and a step is two lookups in half tables built from the same
+    masks (two of at most 2^10 entries per letter); above it, or with
     ``admit``, the dict keeps them, bounded by the budget.
     """
-    pred, order = _Sparse(), []
-    step = aut.preimage_bits if direction == "preimage" else aut.image_bits
+    pred, order = {}, []
+    per_letter = aut.step_masks(direction)
     allowance = yield 0  # the first allowance comes before any subset is stored
     for bits in sources:
         pred[bits] = bits
@@ -445,14 +436,14 @@ def subset_search(aut: Automaton, sources: Iterable[int], direction: str, goal: 
     else:  # no source is a goal: only now is a step needed
         flat = aut.n <= DEFAULT_ORACLE_STATE_CAP and max_depth not in (0, 1) and admit is None
         hit, lo, allowance = yield from _search_by_members(
-            step, aut.k, pred, order, goal, allowance, 1 if flat else max_depth, admit)
+            per_letter, pred, order, goal, allowance, 1 if flat else max_depth, admit)
         if flat and hit is None and lo < len(order):  # a second level is needed
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
                 pred[bits] = sparse[bits]
-            hit = yield from _search_by_halves(_step_tables(aut, direction), pred, order, lo, 1,
-                                               goal, allowance, max_depth)
-    return SubsetBfsResult(direction, order, hit, pred, step, aut.k)
+            hit = yield from _search_by_halves(_step_tables(per_letter, aut.n), pred, order, lo,
+                                               1, goal, allowance, max_depth)
+    return SubsetBfsResult(direction, order, hit, pred, per_letter)
 
 
 def race(searches: Iterable, budget: int,

@@ -28,7 +28,8 @@ from typing import NamedTuple, Optional
 from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
                         preimage_word, problem_goal, is_permutation_automaton,
                         is_strongly_connected, known_synchronizing, sink_state)
-from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP
+from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
+                     UsageError)
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
 from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
 
@@ -81,7 +82,15 @@ def _limit(args, name: str) -> int:
     try:
         return parse(raw)
     except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"environment variable {env} {exc}")
+        raise UsageError(f"environment variable {env} {exc}")
+
+
+def _checked(build, *args):
+    """``build(*args)``, whose ValueError is its check of the input it was given."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_subset(aut: Automaton, text: str) -> StateSet:
@@ -91,8 +100,8 @@ def _parse_subset(aut: Automaton, text: str) -> StateSet:
     try:
         states = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"bad subset {text!r}: expected comma-separated state indices")
-    return aut.state_set(states)
+        raise UsageError(f"bad subset {text!r}: expected comma-separated state indices")
+    return _checked(aut.state_set, states)
 
 
 def _is_synchronizing(aut: Automaton) -> bool:
@@ -295,26 +304,28 @@ def _cmd_reset(args) -> int:
 def _cmd_gadget(args) -> int:
     from . import gadgets
     if args.kind != "intersection" and not args.file:
-        raise ValueError(f"gadget {args.kind} needs an automaton file")
+        raise UsageError(f"gadget {args.kind} needs an automaton file")
     if args.kind == "intersection":
         if not args.dfa:
-            raise ValueError("gadget intersection needs at least one --dfa FILE INITIAL ACCEPTING")
+            raise UsageError("gadget intersection needs at least one --dfa FILE INITIAL ACCEPTING")
         dfas = []
         for path, initial, accepting in args.dfa:
             aut = parse_automaton_file(path)
             if not initial.strip().isdecimal():
-                raise ValueError(f"bad initial state {initial!r}")
-            dfas.append(gadgets.DfaWithAcceptance(aut, int(initial), _parse_subset(aut, accepting)))
-        out = gadgets.intersection_gadget(dfas)
+                raise UsageError(f"bad initial state {initial!r}")
+            dfas.append(_checked(gadgets.DfaWithAcceptance, aut, int(initial),
+                                 _parse_subset(aut, accepting)))
+        out = _checked(gadgets.intersection_gadget, dfas)
     elif args.kind == "binarize":
         aut = parse_automaton_file(args.file)
-        out = gadgets.binarize(aut, _parse_subset(aut, args.subset))
+        out = _checked(gadgets.binarize, aut, _parse_subset(aut, args.subset))
     elif args.kind == "sink":
         aut = parse_automaton_file(args.file)
-        out = gadgets.sink_binarize(aut)
+        out = _checked(gadgets.sink_binarize, aut)
     else:  # large-extend
         aut = parse_automaton_file(args.file)
-        out = gadgets.large_extend_gadget(aut, _parse_subset(aut, args.subset), args.target)
+        out = _checked(gadgets.large_extend_gadget, aut, _parse_subset(aut, args.subset),
+                       args.target)
     text = serialize_gadget(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -385,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     gadget.set_defaults(func=_cmd_gadget)
 
     rand = sub.add_parser("random", help="seeded random automaton")
-    rand.add_argument("--states", type=int, required=True)
-    rand.add_argument("--letters", type=int, required=True)
+    rand.add_argument("--states", type=_int_at_least(1), required=True)
+    rand.add_argument("--letters", type=_int_at_least(1), required=True)
     rand.add_argument("--seed", type=int, required=True)
     rand.add_argument("--constraint", default="none", choices=CONSTRAINTS)
     rand.set_defaults(func=_cmd_random)
@@ -405,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except ValueError as exc:
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

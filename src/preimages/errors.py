@@ -21,3 +21,8 @@ class BudgetExceededError(RuntimeError):
 
 class NotSynchronizingError(ValueError):
     """A synchronizing-only fast path was invoked on a non-synchronizing automaton."""
+
+
+class UsageError(ValueError):
+    """Bad input on the command line that argparse cannot catch: an
+    environment variable, a subset, or the arguments of a gadget."""

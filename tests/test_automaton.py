@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        cerny_automaton, is_permutation_automaton, is_strongly_connected,
                        minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
-from preimages.automaton import _Sparse, move_states, race, subset_bfs, subset_search, word_map
+from preimages.automaton import move_states, race, subset_bfs, subset_search, word_map
 
 
 @st.composite
@@ -140,7 +140,7 @@ def test_subset_bfs_admit_filters_the_children_that_miss_the_goal(c4):
     stats = {}
     res = subset_bfs(cycle, [1 << n - 1], "preimage", resized, 100, stats, admit=lambda bits: True)
     plain = subset_bfs(cycle, [1 << n - 1], "preimage", resized, 100)
-    assert type(res._pred) is _Sparse and isinstance(plain._pred, array)
+    assert type(res._pred) is dict and isinstance(plain._pred, array)
     assert res.word_to(res.hit) == plain.word_to(plain.hit) == Word([1] + [0] * (n - 2))
     assert stats == {"nodes": n + 1} and list(res.reached) == list(plain.reached)
 
@@ -247,7 +247,7 @@ def test_a_search_paused_at_any_allowance_ends_as_one_run(case):
     args = dict(_pausing_cases())[case]
     whole = subset_bfs(*args[:4], 10**6, None, *args[4:])
     size = len(whole.reached)
-    assert size > 2 and (case != "admit" or type(whole._pred) is _Sparse)
+    assert size > 2 and (case != "admit" or type(whole._pred) is dict)
     if case.startswith("flat"):
         assert isinstance(whole._pred, array)  # it reached the second level
     runs = [_run_paused(subset_search(*args), [allowance, size])

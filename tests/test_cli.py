@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import preimages
-from preimages import (Automaton, BudgetExceededError, StateSet, backward_subset_bfs,
-                       cerny_automaton, oracle_shortest, perm3, chain2, random_automaton,
-                       serialize_automaton, validate_report)
+from preimages import (Automaton, BudgetExceededError, NotSynchronizingError, StateSet,
+                       backward_subset_bfs, cerny_automaton, oracle_shortest, perm3, chain2,
+                       random_automaton, serialize_automaton, validate_report)
 from preimages import (automaton as automaton_mod, avoid as avoid_mod, extend as extend_mod,
                        oracle as oracle_mod)
 from preimages.automaton import PROBLEMS
@@ -384,6 +384,20 @@ def test_gadget_intersection_names_a_bad_initial_state(files, capsys):
     assert code == 3 and "initial state 2 out of range" in err
 
 
+def test_gadget_and_random_arguments_are_usage_errors(files, capsys):
+    ternary = Path(files["dir"]) / "ternary.aut"
+    ternary.write_text(serialize_automaton(random_automaton(3, 3, seed=1)))
+    code, out, err = run(capsys, "gadget", "sink", str(ternary))
+    assert code == 3 and out == "" and err == "error: sink_binarize expects a binary automaton\n"
+    code, out, err = run(capsys, "gadget", "large-extend", files["chain2"], "--subset", "1",
+                         "--target", "5")
+    assert code == 3 and out == "" and err == "error: anchor state 5 out of range\n"
+    for states, letters in (("0", "2"), ("3", "0"), ("-1", "2")):
+        code, out, err = run(capsys, "random", "--states", states, "--letters", letters,
+                             "--seed", "1")
+        assert code == 3 and out == "" and "must be an integer >= 1" in err
+
+
 def test_random_command_is_deterministic(capsys):
     _, first, _ = run(capsys, "random", "--states", "6", "--letters", "2", "--seed", "42")
     _, second, _ = run(capsys, "random", "--states", "6", "--letters", "2", "--seed", "42")
@@ -451,9 +465,12 @@ def test_failed_reverification_is_an_internal_error(files, capsys, monkeypatch):
         assert code == 5 and out == ""
         assert err == "internal error: rank word failed re-verification\n"
 
-    # Any other exception is a fault too, never a "no" (exit 1); one with no
-    # text is named by its type.
-    for fault, text in ((AssertionError(), "AssertionError"), (KeyError(7), "7")):
+    # Any other exception is a fault too, never a "no" (exit 1) nor a usage
+    # error (exit 3), a ValueError included; one with no text is named by
+    # its type.
+    for fault, text in ((AssertionError(), "AssertionError"), (KeyError(7), "7"),
+                        (ValueError("index 3 not in row"), "index 3 not in row"),
+                        (NotSynchronizingError("not synchronizing"), "not synchronizing")):
         def failing(*args, fault=fault, **kwargs):
             raise fault
 

@@ -72,17 +72,26 @@ def _word_to(res, bits):
     return None if bits is None else res.word_to(bits)
 
 
+def _reference_step(aut, bits, a, direction):
+    """One letter's step read off the transition table alone, independent of
+    the kernel's masks: the image {q.a : q in T} or the preimage
+    {p : p.a in T}."""
+    rows = aut.rows
+    if direction == "image":
+        return sum({1 << rows[q][a] for q in range(aut.n) if bits >> q & 1})
+    return sum(1 << p for p in range(aut.n) if bits >> rows[p][a] & 1)
+
+
 def _reference_bfs(aut, start_bits, direction):
-    """The per-state power-set BFS the chunk tables replace: every reached
-    subset in generation order, with the word that reaches it."""
-    step = aut.preimage_bits if direction == "preimage" else aut.image_bits
+    """The power-set BFS of ``_reference_step``: every reached subset in
+    generation order, with the word that reaches it."""
     reached = {start_bits: Word()}
     frontier = [start_bits]
     while frontier:
         next_frontier = []
         for bits in frontier:
             for a in range(aut.k):
-                child = step(bits, a)
+                child = _reference_step(aut, bits, a, direction)
                 if child not in reached:
                     word = reached[bits]
                     reached[child] = (Word([a]) + word if direction == "preimage"
@@ -106,7 +115,7 @@ def _table_step(tables, bits, h):
     return low[bits & (1 << h) - 1] | high[bits >> h]
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20, 21])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20, 21, 24])
 def test_chunk_table_step_matches_per_state_step(n):
     rng = random.Random(n)
     aut = random_automaton(n, 3, seed=500 + n)
@@ -115,18 +124,20 @@ def test_chunk_table_step_matches_per_state_step(n):
     else:
         patterns = [0, (1 << n) - 1] + [1 << q for q in range(n)]
         patterns += [rng.randrange(1 << n) for _ in range(2000)]
-    for direction, per_state in (("preimage", aut.preimage_bits), ("image", aut.image_bits)):
-        tables = _step_tables(aut, direction)
+    for direction in ("preimage", "image"):
+        tables = _step_tables(aut.step_masks(direction), aut.n)
         assert len(tables) == aut.k
         h = (n + 1) // 2
+        step = getattr(aut, f"{direction}_bits")
         for a, halves in enumerate(tables):
             # Two chunks, the states split at ceil(n/2): 2^ceil(n/2) and
             # 2^floor(n/2) entries.
             assert [len(table) for table in halves] == [1 << h, 1 << n // 2]
             for bits in patterns:
-                assert _table_step(halves, bits, h) == per_state(bits, a)
+                want = _reference_step(aut, bits, a, direction)
+                assert _table_step(halves, bits, h) == want and step(bits, a) == want
 
-    cap = 25 if n > 20 else 20
+    cap = 25 if n > 20 else 20  # above 20 states the searches keep the dict store throughout
     for _ in range(3):
         s = StateSet(n, rng.randrange(1 << n))
         back = backward_subset_bfs(aut, s, state_cap=cap)
