@@ -16,13 +16,12 @@ resize searches, the oracle and the permutation route load no ``pairs``.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import importlib
 import json
 import os
 import sys
 import time
+import types
 from typing import NamedTuple, Optional
 
 from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
@@ -44,22 +43,11 @@ _PROBLEM_OF = {"extending": "extend", "totally-extending": "extend-total", "avoi
                "resizing": "resize"}  # ``oracle --goal`` name -> problem
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2, which we reserve
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _int_at_least(least: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < least:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
-        return value
+        if int(text) < least:
+            raise ValueError(f"must be an integer >= {least}, got {text!r}")
+        return int(text)
     return parse
 
 
@@ -81,7 +69,7 @@ def _limit(args, name: str) -> int:
         return default
     try:
         return parse(raw)
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise UsageError(f"environment variable {env} {exc}")
 
 
@@ -342,77 +330,105 @@ def _cmd_random(args) -> int:
     return EXIT_YES
 
 
-@functools.cache  # built on first use, not at import; parsing leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="preimages",
-                     description="Decide and witness preimage problems for complete DFAs")
-    sub = parser.add_subparsers(dest="command", required=True)
+_QUERY_OPTIONS = {"--max-len": _int_at_least(0), "--witness": bool, "--json": bool,
+                  "--budget": _int_at_least(1), "--oracle-cap": _int_at_least(0)}
+# command -> (handler, help line, {positional or option: converter}, required, defaults by option
+# or attribute); a converter is a callable, bool (a flag), choices (a tuple) or 3 (values, appended)
+_COMMANDS = {
+    "check": (_cmd_check, "decide extend / extend-total / avoid / resize",
+              {"file": str, "--subset": str, "--problem": PROBLEMS,
+               "--method": ("auto", "poly", "oracle"), **_QUERY_OPTIONS, "--timing": bool},
+              ("file", "--subset", "--problem"), {"--method": "auto"}),
+    "oracle": (_cmd_oracle, "exhaustive shortest-word queries (desk scale)",
+               {"file": str, "--subset": str, "--goal": tuple(_PROBLEM_OF), **_QUERY_OPTIONS},
+               ("file", "--subset", "--goal"), {"method": "oracle", "timing": False}),
+    "classify": (_cmd_classify, "structural flags of an automaton",
+                 {"file": str, "--json": bool}, ("file",), {}),
+    "rank": (_cmd_rank, "minimal rank and a witnessing word", {"file": str, "--json": bool},
+             ("file",), {}),
+    "reset": (_cmd_reset, "reset word (greedy or exhaustive-shortest)",
+              {"file": str, "--method": ("greedy", "oracle"), "--oracle-cap": _int_at_least(0)},
+              ("file",), {"--method": "greedy", "budget": None}),  # PREIMAGES_BUDGET only
+    "gadget": (_cmd_gadget, "reduction constructions", {"kind": ("intersection", "binarize",
+               "sink", "large-extend"), "file": str, "--dfa": 3, "--subset": str, "--target": int,
+               "--output": str}, ("kind",), {"--subset": "", "--target": 0}),
+    "random": (_cmd_random, "seeded random automaton", {"--states": _int_at_least(1),
+               "--letters": _int_at_least(1), "--seed": int, "--constraint": CONSTRAINTS},
+               ("--states", "--letters", "--seed"), {"--constraint": "none"}),
+}
+_NO_COMMAND = (None, "\n".join(f"  {cmd:<10}{entry[1]}" for cmd, entry in _COMMANDS.items()), {},
+               ("command",), {})
 
-    check = sub.add_parser("check", help="decide extend / extend-total / avoid / resize")
-    check.add_argument("file")
-    check.add_argument("--subset", required=True, help="comma-separated state indices")
-    check.add_argument("--problem", required=True, choices=PROBLEMS)
-    check.add_argument("--method", default="auto", choices=("auto", "poly", "oracle"))
-    check.set_defaults(func=_cmd_check)
 
-    orc = sub.add_parser("oracle", help="exhaustive shortest-word queries (desk scale)")
-    orc.add_argument("file")
-    orc.add_argument("--subset", required=True, help="comma-separated state indices")
-    orc.add_argument("--goal", required=True, choices=tuple(_PROBLEM_OF))
-    orc.set_defaults(func=_cmd_oracle, method="oracle", timing=False)
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: preimages [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, _, spec, required, _ = _COMMANDS[name]
+    words = []
+    for arg, convert in spec.items():
+        value = ("{" + ",".join(convert) + "}" if isinstance(convert, tuple) else
+                 "FILE INITIAL ACCEPTING" if convert == 3 else arg.lstrip("-").upper())
+        word = value if arg[0] != "-" else arg if convert is bool else f"{arg} {value}"
+        words.append(word if arg in required else f"[{word}]")
+    return f"usage: preimages {name} [-h] {' '.join(words)}"
 
-    for cmd in (check, orc):
-        cmd.add_argument("--max-len", type=_int_at_least(0), default=None)
-        cmd.add_argument("--witness", action="store_true")
-        cmd.add_argument("--json", action="store_true")
-        cmd.add_argument("--budget", type=_int_at_least(1), default=None)
-        cmd.add_argument("--oracle-cap", type=_int_at_least(0), default=None)
-    check.add_argument("--timing", action="store_true")
 
-    classify = sub.add_parser("classify", help="structural flags of an automaton")
-    classify.add_argument("file")
-    classify.add_argument("--json", action="store_true")
-    classify.set_defaults(func=_cmd_classify)
+def _parse(name: Optional[str], argv: list[str]) -> Optional[types.SimpleNamespace]:
+    """The arguments of command ``name`` in ``argv``, or None for ``-h``; UsageError for a
+    command line its ``_COMMANDS`` entry rejects.  With no command, only ``-h`` passes."""
+    def is_option(arg: str) -> bool:  # "-" and negative numbers are values, not options
+        return arg.startswith("-") and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
 
-    rank = sub.add_parser("rank", help="minimal rank and a witnessing word")
-    rank.add_argument("file")
-    rank.add_argument("--json", action="store_true")
-    rank.set_defaults(func=_cmd_rank)
-
-    reset = sub.add_parser("reset", help="reset word (greedy or exhaustive-shortest)")
-    reset.add_argument("file")
-    reset.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
-    reset.add_argument("--oracle-cap", type=_int_at_least(0), default=None)
-    reset.set_defaults(func=_cmd_reset, budget=None)  # PREIMAGES_BUDGET only
-
-    gadget = sub.add_parser("gadget", help="reduction constructions")
-    gadget.add_argument("kind", choices=("intersection", "binarize", "sink", "large-extend"))
-    gadget.add_argument("file", nargs="?")
-    gadget.add_argument("--dfa", nargs=3, action="append", metavar=("FILE", "INITIAL", "ACCEPTING"),
-                        help="intersection input (repeatable)")
-    gadget.add_argument("--subset", default="")
-    gadget.add_argument("--target", type=int, default=0, help="anchor state for large-extend")
-    gadget.add_argument("--output", default=None)
-    gadget.set_defaults(func=_cmd_gadget)
-
-    rand = sub.add_parser("random", help="seeded random automaton")
-    rand.add_argument("--states", type=_int_at_least(1), required=True)
-    rand.add_argument("--letters", type=_int_at_least(1), required=True)
-    rand.add_argument("--seed", type=int, required=True)
-    rand.add_argument("--constraint", default="none", choices=CONSTRAINTS)
-    rand.set_defaults(func=_cmd_random)
-
-    return parser
+    _, _, spec, required, defaults = _COMMANDS.get(name, _NO_COMMAND)
+    cut = argv.index("--") if "--" in argv else len(argv)  # what comes after "--" is positional
+    if any(arg == "-h" or len(arg) > 2 and "--help".startswith(arg) for arg in argv[:cut]):
+        return None
+    positionals, args = iter([arg for arg in spec if arg[0] != "-"]), {}
+    rest = iter([(i > cut, arg) for i, arg in enumerate(argv) if i != cut])
+    for after, arg in rest:
+        if after or not is_option(arg):
+            option, values = next(positionals, None), [arg]
+        else:  # an option in full or by a unique prefix, with "=value" or the values after it
+            given, explicit, value = arg.partition("=")
+            hits = [given] if given in spec else [opt for opt in spec if opt.startswith(given)]
+            if len(hits) > 1:
+                raise UsageError(f"ambiguous option: {given} could match {', '.join(hits)}")
+            option = hits[0] if hits else None
+            count = 0 if spec.get(option) is bool else 3 if spec.get(option) == 3 else 1
+            values = [value] if explicit else [
+                text for _, (past, text) in zip(range(count), rest) if not past]
+            if option and (len(values) != count or not explicit and any(map(is_option, values))):
+                raise UsageError(f"argument {option}: expected {count} argument(s)")
+        if option is None:
+            raise UsageError(f"unrecognized arguments: {arg}")
+        convert = spec[option]
+        try:
+            if isinstance(convert, tuple) and values[0] not in convert:
+                raise ValueError(f"invalid choice {values[0]!r}: choose from {', '.join(convert)}")
+            args[option] = (True if convert is bool else values[0] if isinstance(convert, tuple)
+                            else args.get(option, []) + [values] if convert == 3
+                            else convert(values[0]))
+        except ValueError as exc:
+            raise UsageError(f"argument {option}: {exc}") from None
+    if missing := [arg for arg in required if arg not in args]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    args = {a: False if convert is bool else None for a, convert in spec.items()} | defaults | args
+    return types.SimpleNamespace(**{a.lstrip("-").replace("-", "_"): v for a, v in args.items()})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    name = argv.pop(0) if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _parse(name, argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{_usage(name)}\nerror: {exc}\n")
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(f"{_usage(name)}\n\n{_COMMANDS.get(name, _NO_COMMAND)[1]}\n")
+        return EXIT_YES
     try:
-        return args.func(args)
+        return _COMMANDS[name][0](args)
     except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

@@ -24,5 +24,4 @@ class NotSynchronizingError(ValueError):
 
 
 class UsageError(ValueError):
-    """Bad input on the command line that argparse cannot catch: an
-    environment variable, a subset, or the arguments of a gadget."""
+    """Bad input on the command line or in the environment, subsets and gadget inputs included."""

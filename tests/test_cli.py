@@ -19,7 +19,7 @@ from preimages import (Automaton, BudgetExceededError, NotSynchronizingError, St
 from preimages import (automaton as automaton_mod, avoid as avoid_mod, extend as extend_mod,
                        oracle as oracle_mod)
 from preimages.automaton import PROBLEMS
-from preimages.cli import main
+from preimages.cli import _COMMANDS, main
 
 
 @pytest.fixture
@@ -644,7 +644,8 @@ def test_cli_import_leaves_fractions_unloaded():
 
 _IMPORT_PROBE = """
 import json, sys
-heavy = lambda: sorted({"dataclasses", "inspect"} & set(sys.modules))
+heavy = lambda: sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"}
+                       & set(sys.modules))
 ours = lambda: sorted(m for m in sys.modules if m.startswith("preimages."))
 found = {"startup": heavy()}
 import preimages
@@ -652,18 +653,25 @@ found["package"] = ours()
 import preimages.cli
 found["cli"], found["cli_heavy"] = ours(), heavy()
 found["code"] = preimages.cli.main(sys.argv[1:])
-found["query"] = ours()
+found["query"], found["query_heavy"] = ours(), heavy()
 print(json.dumps(found))
 """
 
 
+def _probe(*argv):
+    """``_IMPORT_PROBE`` on ``argv``: neither ``import preimages.cli`` nor the query loads
+    dataclasses, inspect, argparse, gettext or locale beyond what start-up loaded."""
+    found = _fresh_python(_IMPORT_PROBE, *argv)
+    assert found["cli_heavy"] == found["query_heavy"] == found["startup"], argv
+    return found
+
+
 def test_a_process_imports_only_the_modules_its_route_runs(files):
-    found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "0,1,2,3",
-                          "--problem", "resize", "--witness")
+    found = _probe("check", files["cerny4"], "--subset", "0,1,2,3", "--problem", "resize",
+                   "--witness")
     assert found["package"] == []
     assert found["cli"] == ["preimages." + m for m in
                             ("automaton", "cli", "errors", "fileformat", "report")]
-    assert found["cli_heavy"] == found["startup"]  # no dataclasses, no inspect
     assert found["code"] == 1
     assert "preimages.resize" in found["query"]
     for unused in ("oracle", "gadgets", "avoid", "extend", "pairs"):
@@ -675,26 +683,26 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
     for problem, subset, budget, code in (("extend", "1,2", "50", 0), ("extend", "1,2", "3", 2),
                                           ("avoid", "0,1,2", "50", 0),
                                           ("resize", "1,2", "50", 0)):
-        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", subset,
-                              "--problem", problem, "--witness", "--budget", budget)
+        found = _probe("check", files["cerny4"], "--subset", subset, "--problem", problem,
+                       "--witness", "--budget", budget)
         assert found["code"] == code and "preimages." + problem in found["query"]
         assert "preimages.oracle" not in found["query"], (problem, budget)
         assert ("preimages.pairs" in found["query"]) == (problem == "avoid"), (problem, budget)
     # Both extend-total routes, the decision and the search for a witness,
     # need the pair machinery; the oracle does not.
     for flags in ((), ("--witness",)):
-        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "0",
-                              "--problem", "extend-total", *flags)
+        found = _probe("check", files["cerny4"], "--subset", "0", "--problem", "extend-total",
+                       *flags)
         assert found["code"] == 0 and "preimages.pairs" in found["query"], flags
     for problem in PROBLEMS:
-        found = _fresh_python(_IMPORT_PROBE, "check", files["cerny4"], "--subset", "1,2",
-                              "--problem", problem, "--method", "oracle", "--witness")
+        found = _probe("check", files["cerny4"], "--subset", "1,2", "--problem", problem,
+                       "--method", "oracle", "--witness")
         assert "preimages.oracle" in found["query"], problem
         assert "preimages.pairs" not in found["query"], problem
     # The permutation route answers every problem without a search module.
     for problem in ("extend", "extend-total", "avoid", "resize"):
-        found = _fresh_python(_IMPORT_PROBE, "check", files["perm3"], "--subset", "0",
-                              "--problem", problem, "--witness")
+        found = _probe("check", files["perm3"], "--subset", "0", "--problem", problem,
+                       "--witness")
         assert found["code"] == 1 and found["query"] == found["cli"], problem
 
 
@@ -825,6 +833,104 @@ def test_negative_oracle_cap_is_a_usage_error(files, capsys):
         code, out, _ = run(capsys, command[0], files["cerny4"], *command[1:],
                            "--oracle-cap", "-3")
         assert code == 3 and out == ""
+
+
+def _accepted_forms(files):
+    """(canonical command line, its exit code, other spellings of it): ``--opt=value``,
+    options before the positionals, unambiguous prefixes, repeats where the last one
+    wins, ``--`` before the positionals, and negative numbers as values."""
+    f, c2 = files["cerny4"], files["chain2"]
+    return [
+        (("check", f, "--subset", "1,2", "--problem", "extend", "--witness", "--json"), 0, [
+            ("check", f, "--subset=1,2", "--problem=extend", "--witness", "--json"),
+            ("check", "--subset", "1,2", "--problem", "extend", f, "--witness", "--json"),
+            ("check", "--wit", f, "--sub", "1,2", "--prob", "extend", "--js"),
+            ("check", f, "--subset", "0", "--problem", "avoid", "--subset", "1,2",
+             "--problem", "extend", "--witness", "--json", "--witness"),
+            ("check", "--subset", "1,2", "--problem", "extend", "--witness", "--json", "--", f),
+        ]),
+        (("check", f, "--subset", "1,2", "--problem", "resize", "--method", "oracle",
+          "--max-len", "3", "--budget", "100", "--oracle-cap", "5", "--json"), 0, [
+            ("check", f, "--subset", "1,2", "--problem", "resize", "--met=oracle", "--ma=3",
+             "--b", "100", "--o", "5", "--js"),
+            ("check", "--json", "--oracle-cap=5", "--budget=7", "--budget=100", "--max-len", "0",
+             "--max-len", "3", "--method", "poly", "--method", "oracle", "--problem", "resize",
+             "--subset", "1,2", f),
+        ]),
+        (("oracle", f, "--subset", "1,2", "--goal", "extending", "--witness"), 0, [
+            ("oracle", "--goal=extending", "--subset=1,2", f, "--wit"),
+            ("oracle", f, "--g", "avoiding", "--s", "1,2", "--goal", "extending", "--w"),
+        ]),
+        (("classify", f, "--json"), 0, [("classify", "--json", f), ("classify", f, "--j", "--j")]),
+        (("rank", f, "--json"), 0, [("rank", "--json", f), ("rank", "--js", "--", f)]),
+        (("reset", f, "--method", "oracle", "--oracle-cap", "4"), 0, [
+            ("reset", "--method=oracle", "--oracle-cap=4", f),
+            ("reset", "--m", "greedy", f, "--o", "1", "--m", "oracle", "--oracle", "4"),
+        ]),
+        (("gadget", "intersection", "--dfa", c2, "0", "1", "--dfa", c2, "1", "0"), 0, [
+            ("gadget", "--dfa", c2, "0", "1", "intersection", "--dfa", c2, "1", "0"),
+            ("gadget", "intersection", "--d", c2, "0", "1", "--d", c2, "1", "0"),
+        ]),
+        (("gadget", "large-extend", c2, "--subset", "1", "--target", "0"), 0, [
+            ("gadget", "--subset=1", "--target=0", "large-extend", c2),
+            ("gadget", "large-extend", c2, "--sub", "0", "--s", "1", "--t", "1", "--t", "0"),
+        ]),
+        (("random", "--states", "6", "--letters", "2", "--seed", "-3",
+          "--constraint", "synchronizing"), 0, [
+            ("random", "--seed=-3", "--states=6", "--letters=2", "--constraint=synchronizing"),
+            ("random", "--st", "6", "--l", "2", "--se", "-3", "--c", "synchronizing"),
+        ]),
+    ]
+
+
+def test_every_accepted_spelling_runs_the_canonical_command(files, capsys):
+    for canonical, expected, forms in _accepted_forms(files):
+        code, out, err = run(capsys, *canonical)
+        assert code == expected and out and err == "", canonical
+        for argv in forms:
+            assert run(capsys, *argv) == (code, out, ""), argv
+
+
+def test_every_rejected_command_line_prints_its_usage_line(files, capsys):
+    f = files["cerny4"]
+    query = ("--subset", "1,2", "--problem", "extend")
+    for argv in ([], ["bogus", f], ["--bogus"], ["-x", "check"], ["Check", f, *query],
+                 ["check", f, "--subset", "1,2"], ["check", *query], ["check", f, f, *query],
+                 ["check", f, *query, "--bogus"], ["check", f, *query, "-x"],
+                 ["check", f, *query, "--m", "auto"], ["check", f, *query, "--problem"],
+                 ["check", f, "--subset", "--problem", "extend"],
+                 ["check", f, "--problem", "extend", "--subset", "--", "1,2"],
+                 ["check", f, "--subset", "1,2", "--problem", "compress"],
+                 ["check", f, *query, "--budget", "0"], ["check", f, *query, "--budget", "x"],
+                 ["check", f, *query, "--max-len", "-1"], ["check", f, *query, "--json=yes"],
+                 ["check", f, *query, "--method", "fast"],
+                 ["oracle", f, "--subset", "1,2", "--goal", "extend"],
+                 ["oracle", f, "--subset", "1,2", "--goal", "extending", "--timing"],
+                 ["oracle", f, "--subset", "1,2", "--goal", "extending", "--method", "auto"],
+                 ["classify"], ["classify", f, "--witness"], ["rank", f, "rank"],
+                 ["reset", f, "--budget", "5"], ["reset", f, "--method", "exact"],
+                 ["gadget"], ["gadget", "bogus", f], ["gadget", "intersection", "--dfa", f, "0"],
+                 ["gadget", "intersection", "--dfa", f, "0", "--subset", "1"],
+                 ["gadget", "sink", f, "--target", "x"],
+                 ["random", "--states", "6", "--letters", "2"],
+                 ["random", "--states", "6", "--letters", "2", "--seed", "x"],
+                 ["random", "--states", "6", "--letters", "2", "--seed", "1", "--constraint", "x"]):
+        code, out, err = run(capsys, *argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else ""
+        assert code == 3 and out == "", argv
+        assert err.startswith(f"usage: preimages {command}".rstrip()) and "\nerror: " in err, argv
+
+
+def test_help_lists_every_command_and_option(capsys):
+    for flag in ("-h", "--help", "--he"):
+        code, out, err = run(capsys, flag)
+        assert code == 0 and err == "" and out.startswith("usage: preimages")
+        assert all(name in out for name in _COMMANDS), flag
+    for name, (_, help_line, spec, _, _) in _COMMANDS.items():
+        for argv in ((name, "-h"), (name, "--help", "--bogus"), (name, "--bogus", "-h")):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "" and out.startswith(f"usage: preimages {name}"), argv
+            assert help_line in out and all(arg in out for arg in spec if arg[0] == "-"), argv
 
 
 def _preimage(rows, s_bits, word):
