@@ -5,13 +5,13 @@ preimage subset becomes a 0/1 vector with a constant affine coordinate; a
 subset already in the span of earlier ones can never reveal a new size, so
 the BFS inserts at most n vectors before concluding "no".  The first size
 discrepancy, in BFS order, is a shortest resizing word.  The span is taken
-modulo p = 2^31 - 1; sizes differ by at most n < p, so the answer is exact.
+modulo the smallest prime p above n; sizes differ by at most n < p, so the
+answer is exact.
 """
 
 from preimages import (RationalBasis, Word, cerny_automaton, perm3,
                        preimage_word, resizable_decision_fast, shortest_resizing_word,
                        is_synchronizing)
-from preimages.resize import P
 
 aut = cerny_automaton(4)
 s = aut.state_set([1, 2])
@@ -26,14 +26,15 @@ print("no single letter works:",
 # coordinate is implicit), then of its letter preimages, watching
 # independence decisions.
 basis = RationalBasis(4)
-print("\ninsert chi(S):          pivot", basis.insert(s.bits))
+print("\nfield: F_p with p =", basis.p, "(the smallest prime above n = 4)")
+print("insert chi(S):          pivot", basis.insert(s.bits))
 pre_a = preimage_word(aut, s, Word([0]))
 print("insert chi(S.a^-1):     pivot", basis.insert(pre_a.bits))
 print("insert chi(S) again:   ", basis.insert(s.bits), "(dependent, pruned)")
 print("stored echelon rows mod p (1 at the pivot, 0 at earlier pivots; last entry affine):")
 slot = (1 << basis.width) - 1
 for negrow, piv in zip(basis.negrows, basis.pivots):
-    row = [-(negrow >> (i * basis.width) & slot) % P for i in range(basis.n + 1)]
+    row = [-(negrow >> (i * basis.width) & slot) % basis.p for i in range(basis.n + 1)]
     print("  ", row, "pivot", piv)
 
 # Permutation automata never resize anything; the basis closes and the

@@ -15,15 +15,16 @@ order, belongs to a shortest resizing word.  The search is
 a size-keeping child is kept, expanded and counted only if it enlarges the
 basis, so the search holds at most n + 1 subsets.
 
-The span is taken over F_p, p = 2**31 - 1, not over Q, and the answer stays
-exact because p > n.  Each child's size is tested on its integer bit
-count, so the basis only decides which nodes are expanded.  The preimage map
-is linear over F_p too, so the closure argument (Tzeng 1992) holds there
-unchanged.  And on a 0/1 vector with affine coordinate 1, h equals |T| - |S|,
-whose absolute value is at most n < p, so h vanishes mod p exactly when it
-vanishes.  Hence the answer and the shortest length are those of the search
-over Q.  The returned word could differ from that search's only if p divides
-an integer minor that decides independence; it is still a shortest word.
+The span is taken over F_p, p the smallest prime above n, not over Q.  Each
+child's size is tested on its integer bit count, so the basis only decides
+which nodes are expanded.  The preimage map is linear over F_p too, so the
+closure argument (Tzeng 1992) holds there unchanged.  And on a 0/1 vector
+with affine coordinate 1, h equals |T| - |S|, whose absolute value is at
+most n < p, so h vanishes mod p exactly when it vanishes.  Hence, for any
+prime p > n, the answer and the shortest length are those of the search
+over Q.  The returned word could differ from that search's only if p
+divides an integer minor that decides independence; it is still a shortest
+word.
 
 Only ``resizable_decision_fast`` imports ``pairs``, when called, so the
 search loads none of it.
@@ -31,16 +32,16 @@ search loads none of it.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, problem_goal, subset_bfs
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
 
-P = (1 << 31) - 1
-
 
 class RationalBasis:
-    """Echelon basis over F_p of the vectors (chi(T), 1), T a subset of n states.
+    """Echelon basis over F_p of the vectors (chi(T), 1), T a subset of n states,
+    where p, stored as ``p``, is the smallest prime above n.
 
     Rows stay in insertion order.  Row j is 1 at its pivot ``pivots[j]`` and 0
     at the pivot of every earlier row.  It is stored as one int,
@@ -51,22 +52,26 @@ class RationalBasis:
     modulo p and keeps every earlier pivot clear.  Slots are not reduced
     during the loop: r starts with 0/1 entries and each of at most n + 1
     steps adds less than p**2 to a slot, so ``width`` is the bit length of
-    (n + 2) * p**2, rounded up to whole bytes so that r unpacks by byte
-    slices.  r's running support holds its own columns and those of the
-    rows added so far, less the pivots already passed; a row whose pivot
-    lies outside it is skipped.  The residual is unpacked once, on its
-    support columns: all zero mod p means r lies in the span; otherwise it
-    is scaled to 1 at its first nonzero column and appended, and no older
-    row changes.
+    (n + 2) * p**2, rounded up to a whole hex digit so that r is built from
+    the subset's binary digits by one base-16 parse.  r's running support
+    holds its own columns and those of the rows added so far, less the pivots
+    already passed; a row whose pivot lies outside it is skipped.  The
+    residual is read by shifts on its support columns: all zero mod p means r
+    lies in the span; otherwise it is scaled to 1 at its first nonzero column
+    and appended, and no older row changes.
 
     The name predates the move from Q to F_p; trace spans refer to it.
     """
 
-    __slots__ = ("n", "width", "negrows", "pivots", "supports", "pivot_mask")
+    __slots__ = ("n", "p", "width", "negrows", "pivots", "supports", "pivot_mask")
 
     def __init__(self, n: int):
         self.n = n
-        self.width = 8 * -(-((n + 2) * P * P).bit_length() // 8)
+        p = max(n + 1, 2)
+        while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            p += 1
+        self.p = p
+        self.width = 4 * -(-((n + 2) * p * p).bit_length() // 4)
         self.negrows: list[int] = []
         self.pivots: list[int] = []
         self.supports: list[int] = []
@@ -77,46 +82,34 @@ class RationalBasis:
 
     def insert(self, bits: int) -> Optional[int]:
         """Insert (chi(bits), 1) if independent; returns the new row's pivot, else None."""
-        n, w = self.n, self.width
+        n, w, p = self.n, self.width, self.p
         if bits < 0 or bits >> n:
             raise ValueError(f"subset pattern {bits:#x} has a state outside 0..{n - 1}")
-        wb = w // 8
         support = bits | 1 << n
-        buf = bytearray((n + 1) * wb)
-        rest = support
-        while rest:
-            low = rest & -rest
-            buf[(low.bit_length() - 1) * wb] = 1
-            rest ^= low
-        r = int.from_bytes(buf, "little")
+        r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
         mask = (1 << w) - 1
         for negrow, piv, row_support in zip(self.negrows, self.pivots, self.supports):
             if support >> piv & 1:
-                c = (r >> piv * w & mask) % P
+                c = (r >> piv * w & mask) % p
                 if c:
                     r += c * negrow
                     support |= row_support
                 support ^= 1 << piv  # later rows are 0 here, so r stays 0 mod p
-        data = r.to_bytes(len(buf), "little")
-        entries = []
+        negrow = row_support = 0
         while support:
             low = support & -support
             q = low.bit_length() - 1
-            v = int.from_bytes(data[q * wb:(q + 1) * wb], "little") % P
+            v = (r >> q * w & mask) % p
             if v:
-                entries.append((q, v))
+                if not row_support:
+                    pivot, inv = q, pow(v, -1, p)
+                negrow |= (p - v * inv % p) << q * w
+                row_support |= low
             support ^= low
-        if not entries:
+        if not row_support:
             return None
-        pivot = entries[0][0]
-        inv = pow(entries[0][1], -1, P)
-        buf = bytearray(len(data))
-        row_support = 0
-        for q, v in entries:
-            buf[q * wb:(q + 1) * wb] = (P - v * inv % P).to_bytes(wb, "little")
-            row_support |= 1 << q
         assert not row_support & self.pivot_mask, "echelon invariant broken"
-        self.negrows.append(int.from_bytes(buf, "little"))
+        self.negrows.append(negrow)
         self.pivots.append(pivot)
         self.supports.append(row_support)
         self.pivot_mask |= 1 << pivot
