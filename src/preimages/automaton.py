@@ -27,7 +27,6 @@ freely between threads; derived analyses are memoized on the automaton
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -200,19 +199,20 @@ class Automaton:
         k = len(rows[0])
         if k < 1:
             raise ValueError("automaton needs at least one letter")
-        table = []
-        for q, row in enumerate(rows):
-            row = tuple(row)
-            if len(row) != k:
-                raise ValueError(f"row {q} has {len(row)} entries, expected {k}")
-            for a, p in enumerate(row):
-                if not 0 <= p < n:
-                    raise ValueError(f"transition ({q},{a}) -> {p} out of range [0, {n})")
-            table.append(row)
+        table = tuple(map(tuple, rows))
+        by_letter = tuple(zip(*table))
+        if ({k} != set(map(len, table)) or min(map(min, by_letter)) < 0
+                or max(map(max, by_letter)) >= n):
+            for q, row in enumerate(table):  # the first fault in reading order
+                if len(row) != k:
+                    raise ValueError(f"row {q} has {len(row)} entries, expected {k}")
+                for a, p in enumerate(row):
+                    if not 0 <= p < n:
+                        raise ValueError(f"transition ({q},{a}) -> {p} out of range [0, {n})")
         self.n = n
         self.k = k
-        self.rows = tuple(table)
-        self.by_letter = tuple(tuple(table[q][a] for q in range(n)) for a in range(k))
+        self.rows = table
+        self.by_letter = by_letter
         self._derived: dict = {}
 
     def step_masks(self, direction: str) -> tuple[tuple[int, ...], ...]:
@@ -438,6 +438,7 @@ def subset_search(aut: Automaton, sources: Iterable[int], direction: str, goal: 
         hit, lo, allowance = yield from _search_by_members(
             per_letter, pred, order, goal, allowance, 1 if flat else max_depth, admit)
         if flat and hit is None and lo < len(order):  # a second level is needed
+            from array import array
             sparse, pred, order = pred, array("i", [-1]) * (1 << aut.n), array("I", order)
             for bits in order:
                 pred[bits] = sparse[bits]
@@ -657,7 +658,4 @@ def sink_state(aut: Automaton) -> Optional[int]:
     Several such states can only coexist in a non-synchronizing automaton;
     returning the smallest keeps the output deterministic.
     """
-    for q in range(aut.n):
-        if all(aut.rows[q][a] == q for a in range(aut.k)):
-            return q
-    return None
+    return next((q for q, row in enumerate(aut.rows) if row.count(q) == aut.k), None)

@@ -17,7 +17,6 @@ resize searches, the oracle and the permutation route load no ``pairs``.
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_
 from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
                      UsageError)
 from .fileformat import AutomatonFormatError, parse_automaton_file, serialize_automaton, serialize_gadget
-from .report import (ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds)
+from .report import ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, dumps, witness_holds
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -241,7 +240,7 @@ def _cmd_classify(args) -> int:
     aut = parse_automaton_file(args.file)
     info = _classification(aut, want_sync=True)
     if args.json:
-        sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps(info) + "\n")
     else:
         for key in ("strongly_connected", "synchronizing", "permutation"):
             sys.stdout.write(f"{key.replace('_', '-')}: {'yes' if info[key] else 'no'}\n")
@@ -264,7 +263,7 @@ def _cmd_rank(args) -> int:
             "word_length": len(result.word),
             "image": sorted(result.image),
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dumps(payload) + "\n")
     else:
         sys.stdout.write(f"rank: {result.rank}\nword: {result.word.text(aut.k)}\n"
                          f"image: {result.image!r}\n")

@@ -39,7 +39,9 @@ def _line_of(bodies: list[str], i: int) -> int:
 
 
 def parse_automaton(text: str) -> Automaton:
-    bodies = [line.split("#", 1)[0] for line in text.splitlines()]
+    bodies = text.splitlines()
+    if "#" in text:
+        bodies = [line.split("#", 1)[0] for line in bodies]
     tokens = " ".join(bodies).split()
 
     def fail(message: str, i: int):

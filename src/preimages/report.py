@@ -1,12 +1,13 @@
 """Decision reports: the JSON surface of the command-line interface.
 
 Reports are deterministic (sorted keys, no timestamps unless explicitly
-requested) so identical invocations produce byte-identical output.
+requested) so identical invocations produce byte-identical output.  They
+are written by ``dumps``, which loads ``json`` only for a value that no
+report, ``classify --json`` or ``rank --json`` holds.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from .automaton import Automaton, StateSet, Word, preimage_word, problem_goal
@@ -42,7 +43,38 @@ class WitnessReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict()) + "\n"
+
+
+def dumps(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    Dicts with string keys, lists, tuples, ints, bools, None, finite floats
+    and strings of printable ASCII without quote or backslash are written
+    here; any other value is handed to ``json``, imported then.  ``newline``
+    is a line break followed by the indent of the level ``value`` sits at,
+    so the output of ``json`` for a nested value is indented by replacing
+    its line breaks: ``json`` escapes any line break inside a string.
+    """
+    kind = type(value)
+    if kind is str and value.isascii() and value.isprintable() and '"' not in value \
+            and "\\" not in value:
+        return f'"{value}"'
+    if kind is int or kind is float and value - value == 0:  # finite: inf - inf is nan
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        items = [f"{dumps(key)}: {dumps(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    import json
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def validate_report(d: dict) -> None:

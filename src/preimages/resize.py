@@ -43,27 +43,36 @@ class RationalBasis:
     """Echelon basis over F_p of the vectors (chi(T), 1), T a subset of n states,
     where p, stored as ``p``, is the smallest prime above n.
 
-    Rows stay in insertion order.  Row j is 1 at its pivot ``pivots[j]`` and 0
-    at the pivot of every earlier row.  It is stored as one int,
-    ``negrows[j]``, of ``n + 1`` slots of ``width`` bits, slot i holding
-    (-row[i]) mod p, and ``supports[j]`` is the bitmask of its nonzero
-    columns.  An incoming vector r is reduced against the rows in order by
-    ``r += c * negrow`` with c = r[pivot] mod p, which clears r at that pivot
-    modulo p and keeps every earlier pivot clear.  Slots are not reduced
-    during the loop: r starts with 0/1 entries and each of at most n + 1
-    steps adds less than p**2 to a slot, so ``width`` is the bit length of
-    (n + 2) * p**2, rounded up to a whole hex digit so that r is built from
-    the subset's binary digits by one base-16 parse.  r's running support
-    holds its own columns and those of the rows added so far, less the pivots
-    already passed; a row whose pivot lies outside it is skipped.  The
-    residual is read by shifts on its support columns: all zero mod p means r
-    lies in the span; otherwise it is scaled to 1 at its first nonzero column
-    and appended, and no older row changes.
+    Rows stay in insertion order.  Row j is 1 at its pivot ``pivots[j]``, its
+    lowest nonzero column, and 0 at the pivot of every earlier row.  It is
+    stored as one int, ``negrows[j]``, of ``n + 1`` slots of ``width`` bits,
+    slot i holding (-row[i]) mod p, and ``supports[j]`` is the bitmask of its
+    nonzero columns; ``rows_at`` maps each pivot to that row's
+    ``(negrow, support)``.  An incoming vector r is reduced by ``r += c *
+    negrow`` with c = r[pivot] mod p, which clears r at that pivot modulo p,
+    only against the rows whose pivots lie in r's running support (its own
+    columns and those of the rows added so far), lowest pivot first.  As a
+    row's pivot is its lowest nonzero column, adding it changes r only at
+    columns from its pivot on, so a pivot once cleared stays clear, and an
+    insert costs what the pivots that r touches cost.  The residual is zero
+    at every pivot whatever the order, and the rows restricted to their
+    pivots form a triangular matrix with unit diagonal, so it is the same
+    residual as reducing in insertion order.
+
+    Slots are not reduced during the loop: r starts with 0/1 entries and
+    each of at most n + 1 steps adds less than p**2 to a slot, so ``width``
+    is the bit length of (n + 2) * p**2, rounded up to a whole hex digit.  r
+    is built by one shift per member when the pattern, affine bit included,
+    has at most 8 bits, and otherwise by one base-16 parse of its binary
+    digits spaced by zero digits, whose cost does not grow with the members.
+    The residual is read by shifts on its support columns: all zero mod p
+    means r lies in the span; otherwise it is scaled to 1 at its first
+    nonzero column and appended, and no older row changes.
 
     The name predates the move from Q to F_p; trace spans refer to it.
     """
 
-    __slots__ = ("n", "p", "width", "negrows", "pivots", "supports", "pivot_mask")
+    __slots__ = ("n", "p", "width", "negrows", "pivots", "supports", "pivot_mask", "rows_at")
 
     def __init__(self, n: int):
         self.n = n
@@ -76,6 +85,7 @@ class RationalBasis:
         self.pivots: list[int] = []
         self.supports: list[int] = []
         self.pivot_mask = 0
+        self.rows_at: dict[int, tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self.pivots)
@@ -86,15 +96,26 @@ class RationalBasis:
         if bits < 0 or bits >> n:
             raise ValueError(f"subset pattern {bits:#x} has a state outside 0..{n - 1}")
         support = bits | 1 << n
-        r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
-        mask = (1 << w) - 1
-        for negrow, piv, row_support in zip(self.negrows, self.pivots, self.supports):
-            if support >> piv & 1:
-                c = (r >> piv * w & mask) % p
-                if c:
-                    r += c * negrow
-                    support |= row_support
-                support ^= 1 << piv  # later rows are 0 here, so r stays 0 mod p
+        if support.bit_count() <= 8:
+            r, members = 0, support
+            while members:
+                low = members & -members
+                r |= 1 << (low.bit_length() - 1) * w
+                members ^= low
+        else:
+            r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
+        mask, pivot_mask, rows_at = (1 << w) - 1, self.pivot_mask, self.rows_at
+        todo = support & pivot_mask
+        while todo:
+            low = todo & -todo
+            piv = low.bit_length() - 1
+            c = (r >> piv * w & mask) % p
+            if c:
+                negrow, row_support = rows_at[piv]
+                r += c * negrow
+                support |= row_support
+            support ^= low  # rows with higher pivots are 0 here, so r stays 0 mod p
+            todo = support & pivot_mask
         negrow = row_support = 0
         while support:
             low = support & -support
@@ -108,11 +129,12 @@ class RationalBasis:
             support ^= low
         if not row_support:
             return None
-        assert not row_support & self.pivot_mask, "echelon invariant broken"
+        assert not row_support & pivot_mask, "echelon invariant broken"
         self.negrows.append(negrow)
         self.pivots.append(pivot)
         self.supports.append(row_support)
         self.pivot_mask |= 1 << pivot
+        rows_at[pivot] = negrow, row_support
         return pivot
 
 

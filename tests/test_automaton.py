@@ -37,6 +37,23 @@ def test_construction_validates():
         Automaton([[2]])
 
 
+def test_construction_names_the_first_bad_row_or_entry():
+    # Rows are checked in reading order, each row's length before its entries.
+    for rows, message in (
+            ([[0, 1], [0]], "row 1 has 1 entries, expected 2"),
+            ([[0, 1], [1, 0, 1], [0]], "row 1 has 3 entries, expected 2"),
+            ([[0, 1], [1, 2]], r"transition \(1,1\) -> 2 out of range \[0, 2\)"),
+            ([[0, -1], [5, 0]], r"transition \(0,1\) -> -1 out of range \[0, 2\)"),
+            ([[0, 3], [0]], r"transition \(0,1\) -> 3 out of range \[0, 2\)"),
+            ([[0, 1], [0, 1], [2]], "row 2 has 1 entries, expected 2"),
+            ([[0], [0, 1], [9]], "row 1 has 2 entries, expected 1"),
+            ([[1]], r"transition \(0,0\) -> 1 out of range \[0, 1\)")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Automaton(rows)
+    aut = Automaton(((1, 0), [0, 1]))
+    assert aut.rows == ((1, 0), (0, 1)) and aut.by_letter == ((1, 0), (0, 1))
+
+
 def test_stateset_basics():
     s = StateSet.from_states(4, [2, 0])
     assert len(s) == 2 and list(s) == [0, 2]
@@ -520,3 +537,4 @@ def test_classification_helpers(c4, p3, ch2):
     assert not is_permutation_automaton(c4)
     two_sinks = Automaton([[0, 0], [1, 1]])
     assert sink_state(two_sinks) == 0  # smallest of several
+    assert sink_state(Automaton([[1, 0], [1, 1], [2, 2]])) == 1  # 0 is fixed by b only

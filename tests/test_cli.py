@@ -325,6 +325,42 @@ def test_timing_adds_only_elapsed_ms(files, capsys, problem, extra):
     assert timed_code == code and timed == report
 
 
+def test_classify_rank_and_timed_check_json_is_what_json_writes(capsys):
+    # report.dumps stands in for json.dumps(value, sort_keys=True, indent=2);
+    # parsing and re-dumping is exact for these values, elapsed_ms included.
+    data = Path(__file__).parent / "data"
+    paths = sorted(data.glob("*.aut"))
+    assert paths
+    for path in paths:
+        for argv in (("classify", str(path), "--json"), ("rank", str(path), "--json"),
+                     ("check", str(path), "--subset", "0,1", "--problem", "resize",
+                      "--witness", "--json", "--timing")):
+            code, out, _ = run(capsys, *argv)
+            assert code in (0, 1)
+            value = json.loads(out)
+            assert out == json.dumps(value, sort_keys=True, indent=2) + "\n", argv
+            if argv[0] == "check":
+                assert type(value["stats"]["elapsed_ms"]) is float
+
+
+def test_json_writer_hands_other_values_to_json():
+    from preimages.report import dumps
+    notes = ('say "no"', "a\\b", "tab\tand\nline", "bell\x07", "del\x7f", "naïve", "Černý",
+             "\u2028", "")
+    for note in notes:
+        report = preimages.WitnessReport("extend", "no", 1, stats={"nodes": 2}, note=note)
+        assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True,
+                                              indent=2) + "\n", note
+    for value in ({}, [], {"a": {}, "b": []}, (1, ("x",)), {"x": [notes, {"y": notes}]},
+                  [1.5, -0.0, 1e300, 2 ** 70, float("inf"), float("-inf")], {3: "k", 1: [2]},
+                  [[], [[{}]], {"z": None, "a": True, "m": False}]):
+        assert dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
+    assert dumps([float("nan")]) == "[\n  NaN\n]"
+    for value in ({1, 2}, [object()], {"a": {None: 1, "b": 2}}):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
 def test_classify_and_rank_and_reset(files, capsys):
     code, out, _ = run(capsys, "classify", files["cerny4"], "--json")
     assert code == 0
@@ -642,9 +678,10 @@ def test_cli_import_leaves_fractions_unloaded():
     assert _fresh_python("import sys, preimages.cli; print(int('fractions' in sys.modules))") == 0
 
 
+# json is imported only after the last measurement, to print what was found.
 _IMPORT_PROBE = """
-import json, sys
-heavy = lambda: sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"}
+import sys
+heavy = lambda: sorted({"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
                        & set(sys.modules))
 ours = lambda: sorted(m for m in sys.modules if m.startswith("preimages."))
 found = {"startup": heavy()}
@@ -652,18 +689,35 @@ import preimages
 found["package"] = ours()
 import preimages.cli
 found["cli"], found["cli_heavy"] = ours(), heavy()
+found["cli_array"] = "array" in sys.modules
 found["code"] = preimages.cli.main(sys.argv[1:])
 found["query"], found["query_heavy"] = ours(), heavy()
+import json
 print(json.dumps(found))
 """
 
 
 def _probe(*argv):
     """``_IMPORT_PROBE`` on ``argv``: neither ``import preimages.cli`` nor the query loads
-    dataclasses, inspect, argparse, gettext or locale beyond what start-up loaded."""
+    dataclasses, inspect, argparse, gettext, locale or json beyond what start-up loaded."""
     found = _fresh_python(_IMPORT_PROBE, *argv)
     assert found["cli_heavy"] == found["query_heavy"] == found["startup"], argv
     return found
+
+
+def test_check_classify_and_rank_load_no_json_and_the_cli_no_array(files):
+    # Reports are written by report.dumps, and array is imported only by the
+    # flat subset store (extend here) and the pair table (avoid and rank).
+    for argv in (("check", files["cerny4"], "--subset", "1,2", "--problem", "resize",
+                  "--witness", "--json", "--timing"),
+                 ("check", files["cerny4"], "--subset", "1,2", "--problem", "extend",
+                  "--witness", "--json"),
+                 ("check", files["cerny4"], "--subset", "0,1,2", "--problem", "avoid",
+                  "--witness", "--json"),
+                 ("classify", files["cerny4"], "--json"), ("rank", files["cerny4"], "--json")):
+        found = _probe(*argv)
+        assert found["code"] in (0, 1) and "json" not in found["query_heavy"], argv
+        assert found["cli_array"] is False, argv
 
 
 def test_a_process_imports_only_the_modules_its_route_runs(files):

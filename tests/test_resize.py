@@ -134,6 +134,65 @@ def test_basis_invariant_after_every_insertion_random_sweep():
             _assert_echelon(basis, accepted)
 
 
+def _insertion_order_insert(basis, bits):
+    """The insert that reduced against every row in insertion order and built
+    r by one base-16 parse, on the basis's lists: the reference the sparse
+    insert must match row for row."""
+    n, w, p = basis.n, basis.width, basis.p
+    support = bits | 1 << n
+    r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
+    mask = (1 << w) - 1
+    for negrow, piv, row_support in zip(basis.negrows, basis.pivots, basis.supports):
+        if support >> piv & 1:
+            c = (r >> piv * w & mask) % p
+            if c:
+                r += c * negrow
+                support |= row_support
+            support ^= 1 << piv
+    negrow = row_support = 0
+    while support:
+        low = support & -support
+        q = low.bit_length() - 1
+        v = (r >> q * w & mask) % p
+        if v:
+            if not row_support:
+                pivot, inv = q, pow(v, -1, p)
+            negrow |= (p - v * inv % p) << q * w
+            row_support |= low
+        support ^= low
+    if not row_support:
+        return None
+    basis.negrows.append(negrow)
+    basis.pivots.append(pivot)
+    basis.supports.append(row_support)
+    basis.pivot_mask |= 1 << pivot
+    return pivot
+
+
+def test_sparse_insert_matches_the_insertion_order_reference():
+    # Patterns of 1-7 members take the shift build, larger ones the parse;
+    # both run at every n, and so do rows reached from either.
+    rng = random.Random(39)
+    sizes = set()
+    for trial in range(20):
+        n = rng.randint(9, 40) if trial else 40
+        basis, reference, accepted = RationalBasis(n), RationalBasis(n), []
+        for _ in range(rng.randint(n // 2, n + 4)):
+            members = rng.choice((1, 2, 3, 7, n // 2, n))
+            bits = sum(1 << q for q in rng.sample(range(n), rng.randint(0, members)))
+            sizes.add(bits.bit_count() + 1 <= 8)
+            pivot = basis.insert(bits)
+            assert pivot == _insertion_order_insert(reference, bits)
+            assert (basis.negrows, basis.pivots, basis.supports, basis.pivot_mask) == (
+                reference.negrows, reference.pivots, reference.supports, reference.pivot_mask)
+            assert basis.rows_at == {piv: (negrow, support) for negrow, piv, support
+                                     in zip(basis.negrows, basis.pivots, basis.supports)}
+            if pivot is not None:
+                accepted.append(_vector(n, bits))
+            _assert_echelon(basis, accepted)
+    assert sizes == {True, False}
+
+
 def test_basis_invariant_on_vectors_a_real_search_inserts(monkeypatch):
     accepted = []
     original = RationalBasis.insert
@@ -314,6 +373,19 @@ def test_check_fills_the_dense_basis_beside_a_cerny_component(tmp_path, capsys, 
     report = json.loads(capsys.readouterr().out)
     assert (code, report["answer"], report["method"]) == (1, "no", "poly")
     assert report["stats"] == {"basis_size": m, "nodes": m}
+
+
+def test_check_walks_the_sparse_basis_around_a_defect_cycle(tmp_path, capsys):
+    # Each preimage of {n - 1} is one state, so each insert meets at most one
+    # earlier pivot, and the basis fills before the empty preimage is found.
+    n = 270
+    path = tmp_path / "defect.aut"
+    path.write_text(serialize_automaton(_defect_cycle(n)))
+    code = main(["check", str(path), "--subset", str(n - 1), "--problem", "resize",
+                 "--witness", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["answer"], report["witness_length"]) == (0, "yes", n - 1)
+    assert report["stats"] == {"basis_size": n, "nodes": n + 1}
 
 
 def test_resize_matches_oracle_with_length_bound():
