@@ -33,7 +33,7 @@ print("insert chi(S.a^-1):     pivot", basis.insert(pre_a.bits))
 print("insert chi(S) again:   ", basis.insert(s.bits), "(dependent, pruned)")
 print("stored echelon rows mod p (1 at the pivot, 0 at earlier pivots; last entry affine):")
 slot = (1 << basis.width) - 1
-for negrow, piv in zip(basis.negrows, basis.pivots):
+for piv, (negrow, _) in basis.rows_at.items():
     row = [-(negrow >> (i * basis.width) & slot) % basis.p for i in range(basis.n + 1)]
     print("  ", row, "pivot", piv)
 

@@ -25,7 +25,7 @@ _EXPORTS = {  # submodule -> the public names it provides
     "avoid": ("avoiding_word",),
     "resize": ("RationalBasis", "shortest_resizing_word", "resizable_decision_fast"),
     "oracle": ("backward_subset_bfs", "forward_subset_bfs", "oracle_shortest",
-               "oracle_shortest_reset", "oracle_min_rank"),
+               "oracle_shortest_reset"),
     "gadgets": ("DfaWithAcceptance", "GadgetOutput", "intersection_gadget", "binarize",
                 "sink_binarize", "large_extend_gadget", "random_automaton", "languages_intersect"),
     "fileformat": ("parse_automaton", "parse_automaton_file", "serialize_automaton",

@@ -82,9 +82,3 @@ def oracle_shortest_reset(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,
                              stop=lambda bits: bits.bit_count() == 1)
     return None if res.hit is None else res.word_to(res.hit)
 
-
-def oracle_min_rank(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,
-                    state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> int:
-    """Smallest image cardinality over all words (exhaustive)."""
-    result = forward_subset_bfs(aut, None, node_limit, state_cap)
-    return min(bits.bit_count() for bits in result.reached)

@@ -26,6 +26,9 @@ over Q.  The returned word could differ from that search's only if p
 divides an integer minor that decides independence; it is still a shortest
 word.
 
+The basis keeps each row once, packed in one int, and reads an incoming
+vector as the reductions it has collected plus the subset's own bits.
+
 Only ``resizable_decision_fast`` imports ``pairs``, when called, so the
 search loads none of it.
 """
@@ -43,36 +46,35 @@ class RationalBasis:
     """Echelon basis over F_p of the vectors (chi(T), 1), T a subset of n states,
     where p, stored as ``p``, is the smallest prime above n.
 
-    Rows stay in insertion order.  Row j is 1 at its pivot ``pivots[j]``, its
-    lowest nonzero column, and 0 at the pivot of every earlier row.  It is
-    stored as one int, ``negrows[j]``, of ``n + 1`` slots of ``width`` bits,
-    slot i holding (-row[i]) mod p, and ``supports[j]`` is the bitmask of its
-    nonzero columns; ``rows_at`` maps each pivot to that row's
-    ``(negrow, support)``.  An incoming vector r is reduced by ``r += c *
-    negrow`` with c = r[pivot] mod p, which clears r at that pivot modulo p,
-    only against the rows whose pivots lie in r's running support (its own
-    columns and those of the rows added so far), lowest pivot first.  As a
-    row's pivot is its lowest nonzero column, adding it changes r only at
-    columns from its pivot on, so a pivot once cleared stays clear, and an
-    insert costs what the pivots that r touches cost.  The residual is zero
-    at every pivot whatever the order, and the rows restricted to their
-    pivots form a triangular matrix with unit diagonal, so it is the same
-    residual as reducing in insertion order.
+    ``rows_at`` maps each row's pivot, its lowest nonzero column, to the row,
+    in insertion order.  Row j is 1 at its pivot and 0 at the pivot of every
+    earlier row.  It is stored as ``(negrow, support)``: ``negrow`` is one int
+    of ``n + 1`` slots of ``width`` bits, slot i holding (-row[i]) mod p, and
+    ``support`` is the bitmask of its nonzero columns.  An incoming vector
+    is reduced by ``r += c * negrow`` with c = r[pivot] mod p, which clears r
+    at that pivot modulo p, only against the rows whose pivots lie in r's
+    running support (its own columns and those of the rows added so far),
+    lowest pivot first.  As a row's pivot is its lowest nonzero column,
+    adding it changes r only at columns from its pivot on, so a pivot once
+    cleared stays clear, and an insert costs what the pivots that r touches
+    cost.  The residual is zero at every pivot whatever the order, and the
+    rows restricted to their pivots form a triangular matrix with unit
+    diagonal, so it is the same residual as reducing in insertion order.
 
-    Slots are not reduced during the loop: r starts with 0/1 entries and
-    each of at most n + 1 steps adds less than p**2 to a slot, so ``width``
-    is the bit length of (n + 2) * p**2, rounded up to a whole hex digit.  r
-    is built by one shift per member when the pattern, affine bit included,
-    has at most 8 bits, and otherwise by one base-16 parse of its binary
-    digits spaced by zero digits, whose cost does not grow with the members.
-    The residual is read by shifts on its support columns: all zero mod p
-    means r lies in the span; otherwise it is scaled to 1 at its first
-    nonzero column and appended, and no older row changes.
+    No vector is built from the pattern: r is one int that collects only
+    the reductions, and entry i of the vector is slot i of r plus bit i of
+    the pattern, whose bit n is the affine 1.  Slots are not reduced during
+    the loop: each of at most n + 1 steps adds at most (p - 1)**2 to a
+    slot, so an entry stays at most (n + 1) * (p - 1)**2 + 1, below
+    2**``width`` with ``width`` the bit length of (n + 2) * p**2, and no slot
+    carries into the next.  The residual is read on its support
+    columns: all zero mod p means r lies in the span; otherwise it is scaled
+    to 1 at its first nonzero column and added, and no older row changes.
 
     The name predates the move from Q to F_p; trace spans refer to it.
     """
 
-    __slots__ = ("n", "p", "width", "negrows", "pivots", "supports", "pivot_mask", "rows_at")
+    __slots__ = ("n", "p", "width", "pivot_mask", "rows_at")
 
     def __init__(self, n: int):
         self.n = n
@@ -80,36 +82,25 @@ class RationalBasis:
         while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             p += 1
         self.p = p
-        self.width = 4 * -(-((n + 2) * p * p).bit_length() // 4)
-        self.negrows: list[int] = []
-        self.pivots: list[int] = []
-        self.supports: list[int] = []
+        self.width = ((n + 2) * p * p).bit_length()
         self.pivot_mask = 0
         self.rows_at: dict[int, tuple[int, int]] = {}
 
     def __len__(self) -> int:
-        return len(self.pivots)
+        return len(self.rows_at)
 
     def insert(self, bits: int) -> Optional[int]:
         """Insert (chi(bits), 1) if independent; returns the new row's pivot, else None."""
         n, w, p = self.n, self.width, self.p
         if bits < 0 or bits >> n:
             raise ValueError(f"subset pattern {bits:#x} has a state outside 0..{n - 1}")
-        support = bits | 1 << n
-        if support.bit_count() <= 8:
-            r, members = 0, support
-            while members:
-                low = members & -members
-                r |= 1 << (low.bit_length() - 1) * w
-                members ^= low
-        else:
-            r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
-        mask, pivot_mask, rows_at = (1 << w) - 1, self.pivot_mask, self.rows_at
+        pattern = support = bits | 1 << n
+        r, mask, pivot_mask, rows_at = 0, (1 << w) - 1, self.pivot_mask, self.rows_at
         todo = support & pivot_mask
         while todo:
             low = todo & -todo
             piv = low.bit_length() - 1
-            c = (r >> piv * w & mask) % p
+            c = ((r >> piv * w & mask) + (pattern & low > 0)) % p
             if c:
                 negrow, row_support = rows_at[piv]
                 r += c * negrow
@@ -120,7 +111,7 @@ class RationalBasis:
         while support:
             low = support & -support
             q = low.bit_length() - 1
-            v = (r >> q * w & mask) % p
+            v = ((r >> q * w & mask) + (pattern & low > 0)) % p
             if v:
                 if not row_support:
                     pivot, inv = q, pow(v, -1, p)
@@ -130,9 +121,6 @@ class RationalBasis:
         if not row_support:
             return None
         assert not row_support & pivot_mask, "echelon invariant broken"
-        self.negrows.append(negrow)
-        self.pivots.append(pivot)
-        self.supports.append(row_support)
         self.pivot_mask |= 1 << pivot
         rows_at[pivot] = negrow, row_support
         return pivot

@@ -768,7 +768,7 @@ _PUBLIC_NAMES = {
     "totally_extending_word_small", "totally_extensible_synchronizing", "avoiding_word",
     "RationalBasis", "shortest_resizing_word",
     "resizable_decision_fast", "SubsetBfsResult", "backward_subset_bfs", "forward_subset_bfs",
-    "oracle_shortest", "oracle_shortest_reset", "oracle_min_rank", "DfaWithAcceptance",
+    "oracle_shortest", "oracle_shortest_reset", "DfaWithAcceptance",
     "GadgetOutput", "intersection_gadget", "binarize", "sink_binarize", "large_extend_gadget",
     "random_automaton", "languages_intersect", "parse_automaton", "parse_automaton_file",
     "serialize_automaton", "serialize_gadget", "AutomatonFormatError", "WitnessReport",
@@ -778,7 +778,7 @@ _PUBLIC_NAMES = {
 
 
 def test_package_namespace_is_lazy_and_complete():
-    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 54
+    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 53
     assert set(preimages.__all__) == _PUBLIC_NAMES
     submodules = [importlib.import_module("preimages." + m) for m in (
         "automaton", "avoid", "errors", "extend", "fileformat", "gadgets", "oracle", "pairs",

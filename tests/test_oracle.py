@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
-                       backward_subset_bfs, forward_subset_bfs, oracle_min_rank, oracle_shortest,
+                       backward_subset_bfs, forward_subset_bfs, oracle_shortest,
                        oracle_shortest_reset, preimage_word, random_automaton,
                        serialize_automaton)
 from preimages import oracle as oracle_mod
@@ -183,8 +183,9 @@ def test_oracle_reset_and_min_rank(c4, p3, ch2):
     assert len(w) == 9 and apply_word(c4, StateSet.full(4), w).size == 1
     assert oracle_shortest_reset(ch2) == Word.from_text("a")
     assert oracle_shortest_reset(p3) is None
-    assert oracle_min_rank(p3) == 3
-    assert oracle_min_rank(c4) == 1
+    # The minimal rank is the smallest image of Q over all words.
+    assert min(bits.bit_count() for bits in forward_subset_bfs(p3).reached) == 3
+    assert min(bits.bit_count() for bits in forward_subset_bfs(c4).reached) == 1
 
 
 def test_word_reconstruction_reproduces_stored_subsets():

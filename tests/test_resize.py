@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,13 +48,17 @@ def _vector(n, bits):
     return [(bits >> q) & 1 for q in range(n)] + [1]
 
 
-def _slots(basis):
-    """Every stored row unpacked into its n + 1 slots, read independently of
-    the class: slot i of a row holds (-row[i]) mod p."""
-    w, dim = basis.width, basis.n + 1
-    for negrow in basis.negrows:
+def _unpacked(negrows, w, dim):
+    """Packed rows of ``dim`` slots of ``w`` bits each, as lists of slots."""
+    for negrow in negrows:
         assert 0 <= negrow < 1 << (w * dim)
-    return [[(negrow >> (i * w)) & ((1 << w) - 1) for i in range(dim)] for negrow in basis.negrows]
+    return [[(negrow >> (i * w)) & ((1 << w) - 1) for i in range(dim)] for negrow in negrows]
+
+
+def _slots(basis):
+    """Every stored row, in insertion order, unpacked into its n + 1 slots,
+    read independently of the class: slot i of a row holds (-row[i]) mod p."""
+    return _unpacked([negrow for negrow, _ in basis.rows_at.values()], basis.width, basis.n + 1)
 
 
 def _assert_echelon(basis, accepted):
@@ -61,15 +66,15 @@ def _assert_echelon(basis, accepted):
     own pivot, 0 before it and 0 at every earlier row's pivot; its support
     mask names its nonzero slots; and the rows span over F_p what the
     accepted vectors span over Q."""
-    p, slots = basis.p, _slots(basis)
-    assert len(slots) == len(basis.pivots) == len(basis.supports) == len(accepted) == len(basis)
-    for j, (row, piv, support) in enumerate(zip(slots, basis.pivots, basis.supports)):
+    p, slots, pivots = basis.p, _slots(basis), list(basis.rows_at)
+    assert len(slots) == len(pivots) == len(accepted) == len(basis)
+    for j, (row, piv, (_, support)) in enumerate(zip(slots, pivots, basis.rows_at.values())):
         assert all(x < p for x in row)
         assert row[piv] == p - 1 and all(x == 0 for x in row[:piv])
-        for earlier in basis.pivots[:j]:
+        for earlier in pivots[:j]:
             assert row[earlier] == 0
         assert support == sum(1 << i for i, x in enumerate(row) if x)
-    assert basis.pivot_mask == sum(1 << piv for piv in basis.pivots)
+    assert basis.pivot_mask == sum(1 << piv for piv in pivots)
     rows = [[-x % p for x in row] for row in slots]
     # Echelon rows are independent, so equal ranks mean equal spans; the Q
     # rank of the accepted vectors pins that nothing was lost mod p.
@@ -85,7 +90,9 @@ def test_basis_field_is_the_smallest_prime_above_n():
     for n in range(5001):
         basis = RationalBasis(n)
         assert basis.p == next(q for q in range(n + 1, limit) if prime[q]), n
-        assert basis.width == 4 * -(-((n + 2) * basis.p ** 2).bit_length() // 4)
+        # The largest entry a reduction can reach: n + 1 steps of at most
+        # (p - 1)**2 each, plus the pattern bit.  No slot may carry.
+        assert (n + 1) * (basis.p - 1) ** 2 + 1 < 1 << basis.width, n
 
 
 def test_basis_insert_examples():
@@ -106,7 +113,8 @@ def test_basis_first_vector_normalization():
     p = basis.p
     assert p == 5
     assert basis.insert(0b110) == 1
-    assert _slots(basis) == [[0, p - 1, p - 1, p - 1]] and basis.supports == [0b1110]
+    assert _slots(basis) == [[0, p - 1, p - 1, p - 1]]
+    assert [support for _, support in basis.rows_at.values()] == [0b1110]
     # A residual that is -1 at its pivot is scaled to +1 there: (1, 1, 1)
     # clears (1, 0, 1) to (0, -1, 0) modulo p.
     basis = RationalBasis(2)
@@ -134,10 +142,18 @@ def test_basis_invariant_after_every_insertion_random_sweep():
             _assert_echelon(basis, accepted)
 
 
+def _insertion_order_basis(n):
+    """Test-local lists for ``_insertion_order_insert``, over the field of
+    ``RationalBasis(n)``, with slots of whole hex digits for the parse."""
+    p = RationalBasis(n).p
+    return SimpleNamespace(n=n, p=p, width=4 * -(-((n + 2) * p * p).bit_length() // 4),
+                           negrows=[], pivots=[], supports=[], pivot_mask=0)
+
+
 def _insertion_order_insert(basis, bits):
     """The insert that reduced against every row in insertion order and built
-    r by one base-16 parse, on the basis's lists: the reference the sparse
-    insert must match row for row."""
+    r by one base-16 parse, on ``_insertion_order_basis`` lists: the
+    reference the sparse insert must match row for row."""
     n, w, p = basis.n, basis.width, basis.p
     support = bits | 1 << n
     r = int(("0" * (w // 4 - 1)).join(format(support, "b")), 16)
@@ -170,27 +186,24 @@ def _insertion_order_insert(basis, bits):
 
 
 def test_sparse_insert_matches_the_insertion_order_reference():
-    # Patterns of 1-7 members take the shift build, larger ones the parse;
-    # both run at every n, and so do rows reached from either.
+    # Patterns of 0 to n members, so rows are reached from sparse and dense
+    # vectors alike.
     rng = random.Random(39)
-    sizes = set()
     for trial in range(20):
         n = rng.randint(9, 40) if trial else 40
-        basis, reference, accepted = RationalBasis(n), RationalBasis(n), []
+        basis, reference, accepted = RationalBasis(n), _insertion_order_basis(n), []
         for _ in range(rng.randint(n // 2, n + 4)):
             members = rng.choice((1, 2, 3, 7, n // 2, n))
             bits = sum(1 << q for q in rng.sample(range(n), rng.randint(0, members)))
-            sizes.add(bits.bit_count() + 1 <= 8)
             pivot = basis.insert(bits)
             assert pivot == _insertion_order_insert(reference, bits)
-            assert (basis.negrows, basis.pivots, basis.supports, basis.pivot_mask) == (
-                reference.negrows, reference.pivots, reference.supports, reference.pivot_mask)
-            assert basis.rows_at == {piv: (negrow, support) for negrow, piv, support
-                                     in zip(basis.negrows, basis.pivots, basis.supports)}
+            assert list(basis.rows_at) == reference.pivots
+            assert [support for _, support in basis.rows_at.values()] == reference.supports
+            assert basis.pivot_mask == reference.pivot_mask
+            assert _slots(basis) == _unpacked(reference.negrows, reference.width, n + 1)
             if pivot is not None:
                 accepted.append(_vector(n, bits))
             _assert_echelon(basis, accepted)
-    assert sizes == {True, False}
 
 
 def test_basis_invariant_on_vectors_a_real_search_inserts(monkeypatch):
@@ -199,7 +212,7 @@ def test_basis_invariant_on_vectors_a_real_search_inserts(monkeypatch):
 
     def checked_insert(self, bits):
         assert type(bits) is int and 0 <= bits < 1 << self.n
-        if not self.negrows:
+        if not self.rows_at:
             accepted.clear()
         pivot = original(self, bits)
         if pivot is not None:
