@@ -2,9 +2,11 @@
 
 Header line ``n k`` (two positive decimal integers), then n rows of k
 decimal integers: row q, column a holds the successor of state q under
-letter a, 0-based.  ``#`` starts a comment running to end of line; tokens
-are whitespace-separated and may wrap lines.  Parsing and serialization are
-mutually inverse up to comments and whitespace.
+letter a, 0-based.  An integer is ASCII decimal, ``-?[0-9]+``: ``int``'s
+other spellings (``+1``, ``1_0``, non-ASCII digits) are malformed.  ``#``
+starts a comment running to end of line; tokens are whitespace-separated
+and may wrap lines.  Parsing and serialization are mutually inverse up to
+comments and whitespace.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ class AutomatonFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def decimal(token: str) -> int:
+    """``int(token)`` for a token ``-?[0-9]+``; ValueError for any other spelling."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def _line_of(bodies: list[str], i: int) -> int:
@@ -51,7 +61,7 @@ def parse_automaton(text: str) -> Automaton:
         if i >= len(tokens):
             fail(f"unexpected end of input, expected {what}", i)
         try:
-            return int(tokens[i])
+            return decimal(tokens[i])
         except ValueError:
             fail(f"expected {what}, got {tokens[i]!r}", i)
 
@@ -59,12 +69,10 @@ def parse_automaton(text: str) -> Automaton:
     if n < 1 or k < 1:
         fail(f"header must hold two positive integers, got {n} {k}", 1)
     end = 2 + n * k
-    try:
-        entries = list(map(int, tokens[2:end]))
-        valid = len(entries) == n * k and min(entries) >= 0 and max(entries) < n
-    except ValueError:
-        valid = False
-    if not valid:  # the first bad entry, in reading order
+    body = tokens[2:end]
+    digits = "".join(body)  # all of [0-9] iff every entry is [0-9]+
+    entries = list(map(int, body)) if digits.isascii() and digits.isdecimal() else []
+    if not (len(entries) == n * k and max(entries) < n):  # the first bad entry, in reading order
         for i in range(2, end):
             q, a = divmod(i - 2, k)
             entry = value(i, f"transition ({q},{a})")

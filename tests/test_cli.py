@@ -523,6 +523,24 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     assert code == 4 and "error" in err
 
 
+def test_file_entries_and_subsets_are_ascii_decimal(files, tmp_path, capsys):
+    # int() alone reads "+1" as 1 and the Arabic-Indic "\u0660" as 0.
+    odd = tmp_path / "odd.aut"
+    for token in ("+1", "\u0660", "1_0"):
+        odd.write_text(f"2 1\n{token}\n1\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(odd), "--subset", "0", "--problem", "extend")
+        assert (code, out) == (4, "")
+        assert err == f"error: line 2: expected transition (0,0), got {token!r}\n"
+        code, out, err = run(capsys, "check", files["chain2"], "--subset", f"0,{token}",
+                             "--problem", "extend")
+        assert (code, out) == (3, "")
+        assert err == f"error: bad subset '0,{token}': expected comma-separated state indices\n"
+    code, out, err = run(capsys, "check", files["chain2"], "--subset=-1", "--problem", "extend")
+    assert (code, out, err) == (3, "", "error: state -1 out of range [0, 2)\n")
+    code, out, err = run(capsys, "gadget", "intersection", "--dfa", files["chain2"], "\u0660", "1")
+    assert (code, out, err) == (3, "", "error: bad initial state '\u0660'\n")
+
+
 def test_nonpositive_budget_is_a_usage_error(files, capsys):
     for value in ("0", "-5"):
         for command in (("check", "--problem", "extend"), ("oracle", "--goal", "extending")):
@@ -660,16 +678,137 @@ def test_validate_report_rejects_a_method_outside_the_schema(files, capsys):
             validate_report(dict(report, method=method))
 
 
+def _python(*args: str, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this checkout's package, with
+    the variables ``env`` added to its environment; ``kwargs`` go to ``subprocess.run``."""
+    package_root = str(Path(preimages.__file__).resolve().parent.parent)
+    env = dict(os.environ, **dict(env))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
 def _fresh_python(code: str, *argv: str):
     """Run ``code`` in a new interpreter that imports this checkout's package;
     returns the last line it prints, parsed as JSON."""
-    package_root = str(Path(preimages.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code, *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _python("-c", code, *argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+# The two ways to start a query process: ``python -m preimages.cli`` and the
+# ``preimages`` console script, whose wrapper calls ``sys.exit(run())``.
+_ENTRY_POINTS = {
+    "module": ("-m", "preimages.cli"),
+    "script": ("-c", "import sys; from preimages.cli import run; sys.exit(run())"),
+}
+# Either buffering of the standard streams: a pipe is block-buffered unless
+# PYTHONUNBUFFERED is set, and then a write fails or succeeds at once.
+_BUFFERING = {"buffered": {"PYTHONUNBUFFERED": ""}, "unbuffered": {"PYTHONUNBUFFERED": "1"}}
+
+
+def _queries(files):
+    """A query for each exit code from 0 to 4, and the help."""
+    cerny4 = (files["cerny4"], "--subset", "1,2")
+    return {
+        "yes": ("check", *cerny4, "--problem", "extend", "--witness", "--json"),
+        "no": ("check", files["perm3"], "--subset", "0", "--problem", "extend"),
+        "unknown": ("check", *cerny4, "--problem", "extend", "--budget", "3"),
+        "usage": ("check", *cerny4),
+        "subset": ("check", files["cerny4"], "--subset", "9", "--problem", "extend"),
+        "data": ("check", files["cerny4"] + ".missing", "--subset", "0", "--problem", "extend"),
+        "help": ("check", "-h"),
+    }
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("buffering", _BUFFERING)
+def test_a_query_process_exits_as_main_returns(files, capsys, entry, buffering):
+    # The process ends by os._exit once its answer is flushed; what it prints
+    # and its exit code are those of main() called in-process.
+    codes = set()
+    for argv in _queries(files).values():
+        done = _python(*_ENTRY_POINTS[entry], *argv, env=_BUFFERING[buffering],
+                       capture_output=True, text=True)
+        expected = run(capsys, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == expected, argv
+        codes.add(done.returncode)
+    assert codes == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+def test_an_answer_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys, buffering):
+    cerny = tmp_path / "cerny256.aut"
+    cerny.write_text(serialize_automaton(cerny_automaton(256)))
+    done = _python("-m", "preimages.cli", "reset", str(cerny), env=_BUFFERING[buffering],
+                   capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "reset", str(cerny))
+    assert done.stdout.endswith("\nlength: 199426\n") and len(done.stdout) > 1 << 16
+
+
+def test_atexit_callbacks_run_before_the_streams_are_flushed(files):
+    code = ("import atexit, sys; from preimages.cli import run; "
+            "atexit.register(print, 'atexit ran'); run()")
+    done = _python("-c", code, "check", files["perm3"], "--subset", "0", "--problem", "extend",
+                   env=_BUFFERING["buffered"], capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout.endswith("answer: no\nmethod: fast-path\natexit ran\n")
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_a_traced_or_profiled_process_exits_by_system_exit(files, hook):
+    # Code after run() is reached only when it raises SystemExit, which lets
+    # a tracer or profiler write its report; untraced, run() never returns.
+    code = ("import sys; from preimages.cli import run\n"
+            "if sys.argv.pop(1) == 'hook': sys.{}(lambda *a: None)\n"
+            "try: run()\n"
+            "except SystemExit as exc: print('SystemExit', exc.code)").format(hook)
+    argv = ("check", files["perm3"], "--subset", "0", "--problem", "extend")
+    traced = _python("-c", code, "hook", *argv, capture_output=True, text=True)
+    assert traced.returncode == 0 and traced.stdout.endswith("fast-path\nSystemExit 1\n")
+    plain = _python("-c", code, "plain", *argv, capture_output=True, text=True)
+    assert plain.returncode == 1 and plain.stdout.endswith("fast-path\n")
+
+
+def test_cprofile_still_prints_its_stats(files):
+    done = _python("-m", "cProfile", "-m", "preimages.cli", "check", files["cerny4"],
+                   "--subset", "1,2", "--problem", "extend", capture_output=True, text=True)
+    assert done.stdout.startswith("problem: extend\nanswer: yes\n")
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+def _into_a_closed_pipe(*args: str, env=(), stream: str = "stdout") -> subprocess.CompletedProcess:
+    """``_python(*args)`` with ``stream`` writing to a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    other = "stderr" if stream == "stdout" else "stdout"
+    try:
+        return _python(*args, env=env, **{stream: write, other: subprocess.PIPE}, text=True)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+def test_a_broken_stdout_never_reads_as_an_answer(files, tmp_path, buffering):
+    # Exit 0 would read "yes" and 1 "no".  A write that fails at once is an
+    # input/output error (exit 4); a flush that fails at exit is the
+    # interpreter's own report, exit 120.
+    cerny = tmp_path / "cerny256.aut"
+    cerny.write_text(serialize_automaton(cerny_automaton(256)))
+    queries = _queries(files)
+    for argv in (queries["yes"], queries["no"], queries["help"], ("-h",), ("reset", str(cerny))):
+        done = _into_a_closed_pipe("-m", "preimages.cli", *argv, env=_BUFFERING[buffering])
+        if buffering == "unbuffered" or argv[0] == "reset":
+            assert done.returncode == 4 and done.stderr == "error: [Errno 32] Broken pipe\n", argv
+        else:
+            assert done.returncode == 120 and "BrokenPipeError" in done.stderr, argv
+
+
+@pytest.mark.parametrize("buffering", _BUFFERING)
+def test_a_broken_stderr_never_reads_as_an_answer(files, buffering):
+    queries = _queries(files)
+    for name in ("usage", "subset", "data"):
+        done = _into_a_closed_pipe("-m", "preimages.cli", *queries[name],
+                                   env=_BUFFERING[buffering], stream="stderr")
+        assert done.returncode not in (0, 1) and done.stdout == "", name
 
 
 def test_cli_import_leaves_fractions_unloaded():

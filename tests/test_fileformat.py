@@ -35,6 +35,26 @@ def test_malformed_header_reports_line():
         parse_automaton("0 1\n")
 
 
+@pytest.mark.parametrize("token", ["+1", "+0", "1_0", "0_1", "\u0660", "\uff11", "0x1", "1.0"])
+def test_integers_are_ascii_decimal(token):
+    # int() alone would read +1, 1_0, Arabic-Indic and fullwidth digits.
+    with pytest.raises(AutomatonFormatError) as err:
+        parse_automaton(f"2 1\n{token}\n0")
+    assert str(err.value) == f"line 2: expected transition (0,0), got {token!r}"
+    with pytest.raises(AutomatonFormatError) as err:
+        parse_automaton(f"{token} 1\n0\n0")
+    assert str(err.value) == f"line 1: expected state count, got {token!r}"
+
+
+def test_negative_entries_are_out_of_range():
+    with pytest.raises(AutomatonFormatError) as err:
+        parse_automaton("2 1\n1\n-1")
+    assert str(err.value) == "line 3: transition (1,0) -> -1 out of range [0, 2)"
+    with pytest.raises(AutomatonFormatError) as err:
+        parse_automaton("-2 1\n0\n0")
+    assert str(err.value) == "line 1: header must hold two positive integers, got -2 1"
+
+
 def test_row_count_mismatch_reports_line():
     with pytest.raises(AutomatonFormatError) as err:
         parse_automaton("2 1\n1")
