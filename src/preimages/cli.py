@@ -46,9 +46,10 @@ _PROBLEM_OF = {"extending": "extend", "totally-extending": "extend-total", "avoi
 
 def _int_at_least(least: int):
     def parse(text: str) -> int:
-        if int(text) < least:
+        value = decimal(text)
+        if value < least:
             raise ValueError(f"must be an integer >= {least}, got {text!r}")
-        return int(text)
+        return value
     return parse
 
 
@@ -351,10 +352,10 @@ _COMMANDS = {
               {"file": str, "--method": ("greedy", "oracle"), "--oracle-cap": _int_at_least(0)},
               ("file",), {"--method": "greedy", "budget": None}),  # PREIMAGES_BUDGET only
     "gadget": (_cmd_gadget, "reduction constructions", {"kind": ("intersection", "binarize",
-               "sink", "large-extend"), "file": str, "--dfa": 3, "--subset": str, "--target": int,
-               "--output": str}, ("kind",), {"--subset": "", "--target": 0}),
+               "sink", "large-extend"), "file": str, "--dfa": 3, "--subset": str,
+               "--target": decimal, "--output": str}, ("kind",), {"--subset": "", "--target": 0}),
     "random": (_cmd_random, "seeded random automaton", {"--states": _int_at_least(1),
-               "--letters": _int_at_least(1), "--seed": int, "--constraint": CONSTRAINTS},
+               "--letters": _int_at_least(1), "--seed": decimal, "--constraint": CONSTRAINTS},
                ("--states", "--letters", "--seed"), {"--constraint": "none"}),
 }
 _NO_COMMAND = (None, "\n".join(f"  {cmd:<10}{entry[1]}" for cmd, entry in _COMMANDS.items()), {},
@@ -425,8 +426,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _parse(name, argv)
         if args is None:  # a failed write of the help maps like any other
             sys.stdout.write(f"{_usage(name)}\n\n{_COMMANDS.get(name, _NO_COMMAND)[1]}\n")
-            return EXIT_YES
-        return _COMMANDS[name][0](args)
+        code = EXIT_YES if args is None else _COMMANDS[name][0](args)
+        try:  # a reader gone before the flush maps like a failed write
+            sys.stdout.flush()
+        except OSError:  # the bytes stay buffered: os.devnull takes the flushes still to come
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+        return code
     except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         code, message = EXIT_DATA, f"error: {exc}"
     except UsageError as exc:
@@ -459,9 +465,10 @@ def run() -> NoReturn:
     the answer is out, freeing every object and module takes 7 ms of a 66 ms resize
     query process (Python 3.11.7, 2 vCPUs); so, as the interpreter's own shutdown does,
     this runs the ``atexit`` callbacks and flushes stdout and stderr, then ends with
-    ``os._exit``.  A process under a tracer or profiler, or one whose flush fails, exits
-    by ``SystemExit`` instead, so that the tool writes its report and the interpreter
-    reports the failed flush as it always has."""
+    ``os._exit``.  ``main`` has flushed the answer already, so these flushes carry only
+    what the callbacks wrote.  A process under a tracer or profiler, or one whose flush
+    fails here, exits by ``SystemExit`` instead, so that the tool writes its report and
+    the interpreter reports the failed flush as it always has."""
     code = main()
     if not _observed():
         atexit._run_exitfuncs()

@@ -82,10 +82,16 @@ def intersection_gadget(dfas: Sequence[DfaWithAcceptance]) -> GadgetOutput:
     """Strongly connected automaton whose subset is (totally) extensible iff
     the input DFAs accept a common word.
 
-    Every input's chosen accepting state (the smallest) is exploded into a
-    block of 2M beta-cycled copies; the alpha letter rotates between the
-    per-input sub-automata and a fresh block holding the marker states s0,
-    t0.  Inputs are assumed trimmed/minimal by the caller.
+    With M the inputs' total state count, the states form m + 1 blocks, each
+    ending in a cycle of 2M states: block 0 is s0, t0, g0[0..2M-1]; block i
+    is input i's states except f_i, its smallest accepting state, ascending,
+    then gi[0..2M-1], where gi[0] stands for f_i and every gi[j] copies f_i's
+    sigma row.  The sigma letters act as input i on block i; on block 0 they
+    fix s0 and t0 and send g0 to t0.  Alpha sends all of block i to the entry
+    of block i + 1 (mod m + 1): s0, or input i + 1's initial state.  Beta turns
+    every cycle one step, sends s0 to g0[0] and fixes the rest.  The subset
+    is s0, every cycle and the inputs' other accepting states.  Inputs are
+    assumed trimmed/minimal by the caller.
     """
     m = len(dfas)
     if m < 1:
@@ -97,87 +103,36 @@ def intersection_gadget(dfas: Sequence[DfaWithAcceptance]) -> GadgetOutput:
         if d.accepting.size == 0:
             raise ValueError("every DFA needs at least one accepting state")
 
-    sizes = [d.automaton.n for d in dfas]
-    big_m = sum(sizes)
-    gamma_len = 2 * big_m
-    chosen = [min(d.accepting) for d in dfas]
-
-    # Index layout: block 0 = [s0, t0, gamma0...]; block i >= 1 = the i-th
-    # DFA's states minus its chosen accepting state (ascending), then gammai.
-    names: list[str] = ["s0", "t0"] + [f"g0[{j}]" for j in range(gamma_len)]
-    s0, t0 = 0, 1
-    gamma_base = [2]  # gamma_base[i] = index of (f_i, 0)
-    survivors: list[list[int]] = [[]]  # per block, original states kept
-    state_of: list[dict[int, int]] = [{}]  # per input i+1: original -> new index
+    cycle = 2 * sum(d.automaton.n for d in dfas)
+    names = ["s0", "t0"] + [f"g0[{j}]" for j in range(cycle)]
+    starts, index = [0], []  # block i starts at starts[i]; index[i - 1] maps input i's states
     for i, d in enumerate(dfas, start=1):
-        base = len(names)
-        kept = [q for q in range(d.automaton.n) if q != chosen[i - 1]]
-        mapping = {q: base + pos for pos, q in enumerate(kept)}
-        names.extend(f"d{i}:{q}" for q in kept)
-        gb = len(names)
-        names.extend(f"g{i}[{j}]" for j in range(gamma_len))
-        gamma_base.append(gb)
-        survivors.append(kept)
-        state_of.append(mapping)
+        n, f, base = d.automaton.n, min(d.accepting), len(names)
+        index.append([base + n - 1 if q == f else base + q - (q > f) for q in range(n)])
+        starts.append(base)
+        names += [f"d{i}:{q}" for q in range(n) if q != f] + [f"g{i}[{j}]" for j in range(cycle)]
+    starts.append(len(names))
+    entries = [0] + [at[d.initial] for at, d in zip(index, dfas)]
 
-    total = len(names)
     alpha, beta = k, k + 1
-    rows = [[0] * (k + 2) for _ in range(total)]
-
-    def target(i: int, q: int) -> int:
-        """New index of original state q of input i (chosen state -> gamma 0)."""
-        if q == chosen[i - 1]:
-            return gamma_base[i]
-        return state_of[i][q]
-
-    def block_entry(i: int) -> int:
-        """New index of s_i: the fresh s0 for block 0, else input i's initial."""
-        if i == 0:
-            return s0
-        return target(i, dfas[i - 1].initial)
-
-    # Sigma letters.
-    for a in range(k):
-        rows[s0][a] = s0
-        rows[t0][a] = t0
-        for j in range(gamma_len):
-            rows[gamma_base[0] + j][a] = t0
-        for i, d in enumerate(dfas, start=1):
-            delta = d.automaton.rows
-            for q in survivors[i]:
-                rows[state_of[i][q]][a] = target(i, delta[q][a])
-            for j in range(gamma_len):
-                rows[gamma_base[i] + j][a] = target(i, delta[chosen[i - 1]][a])
-
-    # Alpha rotates whole blocks to the next block's entry state.
-    block_of = [0] * total
-    for i in range(1, m + 1):
-        for q in survivors[i]:
-            block_of[state_of[i][q]] = i
-        for j in range(gamma_len):
-            block_of[gamma_base[i] + j] = i
-    for q in range(total):
-        rows[q][alpha] = block_entry((block_of[q] + 1) % (m + 1))
-
-    # Beta cycles each gamma block, pushes s0 into gamma0, fixes the rest.
-    for q in range(total):
-        rows[q][beta] = q
+    rows = [[q] * (k + 2) for q in range(len(names))]  # sigma fixes s0 and t0, beta the rest
+    rows[0][beta] = 2  # s0 -> g0[0]
+    rows[2][:k] = [1] * k  # g0[0] -> t0, copied along g0 below
+    for at, d in zip(index, dfas):  # f_i's row lands on gi[0]
+        for q, successors in enumerate(d.automaton.rows):
+            rows[at[q]][:k] = [at[p] for p in successors]
+    cycles = []
     for i in range(m + 1):
-        for j in range(gamma_len):
-            rows[gamma_base[i] + j][beta] = gamma_base[i] + (j + 1) % gamma_len
-    rows[s0][beta] = gamma_base[0]
-
-    subset_bits = 1 << s0
-    for i in range(m + 1):
-        for j in range(gamma_len):
-            subset_bits |= 1 << (gamma_base[i] + j)
-    for i, d in enumerate(dfas, start=1):
-        for q in d.accepting:
-            if q != chosen[i - 1]:
-                subset_bits |= 1 << state_of[i][q]
-
-    aut = Automaton(rows)
-    return GadgetOutput(aut, StateSet(total, subset_bits), tuple(names))
+        for q in range(starts[i], starts[i + 1]):
+            rows[q][alpha] = entries[(i + 1) % (m + 1)]
+        first = starts[i + 1] - cycle
+        for j in range(cycle):
+            rows[first + j][:k] = rows[first][:k]
+            rows[first + j][beta] = first + (j + 1) % cycle
+        cycles += range(first, first + cycle)
+    accepting = [at[q] for at, d in zip(index, dfas) for q in d.accepting]  # f_i's is gi[0]
+    subset = StateSet.from_states(len(names), [0] + cycles + accepting)
+    return GadgetOutput(Automaton(rows), subset, tuple(names))
 
 
 def binarize(aut: Automaton, s: StateSet) -> GadgetOutput:

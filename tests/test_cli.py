@@ -368,8 +368,18 @@ def test_classify_and_rank_and_reset(files, capsys):
     assert info == {"strongly_connected": True, "synchronizing": True,
                     "permutation": False, "sink_state": None}
 
+    code, out, _ = run(capsys, "classify", files["cerny4"])
+    assert (code, out) == (0, "strongly-connected: yes\nsynchronizing: yes\npermutation: no\n"
+                              "sink-state: none\n")
+
     code, out, _ = run(capsys, "rank", files["perm3"], "--json")
     assert code == 0 and json.loads(out)["rank"] == 3
+
+    _, out, _ = run(capsys, "rank", files["cerny4"], "--json")
+    found = json.loads(out)
+    code, out, _ = run(capsys, "rank", files["cerny4"])
+    assert found["rank"] == 1 and found["image"] == [0]
+    assert (code, out) == (0, f"rank: 1\nword: {found['word']}\nimage: {{0}}\n")
 
     code, out, _ = run(capsys, "reset", files["cerny4"], "--method", "oracle")
     assert code == 0 and "length: 9" in out
@@ -409,6 +419,9 @@ def test_gadget_commands(files, capsys, tmp_path):
 
     code, _, err = run(capsys, "gadget", "intersection")
     assert code == 3
+    for kind in ("binarize", "sink", "large-extend"):
+        code, out, err = run(capsys, "gadget", kind)
+        assert (code, out, err) == (3, "", f"error: gadget {kind} needs an automaton file\n")
 
 
 def test_gadget_intersection_names_a_bad_initial_state(files, capsys):
@@ -557,6 +570,27 @@ def test_negative_max_len_is_a_usage_error(files, capsys):
     code, _, _ = run(capsys, "check", files["cerny4"], "--subset", "1,2",
                      "--problem", "extend", "--max-len", "0")
     assert code == 1
+
+
+def test_integer_flags_and_variables_are_ascii_decimal(files, capsys, monkeypatch):
+    # int() reads each of these values, and PREIMAGES_BUDGET=1_0 as 10; each is
+    # a usage error instead, and negative --seed and --target values still parse.
+    check = ("check", files["cerny4"], "--subset", "1,2", "--problem", "extend")
+    for argv in ((*check, "--budget", "\u0661"), (*check, "--max-len", "+1"),
+                 ("random", "--states", "\uff13", "--letters", "2", "--seed", "1"),
+                 ("random", "--states", "3", "--letters", "2", "--seed", "+5"),
+                 ("gadget", "large-extend", files["chain2"], "--target", "0_0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "not a decimal integer" in err, argv
+    monkeypatch.setenv("PREIMAGES_BUDGET", "1_0")
+    code, out, err = run(capsys, *check)
+    assert (code, out, err) == (
+        3, "", "error: environment variable PREIMAGES_BUDGET not a decimal integer: '1_0'\n")
+    monkeypatch.delenv("PREIMAGES_BUDGET")
+    code, out, _ = run(capsys, "random", "--states", "3", "--letters", "2", "--seed", "-5")
+    assert code == 0 and out.startswith("3 2\n")
+    code, _, err = run(capsys, "gadget", "large-extend", files["chain2"], "--target", "-1")
+    assert (code, err) == (3, "error: anchor state -1 out of range\n")
 
 
 def test_env_budget_override(files, capsys, monkeypatch):
@@ -788,18 +822,15 @@ def _into_a_closed_pipe(*args: str, env=(), stream: str = "stdout") -> subproces
 
 @pytest.mark.parametrize("buffering", _BUFFERING)
 def test_a_broken_stdout_never_reads_as_an_answer(files, tmp_path, buffering):
-    # Exit 0 would read "yes" and 1 "no".  A write that fails at once is an
-    # input/output error (exit 4); a flush that fails at exit is the
-    # interpreter's own report, exit 120.
+    # Exit 0 would read "yes" and 1 "no".  A write that fails at once and a
+    # buffered answer whose flush in main() fails are both input/output
+    # errors (exit 4), reported once.
     cerny = tmp_path / "cerny256.aut"
     cerny.write_text(serialize_automaton(cerny_automaton(256)))
     queries = _queries(files)
     for argv in (queries["yes"], queries["no"], queries["help"], ("-h",), ("reset", str(cerny))):
         done = _into_a_closed_pipe("-m", "preimages.cli", *argv, env=_BUFFERING[buffering])
-        if buffering == "unbuffered" or argv[0] == "reset":
-            assert done.returncode == 4 and done.stderr == "error: [Errno 32] Broken pipe\n", argv
-        else:
-            assert done.returncode == 120 and "BrokenPipeError" in done.stderr, argv
+        assert done.returncode == 4 and done.stderr == "error: [Errno 32] Broken pipe\n", argv
 
 
 @pytest.mark.parametrize("buffering", _BUFFERING)

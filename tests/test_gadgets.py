@@ -1,5 +1,6 @@
 """Reduction gadgets, validated against the oracle and the product check."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from preimages import (Automaton, DfaWithAcceptance, StateSet, backward_subset_bfs,
                        binarize, intersection_gadget, is_strongly_connected,
                        is_synchronizing, languages_intersect, large_extend_gadget,
-                       perm3, chain2, random_automaton, sink_binarize, sink_state)
+                       perm3, chain2, random_automaton, serialize_gadget, sink_binarize,
+                       sink_state)
 from preimages.gadgets import trim_reachable
 from preimages.automaton import problem_goal
 
@@ -35,6 +37,24 @@ def test_intersection_gadget_size_arithmetic():
     assert out.automaton.n == 11  # block0 = 2 + 4, block1 = 1 + 4 with M = 2
     assert out.automaton.k == 3   # sigma + alpha + beta
     assert len(set(out.state_names)) == 11
+
+
+def test_intersection_gadget_output_is_pinned():
+    # SHA-256 of the serialized gadgets of 60 seeded, untrimmed input tuples,
+    # recorded from the earlier table-per-role implementation: state order,
+    # state names, rows and subset all stay byte for byte the same.
+    rng = random.Random(34)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        dfas = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 5)
+            rows = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+            dfas.append(DfaWithAcceptance(Automaton(rows), rng.randrange(n),
+                                          StateSet(n, rng.randrange(1, 1 << n))))
+        digest.update(serialize_gadget(intersection_gadget(dfas)).encode())
+    assert digest.hexdigest() == "8be6894e7088207481f9a60d622a473e96f8377eab40329a03a6d7f34ed5d85f"
 
 
 def test_intersection_gadget_preconditions():
