@@ -17,8 +17,8 @@ forward by image steps and back, and the power-set oracle does both.  A
 step by a letter is the union of one mask per member state, from a table
 per letter and direction (``Automaton.step_masks``) built once per
 automaton.  ``race`` runs such searches in lock-step under one node
-budget.  ``problem_goal`` states each of the four problems as one test on
-the preimage S·w⁻¹.
+budget and returns the first that answers.  ``problem_goal`` states each
+of the four problems as one test on the preimage S·w⁻¹.
 
 All values here are immutable after construction, so they can be shared
 freely between threads; derived analyses are memoized on the automaton
@@ -298,16 +298,17 @@ class SubsetBfsResult:
     subsets in generation order (FIFO, letters ascending), sources first.  A
     search without a goal reaches every subset; one with a goal ends at the
     first subset that meets it, stored in ``hit`` (None if no reachable
-    subset does).
+    subset does), and ``word`` is ``word_to(hit)`` (None without a hit).
     """
 
-    __slots__ = ("direction", "reached", "hit", "_pred", "_masks")
+    __slots__ = ("direction", "reached", "hit", "word", "_pred", "_masks")
 
     def __init__(self, direction: str, reached: Sequence[int], hit: Optional[int], pred,
                  masks: Sequence[Sequence[int]]):
         self.direction, self.reached, self.hit = direction, reached, hit
         self._pred = pred  # bits -> predecessor bits or a source's own bits; -1 in the array
         self._masks = masks  # the direction's ``Automaton.step_masks``
+        self.word = None if hit is None else self.word_to(hit)
 
     def word_to(self, bits: int) -> Word:
         """The word whose action takes a source to the given subset, each
@@ -447,14 +448,17 @@ def subset_search(aut: Automaton, sources: Iterable[int], direction: str, goal: 
     return SubsetBfsResult(direction, order, hit, pred, per_letter)
 
 
-def race(searches: Iterable, budget: int,
-         stats: Optional[dict] = None) -> Iterator[tuple[int, SubsetBfsResult]]:
-    """Run ``subset_search`` generators in lock-step, yielding ``(index,
-    result)`` for each as it finishes.  Round r allows each 2^r subsets, so
-    one that finishes with N has let no other hold more than about 2N.  All
-    the subsets they hold count against ``budget``; more raise
-    BudgetExceededError.  At each yield ``stats["nodes"]`` counts them."""
-    searches = list(searches)
+def race(entries: Iterable[tuple[Word, Iterator]], budget: int, stats: Optional[dict] = None,
+         max_len: Optional[int] = None) -> tuple[SubsetBfsResult, Optional[Word]]:
+    """Run ``(prefix, subset_search generator)`` entries in lock-step until one
+    answers: it ends without a hit, or the word ``prefix + result.word`` has at
+    most ``max_len`` letters (any, when None).  A longer word drops only its
+    own entry.  Returns that search's result and word (None: no hit).  Round
+    r allows each search 2^r subsets, so one that finishes with N has let no
+    other hold more than about 2N.  All the subsets they hold count against
+    ``budget``; more raise BudgetExceededError.  ``stats["nodes"]`` counts
+    them at each finish.  ValueError if every entry is dropped."""
+    prefixes, searches = zip(*entries)
     for search in searches:
         next(search)  # to where it waits for its first allowance
     counts, live, allowance = [0] * len(searches), list(range(len(searches))), 1
@@ -465,16 +469,18 @@ def race(searches: Iterable, budget: int,
             try:
                 counts[i] = searches[i].send(min(allowance, budget - others))
             except StopIteration as done:
-                counts[i] = len(done.value.reached)
+                res, counts[i] = done.value, len(done.value.reached)
                 live.remove(i)
                 if stats is not None:
                     stats["nodes"] = base + sum(counts)
-                yield i, done.value
-                continue
+                word = None if res.word is None else prefixes[i] + res.word
+                if word is None or max_len is None or len(word) <= max_len:
+                    return res, word
             if others + counts[i] > budget:
                 raise BudgetExceededError(f"subset BFS exceeded node limit {budget}",
                                           others + counts[i])
         allowance *= 2
+    raise ValueError(f"every search found a word longer than max_len={max_len}")
 
 
 def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Optional[Goal],
@@ -484,7 +490,7 @@ def subset_bfs(aut: Automaton, sources: Iterable[int], direction: str, goal: Opt
     subsets raise BudgetExceededError, and ``stats["nodes"]`` adds them up
     when the search returns."""
     search = subset_search(aut, sources, direction, goal, max_depth, admit)
-    return next(race([search], budget, stats))[1]
+    return race([(Word(), search)], budget, stats)[0]
 
 
 def _byte_tables(aut: Automaton) -> tuple[bytes, ...]:

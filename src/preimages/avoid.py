@@ -15,9 +15,10 @@ loses by orders of magnitude on inputs another wins:
 - with a bound L, back from S to depth L for an empty preimage: its first
   hit is a shortest witness.
 
-The first exact answer wins: a hit whose word has at most L letters, or an
-exhausted search; a longer word drops only its search.  The words of the
-forward searches, u and then the path, need not be shortest.
+``race`` returns the first exact answer: a hit whose word has at most L
+letters, or an exhausted search; a longer word drops only its search.
+The words of the forward searches, u and then the path, need not be
+shortest.
 """
 
 from __future__ import annotations
@@ -58,17 +59,12 @@ def avoiding_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NODE_BUDGET
         assert bits.bit_count() == z, "image of a subset of the minimal image changed size"
         return (bits & good_mask).bit_count() == z
 
-    searches = [subset_search(aut, [rank.image.bits], "image", lambda bits: bits & s_bits == 0)]
+    entries = [(rank.word, subset_search(aut, [rank.image.bits], "image",
+                                         lambda bits: bits & s_bits == 0))]
     if z < rank.rank:
         sources = (sum(1 << q for q in states) for states in combinations(rank.image, z))
-        searches.append(subset_search(aut, sources, "image", is_goal))
+        entries.append((rank.word, subset_search(aut, sources, "image", is_goal)))
     if max_len is not None:
-        searches.append(subset_search(aut, [s_bits], "preimage",
-                                      problem_goal("avoid", aut.n, s.size), max_len))
-    for _, res in race(searches, budget, stats):
-        if res.hit is None:
-            return None
-        word = (rank.word if res.direction == "image" else Word()) + res.word_to(res.hit)
-        if max_len is None or len(word) <= max_len:
-            return word
-    raise AssertionError("the depth-cut search answers whenever a bound is given")
+        entries.append((Word(), subset_search(aut, [s_bits], "preimage",
+                                              problem_goal("avoid", aut.n, s.size), max_len)))
+    return race(entries, budget, stats, max_len)[1]

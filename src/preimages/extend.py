@@ -40,9 +40,8 @@ def shortest_extending_word_small(aut: Automaton, s: StateSet,
     aut.check_set(s)
     if s.size == 0 or s.size == aut.n:
         return None
-    res = subset_bfs(aut, [s.bits], "preimage", problem_goal("extend", aut.n, s.size), budget,
-                     stats, -1 if max_len is None else max_len)
-    return None if res.hit is None else res.word_to(res.hit)
+    return subset_bfs(aut, [s.bits], "preimage", problem_goal("extend", aut.n, s.size), budget,
+                      stats, -1 if max_len is None else max_len).word
 
 
 def totally_extending_word_small(aut: Automaton, s: StateSet,

@@ -69,16 +69,15 @@ def oracle_shortest(aut: Automaton, s: StateSet, problem: str,
     and ``state_cap`` binds only when that cut may hold more than
     2^state_cap subsets.
     """
-    res = backward_subset_bfs(aut, s, node_limit, state_cap, problem_goal(problem, aut.n, s.size),
-                              -1 if max_len is None else max_len, stats)
-    return None if res.hit is None else res.word_to(res.hit)
+    return backward_subset_bfs(aut, s, node_limit, state_cap,
+                               problem_goal(problem, aut.n, s.size),
+                               -1 if max_len is None else max_len, stats).word
 
 
 def oracle_shortest_reset(aut: Automaton, node_limit: int = DEFAULT_NODE_BUDGET,
                           state_cap: int = DEFAULT_ORACLE_STATE_CAP) -> Optional[Word]:
     """Exact shortest reset word via forward power-set BFS, stopping at the
     first singleton image."""
-    res = forward_subset_bfs(aut, None, node_limit, state_cap,
-                             stop=lambda bits: bits.bit_count() == 1)
-    return None if res.hit is None else res.word_to(res.hit)
+    return forward_subset_bfs(aut, None, node_limit, state_cap,
+                              stop=lambda bits: bits.bit_count() == 1).word
 

@@ -338,9 +338,10 @@ def avoidable_state(aut: Automaton, q: int) -> bool:
 
     States outside every sink component are avoidable, and a state inside a
     sink component is avoidable iff it belongs to a compressible pair of that
-    component's sub-automaton, which its own (smaller) pair table decides.
-    The sub-automaton, and with it the table, is kept per component in
-    ``aut._derived``.  A witness comes from ``avoid.avoiding_word`` on ``{q}``.
+    component.  A sink component is closed under every letter, so its pairs
+    merge in the automaton exactly when they merge in the component alone:
+    the automaton's own pair table decides.  A witness comes from
+    ``avoid.avoiding_word`` on ``{q}``.
     """
     if not 0 <= q < aut.n:
         raise ValueError(f"state {q} out of range [0, {aut.n})")
@@ -349,14 +350,4 @@ def avoidable_state(aut: Automaton, q: int) -> bool:
     cid = comps.component_of[q]
     if not comps.sink_flags[cid]:
         return True
-    component = comps.components[cid]
-    if len(component) == 1:
-        return False
-    index = {p: i for i, p in enumerate(component)}  # a sink component is closed
-    sub = aut._derived.get(("sink_component", cid))
-    if sub is None:
-        sub = Automaton([[index[p] for p in aut.rows[r]] for r in component])
-        aut._derived[("sink_component", cid)] = sub
-    table = pair_table(sub)
-    sub_q = index[q]
-    return any(table.compressible(sub_q, i) for i in range(len(component)) if i != sub_q)
+    return any(pair_table(aut).compressible(q, p) for p in comps.components[cid] if p != q)

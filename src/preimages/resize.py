@@ -144,12 +144,12 @@ def shortest_resizing_word(aut: Automaton, s: StateSet, budget: int = DEFAULT_NO
     basis.insert(s.bits)
     # Every vector inserted so far lies in the n-dimensional kernel of h, so
     # a basis of n rows already spans every size-keeping child.
-    res = subset_bfs(aut, [s.bits], "preimage", problem_goal("resize", n, s.size), budget, stats,
-                     -1 if max_len is None else max_len,
-                     admit=lambda bits: len(basis) < n and basis.insert(bits) is not None)
+    word = subset_bfs(aut, [s.bits], "preimage", problem_goal("resize", n, s.size), budget,
+                      stats, -1 if max_len is None else max_len,
+                      admit=lambda bits: len(basis) < n and basis.insert(bits) is not None).word
     if stats is not None:
         stats["basis_size"] = len(basis)
-    return None if res.hit is None else res.word_to(res.hit)
+    return word
 
 
 def resizable_decision_fast(aut: Automaton, s: StateSet) -> bool:

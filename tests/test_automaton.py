@@ -279,26 +279,34 @@ def test_a_search_paused_at_any_allowance_ends_as_one_run(case):
 
 
 def test_race_charges_every_search_to_one_budget():
-    # Two searches that each finish alone: a 3-subset exhaustive image search
-    # of a 3-state permutation automaton, and a deep one on Cerny(6).  The
-    # race yields the short one first, and the budget binds their sum.
+    # Two searches that each finish alone: an image search of a 3-state
+    # permutation automaton that stops at the third subset it reaches, and a
+    # deep one on Cerny(6), whose reset word has 25 letters.  The short one
+    # finishes first; behind a 25-letter prefix its word exceeds max_len = 25,
+    # so there the race drops it and returns the deep one.  The budget binds
+    # their sum.
     perm = random_automaton(3, 2, seed=1, constraint="permutation")
-    deep = lambda: subset_search(cerny_automaton(6), [0b111111], "image",
-                                 lambda bits: bits.bit_count() == 1)
+    third = subset_bfs(perm, [0b1], "image", None, 10).reached[2]
+    short = subset_bfs(perm, [0b1], "image", lambda bits: bits == third, 10)
     alone = subset_bfs(cerny_automaton(6), [0b111111], "image",
                        lambda bits: bits.bit_count() == 1, 10**6)
+    assert len(short.reached) == 3 and len(alone.word) == 25
+    entries = lambda: [(Word(), subset_search(cerny_automaton(6), [0b111111], "image",
+                                              lambda bits: bits.bit_count() == 1)),
+                       (Word([0] * 25), subset_search(perm, [0b1], "image",
+                                                      lambda bits: bits == third))]
     stats = {"nodes": 5}
-    done = race([deep(), subset_search(perm, [0b1], "image", None)], 10**6, stats)
-    first, res = next(done)
-    assert first == 1 and len(res.reached) == 3
+    res, word = race(entries(), 10**6, stats)
+    assert list(res.reached) == list(short.reached) and word == Word([0] * 25) + short.word
     assert 5 + 3 < stats["nodes"] <= 5 + 3 + 2 * 3  # the deep search held at most 2 * 3
-    second, res = next(done)
-    assert second == 0 and list(res.reached) == list(alone.reached)
+    stats = {"nodes": 5}
+    res, word = race(entries(), 10**6, stats, max_len=25)
+    assert list(res.reached) == list(alone.reached) and word == alone.word
     assert stats["nodes"] == 5 + 3 + len(alone.reached)
     total = 3 + len(alone.reached)
-    assert len(list(race([deep(), subset_search(perm, [0b1], "image", None)], total))) == 2
+    assert race(entries(), total, max_len=25)[1] == alone.word
     with pytest.raises(BudgetExceededError) as exc:
-        list(race([deep(), subset_search(perm, [0b1], "image", None)], total - 1))
+        race(entries(), total - 1, max_len=25)
     assert exc.value.nodes == total
 
 
@@ -538,3 +546,24 @@ def test_classification_helpers(c4, p3, ch2):
     two_sinks = Automaton([[0, 0], [1, 1]])
     assert sink_state(two_sinks) == 0  # smallest of several
     assert sink_state(Automaton([[1, 0], [1, 1], [2, 2]])) == 1  # 0 is fixed by b only
+
+
+def _dropped_race():
+    # The one search hits {0} after one letter, behind a 2-letter prefix: a
+    # 3-letter word, longer than max_len = 2, so no entry is left to answer.
+    search = subset_search(cerny_automaton(4), [0b1000], "image", lambda bits: bits == 0b0001)
+    return race([(Word([0, 0]), search)], 10, max_len=2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateSet(-1, 0), "state count must be non-negative"),
+    (lambda: StateSet(2, 0b100), "bit pattern 0x4 out of range for n=2"),
+    (lambda: StateSet(2, -1), "bit pattern -0x1 out of range for n=2"),
+    (lambda: Automaton([[]]), "automaton needs at least one letter"),
+    (lambda: cerny_automaton(1), "need at least two states"),
+    (_dropped_race, "every search found a word longer than max_len=2"),
+], ids=["negative-n", "bits-past-n", "negative-bits", "no-letter", "cerny-1", "all-dropped"])
+def test_constructors_and_race_reject_their_bad_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

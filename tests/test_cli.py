@@ -433,6 +433,23 @@ def test_gadget_intersection_names_a_bad_initial_state(files, capsys):
     assert code == 3 and "initial state 2 out of range" in err
 
 
+def test_gadget_intersection_rejects_an_untrimmed_dfa(files, capsys):
+    # From state 0 of u = "2 1 / 0 / 1" state 1 is out of reach, and the gadget
+    # built on it would not be strongly connected; it is refused, not trimmed,
+    # since trimming renumbers the d{i}:{q} state names.  From chain2's state
+    # 1, state 0 is out of reach.
+    untrimmed = Path(files["dir"]) / "u.aut"
+    untrimmed.write_text("2 1\n0\n1\n")
+    for dfas, path, state, initial in (
+            (("--dfa", str(untrimmed), "0", "0"), str(untrimmed), 1, 0),
+            (("--dfa", files["chain2"], "0", "1", "--dfa", files["chain2"], "1", "1"),
+             files["chain2"], 0, 1)):
+        code, out, err = run(capsys, "gadget", "intersection", *dfas)
+        assert (code, out) == (3, "") and err == (
+            f"error: {path}: state {state} cannot be reached from initial state {initial}; "
+            "gadget intersection needs trimmed inputs\n")
+
+
 def test_gadget_and_random_arguments_are_usage_errors(files, capsys):
     ternary = Path(files["dir"]) / "ternary.aut"
     ternary.write_text(serialize_automaton(random_automaton(3, 3, seed=1)))
@@ -644,17 +661,17 @@ def test_one_query_generates_at_most_its_budget(files, capsys, monkeypatch):
     # subsets than --budget, and stats.nodes counts those it generated.
     runs = []
 
-    def counting(searches, budget, stats=None):
-        searches = list(searches)
+    def counting(entries, budget, stats=None, max_len=None):
+        entries = list(entries)
         before = stats.get("nodes", 0)
-        runs.append([budget, len(searches), 0])
+        runs.append([budget, len(entries), 0])
         try:
-            for item in race(searches, budget, stats):
-                runs[-1][2] = stats["nodes"] - before
-                yield item
+            answer = race(entries, budget, stats, max_len)
         except BudgetExceededError as exc:
             runs[-1][2] = exc.nodes - 1  # the subset past the budget is refused
             raise
+        runs[-1][2] = stats["nodes"] - before
+        return answer
 
     race = automaton_mod.race
     for module in (automaton_mod, avoid_mod):
@@ -1091,9 +1108,9 @@ def _accepted_forms(files):
             ("reset", "--method=oracle", "--oracle-cap=4", f),
             ("reset", "--m", "greedy", f, "--o", "1", "--m", "oracle", "--oracle", "4"),
         ]),
-        (("gadget", "intersection", "--dfa", c2, "0", "1", "--dfa", c2, "1", "0"), 0, [
-            ("gadget", "--dfa", c2, "0", "1", "intersection", "--dfa", c2, "1", "0"),
-            ("gadget", "intersection", "--d", c2, "0", "1", "--d", c2, "1", "0"),
+        (("gadget", "intersection", "--dfa", c2, "0", "1", "--dfa", c2, "0", "0"), 0, [
+            ("gadget", "--dfa", c2, "0", "1", "intersection", "--dfa", c2, "0", "0"),
+            ("gadget", "intersection", "--d", c2, "0", "1", "--d", c2, "0", "0"),
         ]),
         (("gadget", "large-extend", c2, "--subset", "1", "--target", "0"), 0, [
             ("gadget", "--subset=1", "--target=0", "large-extend", c2),
@@ -1316,3 +1333,22 @@ def test_permutation_route_matches_oracle_on_every_subset(tmp_path, capsys):
                 assert (code, report["answer"], report["witness"]) == expect, where
                 checked += 1
     assert checked == 4 * 4 * 3 * sum(1 << n for n in range(1, 8))
+
+
+_REPORT = {"problem": "extend", "answer": "yes", "subset_size": 2, "stats": {},
+           "classification": {}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"problem": None}, "report missing key 'problem'"),
+    ({"subset_size": "2"}, "report key 'subset_size' must be int"),
+    ({"answer": "maybe"}, "bad answer value 'maybe'"),
+    ({"witness_length": "2"}, "report key 'witness_length' must be int or null"),
+    ({"witness": "ba"}, "witness and witness_length must be present together"),
+], ids=["missing", "type", "answer", "optional-type", "witness-alone"])
+def test_validate_report_names_each_violation(change, message):
+    validate_report(_REPORT)
+    report = {key: value for key, value in (_REPORT | change).items() if value is not None}
+    with pytest.raises(ValueError) as exc:
+        validate_report(report)
+    assert str(exc.value) == message

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from preimages import (Automaton, DfaWithAcceptance, StateSet, backward_subset_bfs,
-                       binarize, intersection_gadget, is_strongly_connected,
+from preimages import (Automaton, DfaWithAcceptance, GadgetOutput, StateSet,
+                       backward_subset_bfs, binarize, intersection_gadget, is_strongly_connected,
                        is_synchronizing, languages_intersect, large_extend_gadget,
-                       perm3, chain2, random_automaton, serialize_gadget, sink_binarize,
-                       sink_state)
+                       perm3, chain2, random_automaton, serialize_automaton, serialize_gadget,
+                       sink_binarize, sink_state)
+from preimages import gadgets
+from preimages.cli import main
 from preimages.gadgets import trim_reachable
 from preimages.automaton import problem_goal
 
@@ -86,6 +88,41 @@ def test_intersection_gadget_equivalence_and_connectivity():
         ext, tot = oracle_ext_tot(out.automaton, out.subset)
         want = languages_intersect(dfas)
         assert ext == want and tot == want
+
+
+def test_router_answers_the_paper_chains_as_the_product_check(tmp_path, capsys):
+    # The paper's chain on seeded sets of 1-3 trimmed binary DFAs of 1-3
+    # states: the intersection gadget, its binarization, and that one's
+    # sink-binarization, where S is the binarized subset on the original
+    # states.  Whatever route `check` takes, extend on all three and
+    # extend-total on the first two exit 0 exactly when the DFAs accept a
+    # common word, and 1 otherwise.  Small random DFAs nearly always share a
+    # word, so odd seeds draw 1-2 DFAs and add the complement of the first.
+    path, answers = str(tmp_path / "chain.aut"), []
+    for seed in range(60):
+        rng = random.Random(seed)
+        dfas = [random_trimmed_dfa(rng) for _ in range(rng.randint(1, 3 - seed % 2))]
+        first = dfas[0]
+        if seed % 2 and first.accepting.complement():
+            dfas.append(DfaWithAcceptance(first.automaton, first.initial,
+                                          first.accepting.complement()))
+        gadget = intersection_gadget(dfas)
+        binary = binarize(gadget.automaton, gadget.subset)
+        sink = sink_binarize(binary.automaton)
+        want = 0 if languages_intersect(dfas) else 1
+        answers.append(want)
+        for aut, s, problems in ((gadget.automaton, gadget.subset, ("extend", "extend-total")),
+                                 (binary.automaton, binary.subset, ("extend", "extend-total")),
+                                 (sink.automaton, StateSet(sink.automaton.n, binary.subset.bits),
+                                  ("extend",))):
+            with open(path, "w") as fh:
+                fh.write(serialize_automaton(aut))
+            for problem in problems:
+                code = main(["check", path, "--subset", ",".join(map(str, s)), "--problem",
+                             problem])
+                capsys.readouterr()
+                assert code == want, (seed, aut.n, problem)
+    assert answers.count(1) == 18 and answers.count(0) == 42
 
 
 def test_binarize_reference_shapes(p3, ch2, c4):
@@ -196,3 +233,29 @@ def test_gadget_outputs_validate_and_name_tables_are_bijective():
             assert len(out.state_names) == out.automaton.n
             assert len(set(out.state_names)) == out.automaton.n
             assert out.name_of(0) == out.state_names[0]
+
+
+def _no_draw(monkeypatch):
+    monkeypatch.setattr(gadgets, "REJECTION_CAP", 0)
+    random_automaton(3, 2, seed=1, constraint="strongly-connected")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda _: GadgetOutput(chain2(), StateSet(2, 0), ("q0",)), ValueError,
+     "state-name table must cover every state"),
+    (lambda _: GadgetOutput(chain2(), StateSet(2, 0), ("q0", "q0")), ValueError,
+     "state-name table must be a bijection"),
+    (lambda _: random_automaton(0, 2, seed=1), ValueError, "need n >= 1 and k >= 1"),
+    (lambda _: random_automaton(2, 0, seed=1), ValueError, "need n >= 1 and k >= 1"),
+    (_no_draw, RuntimeError,
+     "could not draw a strongly-connected automaton with n=3, k=2 in 0 attempts"),
+    (lambda _: languages_intersect([]), ValueError, "need at least one DFA"),
+    (lambda _: languages_intersect([DfaWithAcceptance(chain2(), 0, StateSet(2, 2)),
+                                    DfaWithAcceptance(perm3(), 0, StateSet(3, 2))]),
+     ValueError, "all DFAs must share one alphabet"),
+], ids=["names-short", "names-repeat", "no-state", "no-letter", "rejection-cap", "no-dfa",
+        "alphabets"])
+def test_gadget_inputs_are_checked(monkeypatch, build, error, message):
+    with pytest.raises(error) as exc:
+        build(monkeypatch)
+    assert str(exc.value) == message

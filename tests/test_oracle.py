@@ -292,3 +292,13 @@ def test_permutation_sweep_memory():
         tracemalloc.stop()
     assert len(res.reached) == math.comb(18, 9)
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("search", [
+    lambda aut: forward_subset_bfs(aut, state_cap=4),
+    lambda aut: backward_subset_bfs(aut, StateSet(5, 1), state_cap=4),
+], ids=["forward", "backward"])
+def test_uncut_searches_above_the_state_cap_are_refused(search):
+    with pytest.raises(BudgetExceededError) as exc:
+        search(random_automaton(5, 2, seed=1))
+    assert str(exc.value) == "power-set search refused: n=5 exceeds cap 4"

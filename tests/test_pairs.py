@@ -431,3 +431,16 @@ def test_pair_table_holds_five_bytes_per_entry():
     finally:
         tracemalloc.stop()
     assert peak < 12 * n * n
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1, 1, "a pair consists of two distinct states"),
+    (0, 4, "state out of range"),
+    (-1, 2, "state out of range"),
+])
+def test_pair_table_rejects_a_bad_pair(c4, p, q, message):
+    table = pair_table(c4)
+    for read in (table.length, table.compressible):
+        with pytest.raises(ValueError) as exc:
+            read(p, q)
+        assert str(exc.value) == message
