@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the public names it provides
     "automaton": ("Automaton", "StateSet", "Word", "SccDecomposition", "apply_word",
                   "preimage_word", "scc", "is_strongly_connected", "is_permutation_automaton",
-                  "sink_state", "letter_name", "SubsetBfsResult"),
+                  "sink_state", "SubsetBfsResult"),
     "pairs": ("PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
               "minimal_rank_word", "avoidable_state"),
     "extend": ("shortest_extending_word_small", "totally_extending_word_small",

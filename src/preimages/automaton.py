@@ -2,9 +2,10 @@
 
 States are 0-based integers ``0..n-1`` and letters 0-based integers
 ``0..k-1``; letter ``i`` is pretty-printed as the ``(i+1)``-th lowercase
-letter whenever the alphabet has at most 26 letters.  Words act on states
-left to right: ``q . uv == (q . u) . v``, which fixes the composition order
-of preimages as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
+letter whenever the alphabet has at most 26 letters.  A ``Word`` is the
+tuple of its letter indices.  Words act on states left to right:
+``q . uv == (q . u) . v``, which fixes the composition order of preimages
+as ``S . (uv)^-1 == (S . v^-1) . u^-1`` everywhere.
 
 A whole word acts through its transformation ``word_map``, read left to
 right one letter at a time (``move_states``): on at most 256 states the map
@@ -36,37 +37,36 @@ from .errors import BudgetExceededError, DEFAULT_ORACLE_STATE_CAP
 CONSTRAINTS = ("none", "strongly-connected", "synchronizing", "permutation")
 
 
-def letter_name(a: int, k: int) -> str:
-    """Display name of letter ``a`` in a ``k``-letter alphabet."""
-    if k <= 26:
-        return chr(ord("a") + a)
-    return str(a)
+def decimal(token: str) -> int:
+    """``int(token)`` for a token ``-?[0-9]+``; ValueError for any other spelling."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 # bytes.translate table from letter indices 0-25 to their names a-z.
 _LETTER_NAMES = bytes(range(ord("a"), ord("a") + 26)).ljust(256, b"\0")
 
 
-class Word:
-    """An immutable sequence of letter indices."""
+class Word(tuple):
+    """An immutable sequence of letter indices: the tuple of its letters."""
 
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Iterable[int] = ()):
-        self.letters: tuple[int, ...] = tuple(letters)
+    __slots__ = ()
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
         """Parse ``"ba"`` into letter indices (``a`` = 0, ``b`` = 1, ...).
 
-        Also accepts whitespace-separated decimal indices for big alphabets.
-        Letters outside ``a``-``z`` and negative indices raise ValueError.
+        Also accepts whitespace-separated ASCII decimal indices for big
+        alphabets.  Letters outside ``a``-``z``, other spellings of an index
+        and negative indices raise ValueError.
         """
         text = text.strip()
         if text == "":
             return cls()
         if any(ch.isspace() or ch.isdigit() for ch in text):
-            word = cls(int(tok) for tok in text.split())
+            word = cls(map(decimal, text.split()))
             if any(a < 0 for a in word):
                 raise ValueError(f"negative letter index in word {text!r}")
             return word
@@ -75,33 +75,22 @@ class Word:
             raise ValueError(f"bad letter {bad!r} in word {text!r}: expected a-z")
         return cls(ord(ch) - ord("a") for ch in text)
 
+    @property
+    def letters(self) -> "Word":
+        """The word itself: it is the tuple of its letters."""
+        return self
+
     def text(self, k: Optional[int] = None) -> str:
         """Render with letter names for alphabets of at most 26 letters.
         Every letter must lie in the alphabet."""
-        letters = self.letters
         if k is None:
-            k = (max(letters) + 1) if letters else 1
+            k = (max(self) + 1) if self else 1
         if k <= 26:
-            return bytes(letters).translate(_LETTER_NAMES).decode()
-        return " ".join(map(str, letters))
+            return bytes(self).translate(_LETTER_NAMES).decode()
+        return " ".join(map(str, self))
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + tuple(other))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
+    def __add__(self, other: Iterable[int]) -> "Word":
+        return Word((*self, *other))
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
@@ -144,10 +133,6 @@ class StateSet:
     def full(cls, n: int) -> "StateSet":
         return cls(n, (1 << n) - 1)
 
-    def _check_peer(self, other: "StateSet") -> None:
-        if self.n != other.n:
-            raise ValueError(f"state sets bound to different automata sizes ({self.n} vs {other.n})")
-
     def __contains__(self, q: int) -> bool:
         return 0 <= q < self.n and (self.bits >> q) & 1 == 1
 
@@ -161,14 +146,12 @@ class StateSet:
     def __len__(self) -> int:
         return self.size
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def complement(self) -> "StateSet":
         return StateSet(self.n, ((1 << self.n) - 1) ^ self.bits)
 
     def issubset(self, other: "StateSet") -> bool:
-        self._check_peer(other)
+        if self.n != other.n:
+            raise ValueError(f"state sets bound to different automata sizes ({self.n} vs {other.n})")
         return self.bits & ~other.bits == 0
 
     def __eq__(self, other) -> bool:
@@ -231,9 +214,9 @@ class Automaton:
         return masks
 
     def check_word(self, w: Word) -> None:
-        distinct = set(w.letters)  # at most k letters when the word is valid
+        distinct = set(w)  # at most k letters when the word is valid
         if distinct and (min(distinct) < 0 or max(distinct) >= self.k):
-            bad = next(a for a in w.letters if not 0 <= a < self.k)
+            bad = next(a for a in w if not 0 <= a < self.k)
             raise ValueError(f"letter {bad} out of range [0, {self.k})")
 
     def check_set(self, s: StateSet) -> None:
@@ -531,19 +514,19 @@ def word_map(aut: Automaton, w: Word) -> tuple[int, ...]:
     once.
     """
     last = aut._derived.get("word_map")
-    if last is not None and last[0] is w.letters:
+    if last is not None and last[0] is w:
         return last[1]
     if aut.n <= 256:
-        f = tuple(move_states(aut, range(aut.n), w.letters))
+        f = tuple(move_states(aut, range(aut.n), w))
     else:
         f = image = tuple(range(aut.n))
         step = list(f)  # step[p] == p . block for p in the image
-        for i in range(0, len(w.letters), 32):
-            moved = move_states(aut, image, w.letters[i:i + 32])
+        for i in range(0, len(w), 32):
+            moved = move_states(aut, image, w[i:i + 32])
             for p, q in zip(image, moved):
                 step[p] = q
             f, image = itemgetter(*f)(step), (*set(moved), moved[0])  # a repeat keeps two states
-    aut._derived["word_map"] = (w.letters, f)
+    aut._derived["word_map"] = (w, f)
     return f
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .automaton import Automaton, StateSet
+from .automaton import Automaton, StateSet, decimal
 
 if TYPE_CHECKING:  # gadgets is imported only by the routes that build gadgets
     from .gadgets import GadgetOutput
@@ -25,14 +25,6 @@ class AutomatonFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def decimal(token: str) -> int:
-    """``int(token)`` for a token ``-?[0-9]+``; ValueError for any other spelling."""
-    digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
 
 
 def _line_of(bodies: list[str], i: int) -> int:

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import CONSTRAINTS, Automaton, StateSet, is_strongly_connected, letter_name
+from .automaton import CONSTRAINTS, Automaton, StateSet, Word, is_strongly_connected
 from .pairs import is_synchronizing
 
 REJECTION_CAP = 10_000
@@ -149,7 +149,7 @@ def binarize(aut: Automaton, s: StateSet) -> GadgetOutput:
     for q in range(n):
         for i in range(k):
             rows.append([aut.rows[q][i] * k + i, q * k + (i + 1) % k])
-            names.append(f"({q},{letter_name(i, k)})")
+            names.append(f"({q},{Word([i]).text(k)})")
     bits = 0
     for q in s:
         bits |= 1 << (q * k)

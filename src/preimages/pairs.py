@@ -312,7 +312,7 @@ def minimal_rank_word(aut: Automaton) -> RankResult:
                 pair = _closest_pair_in(image, table, partners)
                 if pair is None:
                     break
-                word = table.word(*pair).letters
+                word = table.word(*pair)
             letters.extend(word)
             moved = move_states(aut, image, word)
             for p, q in zip(image, moved):

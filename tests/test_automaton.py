@@ -75,9 +75,38 @@ def test_word_rendering_and_parsing():
     assert Word.from_text("") == Word()
     assert (Word.from_text("a") + Word.from_text("b")).text(2) == "ab"
     assert Word.from_text("0 2").letters == (0, 2)
-    for bad in ("A", "aB", "a-b", "é", "-1 2", "3 -1", "-1"):
+    # Indices read ASCII decimal only: "+1", "1_0" and non-ASCII digits are refused.
+    for bad in ("A", "aB", "a-b", "é", "-1 2", "3 -1", "-1", "+1", "1_0", "\u0661",
+                "\u0663 0"):
         with pytest.raises(ValueError):
             Word.from_text(bad)
+
+
+def test_word_is_an_immutable_tuple():
+    w, v = Word.from_text("bab"), Word([0, 2])
+    assert isinstance(w, tuple) and w == Word([1, 0, 1]) == (1, 0, 1) and w != (1, 0)
+    assert hash(w) == hash(Word([1, 0, 1])) == hash((1, 0, 1))
+    assert w[1:] == (0, 1) and w[-1] == 1
+    assert type(w + v) is Word and w + v == (1, 0, 1, 0, 2) and w + [3] == (1, 0, 1, 3)
+    assert w.letters is w
+    assert repr(w) == "Word('bab')" and repr(Word()) == "Word('')"
+    with pytest.raises(AttributeError):
+        setattr(w, "letters", (1, 1))
+    with pytest.raises(AttributeError):
+        w.extra = 0
+
+
+def test_stateset_truth_and_peer_check():
+    assert not StateSet.empty(3) and StateSet.from_states(3, [2])
+    with pytest.raises(ValueError, match=r"^state sets bound to different automata sizes "
+                                         r"\(3 vs 4\)$"):
+        StateSet.full(3).issubset(StateSet.full(4))
+
+
+def test_equal_automata_are_one_set_entry():
+    rows = [[1, 0], [1, 1]]
+    assert len({Automaton(rows), Automaton([tuple(r) for r in rows]), Automaton(rows)}) == 1
+    assert len({Automaton(rows), Automaton([[0, 0], [1, 1]])}) == 2
 
 
 def test_word_text_and_letter_check_at_the_26_letter_boundary():

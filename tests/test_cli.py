@@ -949,7 +949,7 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
 
 _PUBLIC_NAMES = {
     "Automaton", "StateSet", "Word", "SccDecomposition", "apply_word", "preimage_word", "scc",
-    "is_strongly_connected", "is_permutation_automaton", "sink_state", "letter_name",
+    "is_strongly_connected", "is_permutation_automaton", "sink_state",
     "PairTable", "RankResult", "pair_table", "is_synchronizing", "greedy_reset_word",
     "minimal_rank_word", "avoidable_state", "shortest_extending_word_small",
     "totally_extending_word_small", "totally_extensible_synchronizing", "avoiding_word",
@@ -965,7 +965,7 @@ _PUBLIC_NAMES = {
 
 
 def test_package_namespace_is_lazy_and_complete():
-    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 53
+    assert len(preimages.__all__) == len(set(preimages.__all__)) == len(_PUBLIC_NAMES) == 52
     assert set(preimages.__all__) == _PUBLIC_NAMES
     submodules = [importlib.import_module("preimages." + m) for m in (
         "automaton", "avoid", "errors", "extend", "fileformat", "gadgets", "oracle", "pairs",

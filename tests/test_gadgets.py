@@ -138,6 +138,14 @@ def test_binarize_reference_shapes(p3, ch2, c4):
     assert out.subset.size == 2 + 4 * (2 - 1)
 
 
+def test_binarize_names_letters_by_the_word_rule():
+    # a-z up to 26 letters, decimal indices beyond: state (q, a_i) is "(q,i)".
+    out = binarize(Automaton([[0] * 26]), StateSet.full(1))
+    assert out.state_names[0] == "(0,a)" and out.state_names[25] == "(0,z)"
+    out = binarize(Automaton([[0] * 27]), StateSet.full(1))
+    assert out.state_names[0] == "(0,0)" and out.state_names[26] == "(0,26)"
+
+
 def test_binarize_equivalences():
     rng = random.Random(52)
     for _ in range(120):
