@@ -81,12 +81,17 @@ class Word(tuple):
         return self
 
     def text(self, k: Optional[int] = None) -> str:
-        """Render with letter names for alphabets of at most 26 letters.
-        Every letter must lie in the alphabet."""
+        """Render with letter names a-z for alphabets of at most 26 letters
+        when every letter lies in 0-25, with decimal indices otherwise."""
         if k is None:
             k = (max(self) + 1) if self else 1
         if k <= 26:
-            return bytes(self).translate(_LETTER_NAMES).decode()
+            try:
+                names = bytes(self).translate(_LETTER_NAMES)  # 0 for letters 26-255
+            except ValueError:  # a letter outside 0-255
+                names = b"\0"
+            if b"\0" not in names:
+                return names.decode()
         return " ".join(map(str, self))
 
     def __add__(self, other: Iterable[int]) -> "Word":

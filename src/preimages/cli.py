@@ -26,7 +26,7 @@ from typing import NamedTuple, NoReturn, Optional
 
 from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
                         preimage_word, problem_goal, is_permutation_automaton,
-                        is_strongly_connected, known_synchronizing, sink_state, subset_bfs)
+                        is_strongly_connected, known_synchronizing, sink_state)
 from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
                      UsageError)
 from .fileformat import (AutomatonFormatError, decimal, parse_automaton_file, serialize_automaton,
@@ -305,8 +305,7 @@ def _cmd_gadget(args) -> int:
                 raise UsageError(f"bad initial state {initial!r}")
             dfas.append(_checked(gadgets.DfaWithAcceptance, aut, int(initial),
                                  _parse_subset(aut, accepting)))
-            reached = subset_bfs(aut, [1 << dfas[-1].initial], "image", None, aut.n).reached
-            missed = StateSet(aut.n, sum(reached)).complement()  # each reached subset is {q}
+            missed = gadgets.reachable(aut, dfas[-1].initial).complement()
             if missed:  # the gadget is strongly connected only on trimmed inputs
                 raise UsageError(f"{path}: state {min(missed)} cannot be reached from initial "
                                  f"state {initial}; gadget intersection needs trimmed inputs")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import CONSTRAINTS, Automaton, StateSet, Word, is_strongly_connected
+from .automaton import CONSTRAINTS, Automaton, StateSet, Word, is_strongly_connected, subset_bfs
 from .pairs import is_synchronizing
 
 REJECTION_CAP = 10_000
@@ -35,6 +35,12 @@ class DfaWithAcceptance:
         self.automaton.check_set(self.accepting)
 
 
+def reachable(aut: Automaton, q: int) -> StateSet:
+    """The states reachable from q: the subset kernel's image search from
+    {q}, every subset of which is a singleton."""
+    return StateSet(aut.n, sum(subset_bfs(aut, [1 << q], "image", None, aut.n).reached))
+
+
 def trim_reachable(dfa: DfaWithAcceptance) -> DfaWithAcceptance:
     """Restrict a DFA to the states reachable from its initial state.
 
@@ -43,19 +49,10 @@ def trim_reachable(dfa: DfaWithAcceptance) -> DfaWithAcceptance:
     their relative order.
     """
     aut = dfa.automaton
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        for a in range(aut.k):
-            p = aut.rows[q][a]
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    kept = sorted(seen)
-    relabel = {q: i for i, q in enumerate(kept)}
-    rows = [[relabel[aut.rows[q][a]] for a in range(aut.k)] for q in kept]
-    accepting = StateSet.from_states(len(kept), [relabel[q] for q in dfa.accepting if q in seen])
+    relabel = {q: i for i, q in enumerate(reachable(aut, dfa.initial))}
+    rows = [[relabel[p] for p in aut.rows[q]] for q in relabel]
+    accepting = StateSet.from_states(len(relabel), [relabel[q] for q in dfa.accepting
+                                                    if q in relabel])
     return DfaWithAcceptance(Automaton(rows), relabel[dfa.initial], accepting)
 
 
@@ -141,22 +138,16 @@ def binarize(aut: Automaton, s: StateSet) -> GadgetOutput:
 
     State (q, a_i) gets index q*k + i; the first output letter applies a_i
     and remembers it, the second advances the remembered letter cyclically.
+    The subset is every (q, a_i) with i > 0 or q in S.
     """
     aut.check_set(s)
     n, k = aut.n, aut.k
-    rows = []
-    names = []
-    for q in range(n):
-        for i in range(k):
-            rows.append([aut.rows[q][i] * k + i, q * k + (i + 1) % k])
-            names.append(f"({q},{Word([i]).text(k)})")
-    bits = 0
-    for q in s:
-        bits |= 1 << (q * k)
-    for q in range(n):
-        for i in range(1, k):
-            bits |= 1 << (q * k + i)
-    return GadgetOutput(Automaton(rows), StateSet(n * k, bits), tuple(names))
+    rows = [[p * k + i, q * k + (i + 1) % k] for q, row in enumerate(aut.rows)
+            for i, p in enumerate(row)]
+    names = [f"({q},{Word([i]).text(k)})" for q in range(n) for i in range(k)]
+    subset = StateSet.from_states(n * k, [q * k + i for q in range(n) for i in range(k)
+                                          if i or q in s])
+    return GadgetOutput(Automaton(rows), subset, tuple(names))
 
 
 def sink_binarize(aut: Automaton) -> GadgetOutput:
@@ -169,16 +160,9 @@ def sink_binarize(aut: Automaton) -> GadgetOutput:
     """
     if aut.k != 2:
         raise ValueError("sink_binarize expects a binary automaton")
-    n = aut.n
-    z = 3 * n
-    rows = [[0, 0] for _ in range(3 * n + 1)]
-    names = [f"q{i}" for i in range(n)] + [f"q{i}^a" for i in range(n)] \
-        + [f"q{i}^b" for i in range(n)] + ["z"]
-    for i in range(n):
-        rows[i] = [n + i, 2 * n + i]
-        rows[n + i] = [aut.rows[i][0], aut.rows[i][1]]
-        rows[2 * n + i] = [z, z]
-    rows[z] = [z, z]
+    n, z = aut.n, 3 * aut.n
+    rows = [(n + i, 2 * n + i) for i in range(n)] + list(aut.rows) + [(z, z)] * (n + 1)
+    names = [f"q{i}{copy}" for copy in ("", "^a", "^b") for i in range(n)] + ["z"]
     return GadgetOutput(Automaton(rows), StateSet(3 * n + 1, (1 << n) - 1), tuple(names))
 
 
@@ -194,11 +178,8 @@ def large_extend_gadget(aut: Automaton, s: StateSet, f: int) -> GadgetOutput:
         raise ValueError(f"anchor state {f} out of range")
     n, k = aut.n, aut.k
     e_state, s_state = n, n + 1
-    rows = []
-    for q in range(n):
-        rows.append(list(aut.rows[q]) + [f if q in s else e_state])
-    rows.append([e_state] * k + [e_state])  # e
-    rows.append([s_state] * k + [f])        # s
+    rows = [(*row, f if q in s else e_state) for q, row in enumerate(aut.rows)]
+    rows += [(e_state,) * (k + 1), (s_state,) * k + (f,)]  # e, s
     names = tuple([f"q{i}" for i in range(n)] + ["e", "s"])
     return GadgetOutput(Automaton(rows), StateSet(n + 2, (1 << n) - 1), names)
 
@@ -217,12 +198,10 @@ def random_automaton(n: int, k: int, seed: int, constraint: str = "none") -> Aut
     rng = random.Random(seed)
 
     if constraint == "permutation":
-        cols = []
-        for _ in range(k):
-            perm = list(range(n))
+        cols = [list(range(n)) for _ in range(k)]
+        for perm in cols:
             rng.shuffle(perm)
-            cols.append(perm)
-        return Automaton([[cols[a][q] for a in range(k)] for q in range(n)])
+        return Automaton(list(zip(*cols)))
 
     for _ in range(REJECTION_CAP):
         aut = Automaton([[rng.randrange(n) for _ in range(k)] for _ in range(n)])

@@ -94,7 +94,9 @@ class PairTable:
 
 
 def pair_table(aut: Automaton) -> PairTable:
-    """Multi-source backward BFS from all directly merged pairs, level by level."""
+    """Backward BFS over pairs from the diagonal, level by level: level 1 is
+    the directly merged pairs.  The diagonal reads 0 during the search and
+    -1 after it."""
     cached = aut._derived.get("pair_table")
     if cached is not None:
         return cached
@@ -107,22 +109,11 @@ def pair_table(aut: Automaton) -> PairTable:
         for p, q in enumerate(aut.by_letter[a]):
             inv[q][a].append(p)
 
-    # Directly merged pairs share a predecessor list.
-    first = []
-    for a in range(k):
-        for q in range(n):
-            xs = inv[q][a]
-            for i, x in enumerate(xs):
-                base = x * n
-                for y in xs[i + 1:]:
-                    if dist[base + y] < 0:
-                        dist[base + y] = 1
-                        first.append(base + y)
-    frontier = array("i", first)
-
     # pre[q] = the (letter, predecessors) entries of q that are non-empty
     pre = [[(a, xs) for a, xs in enumerate(row) if xs] for row in inv]
-    d = 1
+    frontier = array("i", range(0, n * n, n + 1))  # the pairs {q, q}
+    dist[::n + 1] = array("i", [0]) * n
+    d = 0
     while frontier:
         d += 1
         nxt = array("i")
@@ -135,12 +126,13 @@ def pair_table(aut: Automaton) -> PairTable:
                     continue
                 for x in xs:
                     xn = x * n
-                    for y in ys:  # x != y: a state has one successor under a
+                    for y in ys:
                         j = xn + y if x < y else y * n + x
                         if dist[j] < 0:
                             dist[j] = d
                             nxt.append(j)
         frontier = nxt
+    dist[::n + 1] = array("i", [-1]) * n
 
     table = PairTable(n, k, dist, aut.by_letter)
     aut._derived["pair_table"] = table

@@ -72,6 +72,12 @@ def test_word_rendering_and_parsing():
     assert tuple(w) == (1, 0)
     assert w.text(2) == "ba"
     assert Word([27, 3]).text(30) == "27 3"
+    # Letter names only for letters 0-25: any other letter renders the word in
+    # decimal, and repr never raises.
+    assert Word([30]).text(5) == "30" and Word([300, 1]).text(5) == "300 1"
+    assert Word([1, 26]).text(26) == "1 26" and Word([-1, 0]).text(2) == "-1 0"
+    assert Word([25, 0]).text(26) == "za"
+    assert repr(Word([-1])) == "Word('-1')" and repr(Word([2, 300])) == "Word('2 300')"
     assert Word.from_text("") == Word()
     assert (Word.from_text("a") + Word.from_text("b")).text(2) == "ab"
     assert Word.from_text("0 2").letters == (0, 2)

@@ -13,7 +13,7 @@ from preimages import (Automaton, DfaWithAcceptance, GadgetOutput, StateSet,
 from preimages import gadgets
 from preimages.cli import main
 from preimages.gadgets import trim_reachable
-from preimages.automaton import problem_goal
+from preimages.automaton import CONSTRAINTS, problem_goal
 
 
 def oracle_ext_tot(aut, s, cap=64):
@@ -57,6 +57,31 @@ def test_intersection_gadget_output_is_pinned():
                                           StateSet(n, rng.randrange(1, 1 << n))))
         digest.update(serialize_gadget(intersection_gadget(dfas)).encode())
     assert digest.hexdigest() == "8be6894e7088207481f9a60d622a473e96f8377eab40329a03a6d7f34ed5d85f"
+
+
+def test_reduction_outputs_are_pinned():
+    # SHA-256 of seeded binarize, sink_binarize, large_extend_gadget and
+    # trim_reachable outputs and random_automaton draws of every constraint,
+    # recorded from the earlier fill-then-overwrite implementation: state
+    # order, state names, rows, subsets and initial states stay the same.
+    rng = random.Random(38)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        n, k = rng.randint(1, 7), rng.choice([1, 2, 2, 3, 26, 27, 30])
+        aut = random_automaton(n, k, seed=rng.randrange(10**9))
+        s = StateSet(n, rng.randrange(1 << n))
+        outputs = [binarize(aut, s), large_extend_gadget(aut, s, rng.randrange(n))]
+        if k == 2:
+            outputs.append(sink_binarize(aut))
+        for out in outputs:
+            digest.update(serialize_gadget(out).encode())
+        trimmed = trim_reachable(DfaWithAcceptance(aut, rng.randrange(n), s))
+        digest.update(serialize_automaton(trimmed.automaton, subset=trimmed.accepting).encode())
+        digest.update(b"initial %d\n" % trimmed.initial)
+        for constraint in CONSTRAINTS:
+            drawn = random_automaton(n, rng.randint(2, 3), rng.randrange(10**9), constraint)
+            digest.update(serialize_automaton(drawn).encode())
+    assert digest.hexdigest() == "9fb138ff44bbc0cbe81dd1ad61008b5f8565fc249eadd87627e3856b6335adcd"
 
 
 def test_intersection_gadget_preconditions():
