@@ -2,7 +2,7 @@
 extend-total runs on Q∖S.
 
 With u a minimal-rank word, every image has at least rank(u) states, so
-if fewer lie outside S the answer is no.  Otherwise ``automaton.race``
+if fewer lie outside S the answer is no.  Otherwise ``search.race``
 runs these exact searches in lock-step under one node budget, since each
 loses by orders of magnitude on inputs another wins:
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, problem_goal, race, subset_search
+from .automaton import Automaton, StateSet, Word, problem_goal
 from .errors import DEFAULT_NODE_BUDGET
+from .search import race, subset_search
 from .pairs import minimal_rank_word
 
 

@@ -9,29 +9,28 @@ together; ``--method poly`` is a synonym of ``auto``, and the oracle state
 cap binds only ``--method oracle`` and ``reset --method oracle``.  The
 budget and the cap honor the environment variables PREIMAGES_BUDGET and
 PREIMAGES_ORACLE_CAP unless flags override them.  A process imports only the
-modules its route runs: ``pairs``, ``extend``, ``avoid``, ``resize``,
-``oracle`` and ``gadgets`` are imported on first use, so the extend and
-resize searches, the oracle and the permutation route load no ``pairs``.
+modules its route runs: ``pairs``, ``search`` (the subset kernel),
+``extend``, ``avoid``, ``resize``, ``oracle``, ``gadgets`` and ``commands``
+(``classify``, ``rank``, ``gadget``, ``random`` and the usage text) are
+imported on first use, so the extend and resize searches, the oracle and the
+permutation route load no ``pairs``, and the permutation route no ``search``.
 """
 
 from __future__ import annotations
 
 import atexit
-import importlib
 import os
 import sys
 import time
 import types
-from typing import NamedTuple, NoReturn, Optional
+from typing import NoReturn, Optional
 
-from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, apply_word,
-                        preimage_word, problem_goal, is_permutation_automaton,
-                        is_strongly_connected, known_synchronizing, sink_state)
+from .automaton import (CONSTRAINTS, PROBLEMS, Automaton, StateSet, Word, _classification,
+                        apply_word, preimage_word, problem_goal, is_permutation_automaton)
 from .errors import (BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP,
                      UsageError)
-from .fileformat import (AutomatonFormatError, decimal, parse_automaton_file, serialize_automaton,
-                         serialize_gadget)
-from .report import ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, dumps, witness_holds
+from .fileformat import AutomatonFormatError, _parse_subset, decimal, parse_automaton_file
+from .report import ANSWER_NO, ANSWER_UNKNOWN, ANSWER_YES, WitnessReport, witness_holds
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -75,55 +74,10 @@ def _limit(args, name: str) -> int:
         raise UsageError(f"environment variable {env} {exc}")
 
 
-def _checked(build, *args):
-    """``build(*args)``, whose ValueError is its check of the input it was given."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_subset(aut: Automaton, text: str) -> StateSet:
-    text = text.strip()
-    if text == "":
-        return StateSet.empty(aut.n)
-    try:
-        states = [decimal(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"bad subset {text!r}: expected comma-separated state indices")
-    return _checked(aut.state_set, states)
-
-
-def _is_synchronizing(aut: Automaton) -> bool:
-    """``pairs.is_synchronizing``, importing ``pairs`` on first use."""
-    from .pairs import is_synchronizing
-    return is_synchronizing(aut)
-
-
-def _classification(aut: Automaton, want_sync: bool) -> dict:
-    sync = known_synchronizing(aut)
-    if sync is None and want_sync:
-        sync = _is_synchronizing(aut)
-    return {
-        "strongly_connected": is_strongly_connected(aut),
-        "synchronizing": sync,
-        "permutation": is_permutation_automaton(aut),
-        "sink_state": sink_state(aut),
-    }
-
-
-class Route(NamedTuple):
-    """The answer one method gave, and why it is unknown."""
-
-    answer: str
-    word: Optional[Word]
-    method: str
-    note: Optional[str] = None
-
-
-# problem -> (module, search function).  Modules load on first use, and
-# route functions are looked up on them at call time, so a wrapper installed
-# on a module (bench/spans.py) sees the call.
+# problem -> (module, search function).  Modules load on first use, by the import
+# statement's own machinery (which -X importtime reports), and route functions are
+# looked up on them at call time, so a wrapper installed on a module (bench/spans.py)
+# sees the call.
 _SEARCH = {
     "extend": ("extend", "shortest_extending_word_small"),
     "extend-total": ("extend", "totally_extending_word_small"),
@@ -137,8 +91,9 @@ def _yes_no(decision: bool) -> str:
 
 
 def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
-            oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> Route:
-    """Answer the whole query along one route, under one node budget.
+            oracle_cap: int, want_witness: bool, max_len: Optional[int], stats: dict) -> tuple:
+    """Answer the whole query along one route, under one node budget: (answer,
+    word or None, method, why it is unknown or None).
     Only extend-total's route depends on ``--witness``: without it and
     without ``--max-len`` no word is needed.  The routes, in order:
 
@@ -160,23 +115,23 @@ def _decide(aut: Automaton, s: StateSet, problem: str, method: str, budget: int,
         if method == "oracle":
             from . import oracle
             word = oracle.oracle_shortest(aut, s, problem, budget, oracle_cap, max_len, stats)
-            return Route(_yes_no(word is not None), word, "oracle")
+            return _yes_no(word is not None), word, "oracle", None
         if is_permutation_automaton(aut):
             hit = problem_goal(problem, aut.n, s.size)(s.bits)
-            return Route(_yes_no(hit), Word() if hit else None, "fast-path")
-        if (problem == "extend-total" and not want_witness and max_len is None
-                and _is_synchronizing(aut)):
-            from . import extend
-            return Route(_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
-                         "fast-path")
+            return _yes_no(hit), Word() if hit else None, "fast-path", None
+        if problem == "extend-total" and not want_witness and max_len is None:
+            from . import extend, pairs
+            if pairs.is_synchronizing(aut):
+                return (_yes_no(extend.totally_extensible_synchronizing(aut, s)), None,
+                        "fast-path", None)
         module, name = _SEARCH[problem]
-        search = getattr(importlib.import_module(f".{module}", __package__), name)
+        search = getattr(__import__(module, globals(), level=1, fromlist=(name,)), name)
         word = search(aut, s, budget=budget, stats=stats, max_len=max_len)
-        return Route(_yes_no(word is not None), word, "poly")
+        return _yes_no(word is not None), word, "poly", None
     except BudgetExceededError as exc:
         if method == "oracle":
-            return Route(ANSWER_UNKNOWN, None, "oracle", str(exc))
-        return Route(ANSWER_UNKNOWN, None, "poly", "node budget exceeded")
+            return ANSWER_UNKNOWN, None, "oracle", str(exc)
+        return ANSWER_UNKNOWN, None, "poly", "node budget exceeded"
 
 
 def _emit(report: WitnessReport, as_json: bool) -> None:
@@ -205,9 +160,8 @@ def _cmd_check(args) -> int:
     budget, cap = _limit(args, "budget"), _limit(args, "oracle_cap")
     stats: dict = {}
     t0 = time.perf_counter()
-    route = _decide(aut, s, args.problem, args.method, budget, cap, args.witness, args.max_len,
-                    stats)
-    word = route.word if route.answer == ANSWER_YES else None
+    answer, word, method, note = _decide(aut, s, args.problem, args.method, budget, cap,
+                                         args.witness, args.max_len, stats)
     shown = word if args.witness else None
     preimage_size = None
     if word is not None:  # both calls read one word map (automaton.word_map)
@@ -218,59 +172,25 @@ def _cmd_check(args) -> int:
         stats["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     report = WitnessReport(
         problem=args.problem,
-        answer=route.answer,
+        answer=answer,
         subset_size=s.size,
-        method=route.method,
+        method=method,
         witness=None if shown is None else shown.text(aut.k),
         witness_length=None if shown is None else len(shown),
         preimage_size=preimage_size,
         stats=stats,
         classification=_classification(aut, want_sync=False),
         max_len=args.max_len,
-        note=route.note,
+        note=note,
     )
     _emit(report, args.json)
-    return _EXIT_OF[route.answer]
+    return _EXIT_OF[answer]
 
 
 def _cmd_oracle(args) -> int:
     """``oracle --goal G`` is ``check --problem P --method oracle``."""
     args.problem = _PROBLEM_OF[args.goal]
     return _cmd_check(args)
-
-
-def _cmd_classify(args) -> int:
-    aut = parse_automaton_file(args.file)
-    info = _classification(aut, want_sync=True)
-    if args.json:
-        sys.stdout.write(dumps(info) + "\n")
-    else:
-        for key in ("strongly_connected", "synchronizing", "permutation"):
-            sys.stdout.write(f"{key.replace('_', '-')}: {'yes' if info[key] else 'no'}\n")
-        sink = info["sink_state"]
-        sys.stdout.write(f"sink-state: {sink if sink is not None else 'none'}\n")
-    return EXIT_YES
-
-
-def _cmd_rank(args) -> int:
-    from .pairs import minimal_rank_word
-    aut = parse_automaton_file(args.file)
-    result = minimal_rank_word(aut)
-    image = apply_word(aut, StateSet.full(aut.n), result.word)
-    if image != result.image or image.size != result.rank:
-        raise RuntimeError("rank word failed re-verification")
-    if args.json:
-        payload = {
-            "rank": result.rank,
-            "word": result.word.text(aut.k),
-            "word_length": len(result.word),
-            "image": sorted(result.image),
-        }
-        sys.stdout.write(dumps(payload) + "\n")
-    else:
-        sys.stdout.write(f"rank: {result.rank}\nword: {result.word.text(aut.k)}\n"
-                         f"image: {result.image!r}\n")
-    return EXIT_YES
 
 
 def _cmd_reset(args) -> int:
@@ -291,55 +211,11 @@ def _cmd_reset(args) -> int:
     return EXIT_YES
 
 
-def _cmd_gadget(args) -> int:
-    from . import gadgets
-    if args.kind != "intersection" and not args.file:
-        raise UsageError(f"gadget {args.kind} needs an automaton file")
-    if args.kind == "intersection":
-        if not args.dfa:
-            raise UsageError("gadget intersection needs at least one --dfa FILE INITIAL ACCEPTING")
-        dfas = []
-        for path, initial, accepting in args.dfa:
-            aut = parse_automaton_file(path)
-            if not (initial.strip().isascii() and initial.strip().isdecimal()):
-                raise UsageError(f"bad initial state {initial!r}")
-            dfas.append(_checked(gadgets.DfaWithAcceptance, aut, int(initial),
-                                 _parse_subset(aut, accepting)))
-            missed = gadgets.reachable(aut, dfas[-1].initial).complement()
-            if missed:  # the gadget is strongly connected only on trimmed inputs
-                raise UsageError(f"{path}: state {min(missed)} cannot be reached from initial "
-                                 f"state {initial}; gadget intersection needs trimmed inputs")
-        out = _checked(gadgets.intersection_gadget, dfas)
-    elif args.kind == "binarize":
-        aut = parse_automaton_file(args.file)
-        out = _checked(gadgets.binarize, aut, _parse_subset(aut, args.subset))
-    elif args.kind == "sink":
-        aut = parse_automaton_file(args.file)
-        out = _checked(gadgets.sink_binarize, aut)
-    else:  # large-extend
-        aut = parse_automaton_file(args.file)
-        out = _checked(gadgets.large_extend_gadget, aut, _parse_subset(aut, args.subset),
-                       args.target)
-    text = serialize_gadget(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_YES
-
-
-def _cmd_random(args) -> int:
-    from . import gadgets
-    aut = gadgets.random_automaton(args.states, args.letters, args.seed, args.constraint)
-    sys.stdout.write(serialize_automaton(aut))
-    return EXIT_YES
-
-
 _QUERY_OPTIONS = {"--max-len": _int_at_least(0), "--witness": bool, "--json": bool,
                   "--budget": _int_at_least(1), "--oracle-cap": _int_at_least(0)}
 # command -> (handler, help line, {positional or option: converter}, required, defaults by option
-# or attribute); a converter is a callable, bool (a flag), choices (a tuple) or 3 (values, appended)
+# or attribute); a converter is a callable, bool (a flag), choices (a tuple) or 3 (values, appended).
+# A handler named by a string is looked up in ``commands``, which loads on first use.
 _COMMANDS = {
     "check": (_cmd_check, "decide extend / extend-total / avoid / resize",
               {"file": str, "--subset": str, "--problem": PROBLEMS,
@@ -348,35 +224,29 @@ _COMMANDS = {
     "oracle": (_cmd_oracle, "exhaustive shortest-word queries (desk scale)",
                {"file": str, "--subset": str, "--goal": tuple(_PROBLEM_OF), **_QUERY_OPTIONS},
                ("file", "--subset", "--goal"), {"method": "oracle", "timing": False}),
-    "classify": (_cmd_classify, "structural flags of an automaton",
+    "classify": ("_cmd_classify", "structural flags of an automaton",
                  {"file": str, "--json": bool}, ("file",), {}),
-    "rank": (_cmd_rank, "minimal rank and a witnessing word", {"file": str, "--json": bool},
+    "rank": ("_cmd_rank", "minimal rank and a witnessing word", {"file": str, "--json": bool},
              ("file",), {}),
     "reset": (_cmd_reset, "reset word (greedy or exhaustive-shortest)",
               {"file": str, "--method": ("greedy", "oracle"), "--oracle-cap": _int_at_least(0)},
               ("file",), {"--method": "greedy", "budget": None}),  # PREIMAGES_BUDGET only
-    "gadget": (_cmd_gadget, "reduction constructions", {"kind": ("intersection", "binarize",
+    "gadget": ("_cmd_gadget", "reduction constructions", {"kind": ("intersection", "binarize",
                "sink", "large-extend"), "file": str, "--dfa": 3, "--subset": str,
                "--target": decimal, "--output": str}, ("kind",), {"--subset": "", "--target": 0}),
-    "random": (_cmd_random, "seeded random automaton", {"--states": _int_at_least(1),
+    "random": ("_cmd_random", "seeded random automaton", {"--states": _int_at_least(1),
                "--letters": _int_at_least(1), "--seed": decimal, "--constraint": CONSTRAINTS},
                ("--states", "--letters", "--seed"), {"--constraint": "none"}),
 }
-_NO_COMMAND = (None, "\n".join(f"  {cmd:<10}{entry[1]}" for cmd, entry in _COMMANDS.items()), {},
-               ("command",), {})
+_NO_COMMAND = (None, "", {}, ("command",), {})
 
 
-def _usage(name: Optional[str]) -> str:
-    if name is None:
-        return "usage: preimages [-h] {" + ",".join(_COMMANDS) + "} ..."
-    _, _, spec, required, _ = _COMMANDS[name]
-    words = []
-    for arg, convert in spec.items():
-        value = ("{" + ",".join(convert) + "}" if isinstance(convert, tuple) else
-                 "FILE INITIAL ACCEPTING" if convert == 3 else arg.lstrip("-").upper())
-        word = value if arg[0] != "-" else arg if convert is bool else f"{arg} {value}"
-        words.append(word if arg in required else f"[{word}]")
-    return f"usage: preimages {name} [-h] {' '.join(words)}"
+def _load(handler):
+    """``handler``, or the function of ``commands`` it names, loading that module."""
+    if isinstance(handler, str):
+        from . import commands
+        handler = getattr(commands, handler)
+    return handler
 
 
 def _parse(name: Optional[str], argv: list[str]) -> Optional[types.SimpleNamespace]:
@@ -429,8 +299,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parse(name, argv)
         if args is None:  # a failed write of the help maps like any other
-            sys.stdout.write(f"{_usage(name)}\n\n{_COMMANDS.get(name, _NO_COMMAND)[1]}\n")
-        code = EXIT_YES if args is None else _COMMANDS[name][0](args)
+            sys.stdout.write(_load("_help")(_COMMANDS, name))
+        code = EXIT_YES if args is None else _load(_COMMANDS[name][0])(args)
         try:  # a reader gone before the flush maps like a failed write
             sys.stdout.flush()
         except OSError:  # the bytes stay buffered: os.devnull takes the flushes still to come
@@ -440,7 +310,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (AutomatonFormatError, OSError, UnicodeDecodeError) as exc:
         code, message = EXIT_DATA, f"error: {exc}"
     except UsageError as exc:
-        usage = f"{_usage(name)}\n" if args is None else ""
+        usage = f"{_load('_usage')(_COMMANDS, name)}\n" if args is None else ""
         code, message = EXIT_USAGE, f"{usage}error: {exc}"
     except BudgetExceededError as exc:
         code, message = EXIT_UNKNOWN, f"error: {exc}"

@@ -25,3 +25,11 @@ class NotSynchronizingError(ValueError):
 
 class UsageError(ValueError):
     """Bad input on the command line or in the environment, subsets and gadget inputs included."""
+
+
+def _checked(build, *args):
+    """``build(*args)``, whose ValueError is its check of the input it was given."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc

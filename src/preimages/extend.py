@@ -1,6 +1,6 @@
 """Extending and totally extending words for small subsets.
 
-``shortest_extending_word_small`` runs ``automaton.subset_bfs``, the
+``shortest_extending_word_small`` runs ``search.subset_bfs``, the
 kernel the power-set oracle runs, backward from S: a node is a
 preimage ``S . v^-1`` and its children prepend one letter,
 ``(S . v^-1) . a^-1 == S . (av)^-1``.  The search stops at the first node
@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, problem_goal, scc, subset_bfs
+from .automaton import Automaton, StateSet, Word, problem_goal, scc
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
+from .search import subset_bfs
 
 
 def shortest_extending_word_small(aut: Automaton, s: StateSet,

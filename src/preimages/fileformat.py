@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .automaton import Automaton, StateSet, decimal
+from .errors import UsageError, _checked
 
 if TYPE_CHECKING:  # gadgets is imported only by the routes that build gadgets
     from .gadgets import GadgetOutput
@@ -78,6 +79,16 @@ def parse_automaton(text: str) -> Automaton:
 def parse_automaton_file(path: str) -> Automaton:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_automaton(fh.read())
+
+
+def _parse_subset(aut: Automaton, text: str) -> StateSet:
+    """The states in ``text``, separated by commas as in a ``# subset:`` line, or spaces."""
+    text = text.strip()
+    try:
+        states = [decimal(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"bad subset {text!r}: expected comma-separated state indices")
+    return _checked(aut.state_set, states)
 
 
 def serialize_automaton(aut: Automaton, names: Optional[tuple[str, ...]] = None,

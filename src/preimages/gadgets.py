@@ -15,8 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import CONSTRAINTS, Automaton, StateSet, Word, is_strongly_connected, subset_bfs
+from .automaton import CONSTRAINTS, Automaton, StateSet, Word, is_strongly_connected
 from .pairs import is_synchronizing
+from .search import subset_bfs
 
 REJECTION_CAP = 10_000
 

@@ -1,7 +1,7 @@
 """Exhaustive subset-space searches: desk-scale ground truth.
 
 Both directions walk the power set breadth-first with
-``automaton.subset_bfs``, the kernel every subset search shares, so they
+``search.subset_bfs``, the kernel every subset search shares, so they
 are capped (by default at 20 states) and guarded by an explicit node limit.
 Depths are exact shortest distances; the preimage direction prepends
 letters while walking back from a subset, because
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automaton import (Automaton, Goal, StateSet, SubsetBfsResult, Word, problem_goal,
-                        subset_bfs)
+from .automaton import Automaton, Goal, StateSet, Word, problem_goal
 from .errors import BudgetExceededError, DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_STATE_CAP
+from .search import SubsetBfsResult, subset_bfs
 
 
 def _cut_fits(k: int, depth: int, cap: int) -> bool:

@@ -11,7 +11,7 @@ h(z) = sum(z[0..n-1]) - |S| * z[n] is linear and vanishes on everything
 inserted so far.  The basis therefore closes after at most n insertions (the
 kernel of h has dimension n), and the first vector with h != 0, taken in BFS
 order, belongs to a shortest resizing word.  The search is
-``automaton.subset_bfs`` back from S with the basis as its ``admit`` test:
+``search.subset_bfs`` back from S with the basis as its ``admit`` test:
 a size-keeping child is kept, expanded and counted only if it enlarges the
 basis, so the search holds at most n + 1 subsets.
 
@@ -38,8 +38,9 @@ from __future__ import annotations
 from math import isqrt
 from typing import Optional
 
-from .automaton import Automaton, StateSet, Word, problem_goal, subset_bfs
+from .automaton import Automaton, StateSet, Word, problem_goal
 from .errors import DEFAULT_NODE_BUDGET, NotSynchronizingError
+from .search import subset_bfs
 
 
 class RationalBasis:

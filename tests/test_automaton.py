@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_word,
                        cerny_automaton, is_permutation_automaton, is_strongly_connected,
                        minimal_rank_word, preimage_word, random_automaton, scc, sink_state)
-from preimages.automaton import move_states, race, subset_bfs, subset_search, word_map
+from preimages.automaton import move_states, word_map
+from preimages.search import race, subset_bfs, subset_search
 
 
 @st.composite

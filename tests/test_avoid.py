@@ -13,7 +13,8 @@ import pytest
 from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, avoiding_word,
                        backward_subset_bfs, cerny_automaton, minimal_rank_word,
                        oracle_shortest, preimage_word, random_automaton, serialize_automaton)
-from preimages.automaton import problem_goal, subset_bfs
+from preimages.automaton import problem_goal
+from preimages.search import subset_bfs
 from preimages.cli import main
 
 

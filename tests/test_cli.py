@@ -17,7 +17,7 @@ from preimages import (Automaton, BudgetExceededError, NotSynchronizingError, St
                        backward_subset_bfs, cerny_automaton, oracle_shortest, perm3, chain2,
                        random_automaton, serialize_automaton, validate_report)
 from preimages import (automaton as automaton_mod, avoid as avoid_mod, extend as extend_mod,
-                       oracle as oracle_mod)
+                       gadgets as gadgets_mod, oracle as oracle_mod, search as search_mod)
 from preimages.automaton import PROBLEMS
 from preimages.cli import _COMMANDS, main
 
@@ -464,6 +464,25 @@ def test_gadget_and_random_arguments_are_usage_errors(files, capsys):
         assert code == 3 and out == "" and "must be an integer >= 1" in err
 
 
+def test_a_constraint_no_draw_meets_is_a_usage_error(capsys, monkeypatch):
+    # With one letter a strongly connected draw must be an n-cycle, so nine
+    # states meet the constraint with probability 8!/9^9: the rejection cap
+    # ends the draw, and the request, not the program, is at fault.
+    code, out, err = run(capsys, "random", "--states", "9", "--letters", "1", "--seed", "597185",
+                         "--constraint", "strongly-connected")
+    assert (code, out) == (3, "") and err == (
+        "error: could not draw a strongly-connected automaton with n=9, k=1 in 10000 attempts\n")
+    monkeypatch.setattr(gadgets_mod, "REJECTION_CAP", 0)
+    for constraint in ("none", "synchronizing"):
+        code, out, err = run(capsys, "random", "--states", "3", "--letters", "2", "--seed", "1",
+                             "--constraint", constraint)
+        assert (code, out) == (3, "") and err == (
+            f"error: could not draw a {constraint} automaton with n=3, k=2 in 0 attempts\n")
+    code, _, _ = run(capsys, "random", "--states", "3", "--letters", "2", "--seed", "1",
+                     "--constraint", "permutation")
+    assert code == 0  # drawn directly, with no rejection
+
+
 def test_random_command_is_deterministic(capsys):
     _, first, _ = run(capsys, "random", "--states", "6", "--letters", "2", "--seed", "42")
     _, second, _ = run(capsys, "random", "--states", "6", "--letters", "2", "--seed", "42")
@@ -654,7 +673,7 @@ def test_oracle_budget_counts_subsets_up_to_the_first_witness(files, capsys):
 
 
 def test_one_query_generates_at_most_its_budget(files, capsys, monkeypatch):
-    # Every subset search of a query runs under automaton.race, the one place
+    # Every subset search of a query runs under search.race, the one place
     # that charges nodes, and a query runs one race with the whole of
     # --budget: the avoid and extend-total searches, and the depth-cut search
     # behind --max-len, race each other in it.  No query generates more
@@ -673,8 +692,8 @@ def test_one_query_generates_at_most_its_budget(files, capsys, monkeypatch):
         runs[-1][2] = stats["nodes"] - before
         return answer
 
-    race = automaton_mod.race
-    for module in (automaton_mod, avoid_mod):
+    race = search_mod.race
+    for module in (search_mod, avoid_mod):
         monkeypatch.setattr(module, "race", counting)
     raced = 0
     for name, subset, problem in (("cerny4", "0", "extend-total"), ("cerny4", "1,2", "avoid"),
@@ -907,27 +926,31 @@ def test_check_classify_and_rank_load_no_json_and_the_cli_no_array(files):
         assert found["cli_array"] is False, argv
 
 
-def test_a_process_imports_only_the_modules_its_route_runs(files):
+def test_a_process_imports_only_the_modules_its_route_runs(files, capsys):
     found = _probe("check", files["cerny4"], "--subset", "0,1,2,3", "--problem", "resize",
                    "--witness")
     assert found["package"] == []
+    # Neither the subset kernel (search) nor the commands that answer no query
+    # (commands) load with the CLI.
     assert found["cli"] == ["preimages." + m for m in
                             ("automaton", "cli", "errors", "fileformat", "report")]
     assert found["code"] == 1
     assert "preimages.resize" in found["query"]
-    for unused in ("oracle", "gadgets", "avoid", "extend", "pairs"):
+    for unused in ("oracle", "gadgets", "avoid", "extend", "pairs", "commands"):
         assert "preimages." + unused not in found["query"]
-    # Extend and avoid run the subset BFS kernel of automaton, never the
-    # oracle's searches, which bench/spans.py times by name; nor does extend
-    # fall back to the oracle when it runs out of budget.  Only avoid needs
-    # a minimal-rank word, and so the pair machinery.
+    # Extend and avoid run the subset kernel, never the oracle's searches,
+    # which bench/spans.py times by name; nor does extend fall back to the
+    # oracle when it runs out of budget.  Only avoid needs a minimal-rank
+    # word, and so the pair machinery.
     for problem, subset, budget, code in (("extend", "1,2", "50", 0), ("extend", "1,2", "3", 2),
                                           ("avoid", "0,1,2", "50", 0),
                                           ("resize", "1,2", "50", 0)):
         found = _probe("check", files["cerny4"], "--subset", subset, "--problem", problem,
                        "--witness", "--budget", budget)
         assert found["code"] == code and "preimages." + problem in found["query"]
+        assert "preimages.search" in found["query"], (problem, budget)
         assert "preimages.oracle" not in found["query"], (problem, budget)
+        assert "preimages.commands" not in found["query"], (problem, budget)
         assert ("preimages.pairs" in found["query"]) == (problem == "avoid"), (problem, budget)
     # Both extend-total routes, the decision and the search for a witness,
     # need the pair machinery; the oracle does not.
@@ -940,11 +963,48 @@ def test_a_process_imports_only_the_modules_its_route_runs(files):
                        "--method", "oracle", "--witness")
         assert "preimages.oracle" in found["query"], problem
         assert "preimages.pairs" not in found["query"], problem
-    # The permutation route answers every problem without a search module.
+    # The permutation route answers every problem without a search module or
+    # the subset kernel.
     for problem in ("extend", "extend-total", "avoid", "resize"):
         found = _probe("check", files["perm3"], "--subset", "0", "--problem", problem,
                        "--witness")
         assert found["code"] == 1 and found["query"] == found["cli"], problem
+        assert "preimages.search" not in found["query"], problem
+    # The oracle command and both reset methods never load ``commands``.
+    for argv in (("oracle", files["cerny4"], "--subset", "1,2", "--goal", "extending"),
+                 ("reset", files["cerny4"]), ("reset", files["cerny4"], "--method", "oracle")):
+        found = _probe(*argv)
+        assert found["code"] == 0 and "preimages.commands" not in found["query"], argv
+    # classify, rank, gadget and random do, and print what they printed when
+    # they lived in cli.py: the digest was recorded before the move.
+    digest = hashlib.sha256()
+    for argv in (("classify", files["cerny4"]), ("classify", files["perm3"], "--json"),
+                 ("rank", files["cerny4"]), ("rank", files["chain2"], "--json"),
+                 ("gadget", "sink", files["cerny4"]),
+                 ("gadget", "binarize", files["perm3"], "--subset", "0"),
+                 ("random", "--states", "5", "--letters", "2", "--seed", "7", "--constraint",
+                  "synchronizing")):
+        found = _fresh_python(_IMPORT_PROBE, *argv)  # gadgets loads dataclasses
+        assert found["code"] == 0 and "preimages.commands" in found["query"], argv
+        code, out, err = run(capsys, *argv)
+        assert err == "", argv
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "115bf2ca5bf1bd488840ce4c83c967a532266e7cf012a965c3741fa1d2c401ea"
+
+
+def test_cli_py_is_compiled_once_per_process(files):
+    # Under ``python -m preimages.cli`` the file runs as ``__main__``; a module
+    # that imported ``preimages.cli`` would compile and run it a second time,
+    # and -X importtime would list it.
+    for argv in (("check", files["cerny4"], "--subset", "1,2", "--problem", "extend"),
+                 ("classify", files["cerny4"])):
+        done = _python("-X", "importtime", "-m", "preimages.cli", *argv, capture_output=True,
+                       text=True)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert done.returncode == 0 and "preimages.automaton" in imported, argv
+        assert "preimages.cli" not in imported, argv
+        assert ("preimages.commands" in imported) == (argv[0] == "classify"), argv
 
 
 _PUBLIC_NAMES = {
@@ -969,7 +1029,7 @@ def test_package_namespace_is_lazy_and_complete():
     assert set(preimages.__all__) == _PUBLIC_NAMES
     submodules = [importlib.import_module("preimages." + m) for m in (
         "automaton", "avoid", "errors", "extend", "fileformat", "gadgets", "oracle", "pairs",
-        "reference", "report", "resize")]
+        "reference", "report", "resize", "search")]
     for name in preimages.__all__:
         value = getattr(preimages, name)
         assert any(vars(m).get(name) is value for m in submodules), name

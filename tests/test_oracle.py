@@ -12,7 +12,7 @@ from preimages import (Automaton, BudgetExceededError, StateSet, Word, apply_wor
                        serialize_automaton)
 from preimages import oracle as oracle_mod
 from preimages.cli import main
-from preimages.automaton import _step_tables
+from preimages.search import _step_tables
 from preimages.automaton import PROBLEMS, problem_goal
 
 

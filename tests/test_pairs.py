@@ -14,7 +14,7 @@ from preimages import (Automaton, StateSet, Word, apply_word, avoidable_state, a
                        cerny_automaton, forward_subset_bfs, greedy_reset_word,
                        is_permutation_automaton, is_synchronizing, minimal_rank_word,
                        pair_table, random_automaton)
-from preimages import cli, pairs, report
+from preimages import cli, commands, pairs, report
 from preimages.automaton import word_map
 
 
@@ -385,7 +385,7 @@ def test_a_no_comes_from_the_pair_table(p3):
 def test_permutation_automata_classify_without_the_pair_table(monkeypatch, capsys):
     for aut, flag in ((random_automaton(600, 2, seed=6, constraint="permutation"), False),
                       (Automaton([[0, 0]]), True)):
-        monkeypatch.setattr(cli, "parse_automaton_file", lambda path: aut)
+        monkeypatch.setattr(commands, "parse_automaton_file", lambda path: aut)
         assert cli.main(["classify", "unused.aut", "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["permutation"] and info["synchronizing"] is flag
